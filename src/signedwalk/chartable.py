@@ -92,12 +92,14 @@ class CharacterTable:
             "modulus": self.modulus,
             "classes": [
                 {
-                    "representative": self.group.encoding(rep).hex(),
+                    "representative": rep,
                     "size": size,
                     "element_order": k,
                 }
                 for rep, size, k in zip(
-                    self.classes.representatives, self.classes.sizes, self.class_orders
+                    self.group.hex_encodings(self.classes.representatives),
+                    self.classes.sizes,
+                    self.class_orders,
                 )
             ],
             "degrees": list(self.degrees),

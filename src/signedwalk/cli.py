@@ -200,7 +200,7 @@ def cmd_closure(cfg: RunConfig) -> int:
     G = _group(cfg)
     payload = {"order": G.order, "generators": list(G.generator_indices)}
     if cfg.extra.get("elements"):
-        payload["elements"] = [G.encoding(i).hex() for i in range(G.order)]
+        payload["elements"] = G.hex_encodings(range(G.order))
     _emit(cfg, payload)
     return EXIT_OK
 
@@ -219,7 +219,7 @@ def cmd_rho(cfg: RunConfig) -> int:
             "method": "exact",
             "rho": _rho_json(rho),
             "rho_value": rho.value,
-            "maximizers": [G.encoding(i).hex() for i in rho.maximizers],
+            "maximizers": G.hex_encodings(rho.maximizers),
             "bounds": _bounds_payload(seq, G.p),
         }
         dump_path = cfg.extra.get("dump_dist")

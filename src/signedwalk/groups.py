@@ -21,6 +21,7 @@ from .elements import (
     MulTable,
     PermutationElement,
     TableElement,
+    _byte_width,
     same_family,
 )
 from .errors import CapExceeded, NotInGroup, SizeCap
@@ -162,6 +163,21 @@ class FiniteGroup:
 
     def encoding(self, i: int) -> bytes:
         return self.element(i).encode()
+
+    def hex_encodings(self, idxs) -> list[str]:
+        """`encoding(i).hex()` for every i in idxs, without building elements."""
+        idxs = np.asarray(idxs, dtype=np.int64)
+        if self.variant == "matrix":
+            rows = self._mats[idxs].reshape(idxs.size, self.m * self.m)
+            width = _byte_width(self.p - 1)
+        elif self.variant == "perm":
+            rows, width = self._imgs[idxs], _byte_width(self.degree - 1)
+        else:
+            rows, width = self._member[idxs][:, None], 4
+        shifts = 8 * np.arange(width - 1, -1, -1, dtype=np.int64)
+        data = ((rows[:, :, None] >> shifts) & 0xFF).astype(np.uint8).tobytes().hex()
+        k = 2 * rows.shape[1] * width
+        return [data[i : i + k] for i in range(0, len(data), k)]
 
     # -- index arithmetic ------------------------------------------------
 

@@ -1,10 +1,13 @@
 """The signed-product walk: exact law, maximum point probability, bounds, Monte Carlo.
 
 All probabilities of the walk are dyadic rationals; the exact engine therefore
-keeps big-integer counts with denominator 2^n and never rounds.  The
-Monte-Carlo estimator is deterministic for a fixed (seed, samples) pair
-regardless of worker count: samples are processed in fixed-size batches whose
-bit streams come from a counter-based generator keyed by (seed, batch index).
+keeps integer counts with denominator 2^n and never rounds.  Each convolution
+step is a vectorized gather over an int64 array of base-2^32 limbs, carried
+often enough that no limb overflows; the counts come back as exact Python
+ints.  The Monte-Carlo estimator is deterministic for a fixed (seed, samples)
+pair regardless of worker count: samples are processed in fixed-size batches
+whose bit streams come from a counter-based generator keyed by (seed, batch
+index).
 """
 
 from __future__ import annotations
@@ -17,12 +20,15 @@ from fractions import Fraction
 import numpy as np
 
 from .elements import GroupElement, MatrixElement, PermutationElement, TableElement, same_family
-from .errors import CapExceeded, ElementNotInGroup, NotNonTrivial
+from .errors import CapExceeded, ElementNotInGroup, NotInGroup, NotNonTrivial
 from .groups import FiniteGroup
 from .primes import is_prime
 
 MAX_WALK_LENGTH = 4096
 _MC_BATCH = 4096
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_CARRY_EVERY = 30
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +121,12 @@ class ExactDistribution:
         return RhoResult(best, self.denom_exp, maximizers)
 
     def to_json(self, G: FiniteGroup) -> dict:
+        support = self.support()
         return {
             "denom_exp": self.denom_exp,
             "entries": [
-                {"element": G.encoding(i).hex(), "count": str(c)}
-                for i, c in enumerate(self.counts)
-                if c
+                {"element": h, "count": str(self.counts[i])}
+                for i, h in zip(support, G.hex_encodings(support))
             ],
         }
 
@@ -128,33 +134,51 @@ class ExactDistribution:
 def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution:
     """Exact law of A_1^{±1} ... A_n^{±1} by n convolution steps over G.
 
-    Step i sends mass from g to both g*A_i and g*A_i^{-1}; when A_i is an
-    involution both increments land on the same target.
+    Step i sends mass from g to both g*A_i and g*A_i^{-1}.  Right
+    multiplication is a bijection, so the step is two gathers,
+    nxt[h] = cur[h*A_i^{-1}] + cur[h*A_i], over the right-multiplication
+    columns of G.  Counts are kept as base-2^32 limbs (see `_carry`).
     """
     try:
         idxs = [G.index_of(e) for e in seq.elements]
-    except Exception as exc:  # noqa: BLE001 - normalize to the walk-level error
+    except NotInGroup as exc:
         raise ElementNotInGroup(str(exc)) from exc
-    n = G.order
-    cols: dict[int, list[int]] = {}
+    cols: dict[int, np.ndarray] = {}
     for a in set(idxs):
-        cols[a] = G.right_column(a).tolist()
-        ainv = G.inv(a)
-        if ainv not in cols:
-            cols[ainv] = G.right_column(ainv).tolist()
+        for b in (a, G.inv(a)):
+            if b not in cols:
+                cols[b] = G.right_column(b)
 
-    cur = [0] * n
-    cur[0] = 1
-    for a in idxs:
-        fwd = cols[a]
-        bwd = cols[G.inv(a)]
-        nxt = [0] * n
-        for g, c in enumerate(cur):
-            if c:
-                nxt[fwd[g]] += c
-                nxt[bwd[g]] += c
-        cur = nxt
-    return ExactDistribution(cur, seq.n)
+    cur = np.zeros((1, G.order), dtype=np.int64)
+    cur[0, 0] = 1
+    for step, a in enumerate(idxs, start=1):
+        cur = np.take(cur, cols[G.inv(a)], axis=1) + np.take(cur, cols[a], axis=1)
+        if step % _CARRY_EVERY == 0:
+            cur = _carry(cur)
+    cur = _carry(cur)
+
+    counts = cur[-1].tolist()
+    for limb in cur[-2::-1]:
+        counts = [(c << _LIMB_BITS) | x for c, x in zip(counts, limb.tolist())]
+    return ExactDistribution(counts, seq.n)
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """Normalize a (limbs, |G|) count array so every limb is below 2^32.
+
+    Between carries a step at most doubles every limb, so limbs below 2^32
+    stay below 2^62 for `_CARRY_EVERY` steps; int64 never overflows.  A top
+    limb is appended only when the top carry is nonzero.
+    """
+    out = np.empty_like(limbs)
+    carry = 0
+    for k, limb in enumerate(limbs):
+        total = limb + carry
+        out[k] = total & _LIMB_MASK
+        carry = total >> _LIMB_BITS
+    if np.any(carry):
+        out = np.concatenate([out, carry[None, :]])
+    return out
 
 
 def rho_exact(G: FiniteGroup, seq: SignedSequence) -> RhoResult:

@@ -61,6 +61,21 @@ def brute_force_distribution(G: FiniteGroup, seq: SignedSequence) -> list[int]:
     return counts
 
 
+def naive_exact_counts(G: FiniteGroup, seq: SignedSequence) -> list[int]:
+    """Step-by-step Python-int convolution: the mass at g moves to g*a and g*a^{-1}."""
+    cur = [0] * G.order
+    cur[0] = 1
+    for a in (G.index_of(e) for e in seq.elements):
+        ainv = G.inv(a)
+        nxt = [0] * G.order
+        for g, c in enumerate(cur):
+            if c:
+                nxt[G.mul(g, a)] += c
+                nxt[G.mul(g, ainv)] += c
+        cur = nxt
+    return cur
+
+
 def pascal_central_binomial(n: int) -> int:
     """C(n, floor(n/2)) from an explicit Pascal triangle."""
     row = [1]

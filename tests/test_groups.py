@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedwalk import catalog
-from signedwalk.elements import MatrixElement, PermutationElement
+from signedwalk.elements import MatrixElement, MulTable, PermutationElement, TableElement
 from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup
 from signedwalk.groups import (
     center_and_centralizer,
@@ -185,3 +185,20 @@ def test_large_matrix_group_no_dense_table(sl2_49):
         k = sl2_49.mul(i, j)
         gi, gj = sl2_49.element(i), sl2_49.element(j)
         assert sl2_49.element(k) == gi.mul(gj)
+
+
+def test_hex_encodings_match_encoding(bench_groups):
+    table = MulTable([[(i + j) % 6 for j in range(6)] for i in range(6)])
+    unipotent_257 = close_generators([MatrixElement.from_rows([[1, 1], [0, 1]], 257)])
+    groups = [
+        bench_groups["sl2_5"],
+        bench_groups["s4"],
+        close_generators([TableElement(table, 1)]),
+        unipotent_257,  # entries up to 256: two bytes each
+    ]
+    for G in groups:
+        expected = [G.encoding(i).hex() for i in range(G.order)]
+        assert G.hex_encodings(range(G.order)) == expected
+        assert G.hex_encodings([3, 0, 3]) == [expected[3], expected[0], expected[3]]
+        assert G.hex_encodings(()) == []
+    assert len(unipotent_257.encoding(0)) == 8

@@ -19,7 +19,7 @@ from signedwalk.walk import (
     sequence_from_spec,
 )
 
-from conftest import brute_force_distribution, random_sequence
+from conftest import brute_force_distribution, naive_exact_counts, random_sequence
 
 
 def cyclic(k):
@@ -89,6 +89,53 @@ def test_conservation_longer_walks(bench_groups):
         assert exact_distribution(G, seq).total() == 2**40
 
 
+@pytest.mark.parametrize("n", [31, 32, 33, 62, 63, 64, 65, 96])
+def test_involution_walk_across_limb_boundaries(bench_groups, n):
+    # counts of exactly 2^n cross the 2^32 and 2^64 limb edges
+    G = bench_groups["s4"]
+    t = G.index_of(PermutationElement((1, 0, 2, 3)))
+    d = exact_distribution(G, SignedSequence.constant(G.element(t), n))
+    expected = [0] * G.order
+    expected[0 if n % 2 == 0 else t] = 2**n
+    assert d.counts == expected
+    assert all(type(c) is int for c in d.counts)
+
+
+@pytest.mark.parametrize("name", ["s4", "sl2_5"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_long_walks_match_naive_convolution(bench_groups, name, seed):
+    rng = np.random.default_rng(seed)
+    G = bench_groups[name]
+    seq = random_sequence(G, int(rng.integers(60, 131)), rng)
+    assert exact_distribution(G, seq).counts == naive_exact_counts(G, seq)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_inverting_entries_leaves_law_unchanged(bench_groups, seed):
+    rng = np.random.default_rng(seed)
+    G = bench_groups["sl2_5"]
+    seq = random_sequence(G, int(rng.integers(1, 70)), rng)
+    flipped = SignedSequence(
+        tuple(e.inv() if rng.integers(2) else e for e in seq.elements)
+    )
+    assert exact_distribution(G, flipped).counts == exact_distribution(G, seq).counts
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_conjugating_entries_conjugates_law(bench_groups, seed):
+    rng = np.random.default_rng(seed)
+    G = bench_groups[["s4", "sl2_5"][int(rng.integers(2))]]
+    seq = random_sequence(G, int(rng.integers(1, 70)), rng)
+    g = G.element(int(rng.integers(G.order)))
+    conj = SignedSequence(tuple(g.mul(e).mul(g.inv()) for e in seq.elements))
+    law = exact_distribution(G, seq).counts
+    law_conj = exact_distribution(G, conj).counts
+    image = G.conj_many(np.arange(G.order), G.index_of(g))  # h -> g h g^{-1}
+    assert all(law_conj[int(image[h])] == law[h] for h in range(G.order))
+
+
 def test_support_inside_generated_subgroup(bench_groups):
     G = bench_groups["s4"]
     four_cycle = PermutationElement((1, 2, 3, 0))
@@ -144,6 +191,18 @@ def test_element_not_in_group():
     alien = PermutationElement((1, 2, 3, 4, 0, 5))
     with pytest.raises(ElementNotInGroup):
         exact_distribution(G, SignedSequence((alien,)))
+
+
+def test_index_errors_other_than_membership_propagate(monkeypatch):
+    G = cyclic(5)
+    seq = SignedSequence((G.element(1),))
+
+    def broken(g):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(G, "index_of", broken)
+    with pytest.raises(TypeError):
+        exact_distribution(G, seq)
 
 
 def test_walk_length_cap():
