@@ -39,7 +39,7 @@ from .chartable import (
     eigenvalue_multiplicities,
     max_character_ratio,
 )
-from .irreps import UnitaryIrrep, decompose_regular, fourier_distribution, fourier_probability
+from .irreps import UnitaryIrrep, decompose_regular, fourier_distribution
 from .spectral import (
     CascadeDiagnostics,
     SingularProfile,

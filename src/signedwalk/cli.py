@@ -279,6 +279,8 @@ def cmd_irreps(cfg: RunConfig) -> int:
 
 def cmd_fourier_check(cfg: RunConfig) -> int:
     G = _group(cfg)
+    if G.order == 1:
+        raise ValueError("fourier-check draws non-trivial elements; the group is trivial (|G| = 1)")
     tol = cfg.tol if cfg.tol is not None else 1e-8
     irreps = decompose_regular(G, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)

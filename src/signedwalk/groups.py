@@ -6,7 +6,11 @@ BFS layer, newly discovered elements are sorted by their canonical encoding,
 so indices are reproducible across runs.  Matrix groups get a vectorized
 numpy path (codes + searchsorted) that scales to a few million elements;
 permutation and table groups use a dict of encodings.  A dense index-level
-multiplication table is built when the order is at most `DENSE_TABLE_CAP`.
+multiplication table is built when the order is at most `DENSE_TABLE_CAP`,
+from index gathers alone: the right-multiplication columns of the generators
+and their inverses are the only products the variant computes, and every
+other column h is column g gathered through the column of t, for h = g * t
+with g < h (the BFS numbering always provides such a parent).
 """
 
 from __future__ import annotations
@@ -254,13 +258,26 @@ class FiniteGroup:
     # -- construction helpers ---------------------------------------------
 
     def _build_dense_table(self) -> None:
+        """Fill the table column by column along the BFS tree: each h >= 1 is
+        g * t for a multiplier t (a generator or its inverse) and a parent g < h,
+        so column h is column g gathered through t's right-multiplication column."""
         n = self.order
         if n > DENSE_TABLE_CAP or self._table is not None:
             return
-        table = np.empty((n, n), dtype=np.int32)
         idxs = np.arange(n)
-        for j in range(n):
-            table[:, j] = self.mul_many(idxs, j)
+        gens = self.generator_indices
+        mults = list(dict.fromkeys(list(gens) + [int(self._inv[t]) for t in gens]))
+        cols = np.stack([self.mul_many(idxs, t) for t in mults]).astype(np.int32)
+        # parents[k, h] = h * t_k^{-1}, the g with g * t_k = h
+        parents = np.empty_like(cols)
+        parents[np.arange(len(mults))[:, None], cols] = idxs
+        via = np.argmin(parents, axis=0)
+        parent = parents[via, idxs]
+        assert np.all(parent[1:] < idxs[1:]), "indices are not in BFS order"
+        table = np.empty((n, n), dtype=np.int32)
+        table[:, 0] = idxs
+        for h in range(1, n):
+            table[:, h] = cols[via[h]][table[:, parent[h]]]
         self._table = table
 
 

@@ -7,6 +7,14 @@ block of dimension d contributes d eigenvalues of multiplicity d).  Restricting
 the translation action to an eigenspace with an orthonormal basis gives a
 unitary representation; a character self-inner-product of 1 certifies
 irreducibility, anything larger is split again recursively.
+
+The average needs no sum over the group.  It commutes with every left
+translation, so `Ht[a, b] = f(a^{-1} b)` with `f(h) = mean_x H[x, x h]`: one
+gather of H through the multiplication table, one mean, and one gather of f,
+O(|G|^2) in all.  On an invariant subspace with orthonormal basis V, the
+restricted action rho(g) = V^* R(g) V averages the same way, as
+V^* avg(V K V^*) V.  Each irreducible is tabulated in chunks of |G| // d
+elements, one matmul per chunk, so no temporary exceeds |G|^2 entries.
 """
 
 from __future__ import annotations
@@ -37,15 +45,36 @@ class UnitaryIrrep:
             raise ValueError("matrix block size does not match dim")
 
 
-def _average_hermitian(H: np.ndarray, left_inv_rows: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_g R(g) H R(g)^*; R(g) permutes coordinates, so each term is a
-    row/column gather of H."""
+def _average_hermitian(
+    H: np.ndarray, left_rows: np.ndarray, left_inv_rows: np.ndarray
+) -> np.ndarray:
+    """(1/|G|) sum_g R(g) H R(g)^*, i.e. Ht[a, b] = mean_g H[g^{-1} a, g^{-1} b].
+
+    Substituting x = g^{-1} a gives Ht[a, b] = f(a^{-1} b), f(h) = mean_x H[x, x h];
+    left_rows[x, h] is the index of x h and left_inv_rows[a, b] that of a^{-1} b.
+    """
     n = H.shape[0]
-    acc = np.zeros_like(H)
-    for g in range(n):
-        pi = left_inv_rows[g]
-        acc += H[np.ix_(pi, pi)]
-    return acc / n
+    f = H[np.arange(n)[:, None], left_rows].mean(axis=0)
+    return f[left_inv_rows]
+
+
+def _restricted_average(
+    V: np.ndarray, K: np.ndarray, left_rows: np.ndarray, left_inv_rows: np.ndarray
+) -> np.ndarray:
+    """(1/|G|) sum_g rho(g) K rho(g)^* for rho(g) = V^* R(g) V on an invariant span(V)."""
+    Vh = V.conj().T
+    return Vh @ _average_hermitian(V @ K @ Vh, left_rows, left_inv_rows) @ V
+
+
+def _tabulate(V: np.ndarray, left_inv_rows: np.ndarray) -> np.ndarray:
+    """rho(g) = V^* R(g) V for every g, |G| // d elements per matmul."""
+    n, d = V.shape
+    Vh = V.conj().T
+    mats = np.empty((n, d, d), dtype=np.complex128)
+    step = max(1, n // d)
+    for start in range(0, n, step):
+        mats[start : start + step] = np.matmul(Vh, V[left_inv_rows[start : start + step]])
+    return mats
 
 
 def _char_inner(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, order: int) -> complex:
@@ -66,12 +95,8 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         raise SizeCap(f"|G| = {n} exceeds the explicit-representation cap {REGULAR_SIZE_CAP}")
     cc = conjugacy_classes(G)
     sizes = np.array(cc.sizes, dtype=np.float64)
-    left_rows = np.empty((n, n), dtype=np.int64)
-    for g in range(n):
-        left_rows[g] = G.left_row(g)
-    left_inv_rows = np.empty_like(left_rows)
-    for g in range(n):
-        left_inv_rows[g] = left_rows[G.inv(g)]
+    left_rows = np.array([G.left_row(g) for g in range(n)], dtype=np.int64)
+    left_inv_rows = left_rows[[G.inv(g) for g in range(n)]]
 
     rng = np.random.default_rng(seed)
 
@@ -93,13 +118,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         if depth > 256:
             raise SplitFailure("splitting recursion exceeded depth budget")
         for attempt in range(_MAX_RETRIES):
-            K = random_hermitian(d)
-            # average K over the restricted action rho(g) = V^* R(g) V
-            acc = np.zeros((d, d), dtype=np.complex128)
-            for g in range(n):
-                rho = V.conj().T @ V[left_inv_rows[g]]
-                acc += rho @ K @ rho.conj().T
-            acc /= n
+            acc = _restricted_average(V, random_hermitian(d), left_rows, left_inv_rows)
             acc = (acc + acc.conj().T) / 2.0
             evals, evecs = np.linalg.eigh(acc)
             clusters = _cluster(evals)
@@ -112,8 +131,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
 
     # first pass: average over the full regular representation
     for attempt in range(_MAX_RETRIES):
-        H = random_hermitian(n)
-        Ht = _average_hermitian(H, left_inv_rows)
+        Ht = _average_hermitian(random_hermitian(n), left_rows, left_inv_rows)
         Ht = (Ht + Ht.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(Ht)
         clusters = _cluster(evals)
@@ -158,9 +176,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
             raise SplitFailure(
                 f"isotypic multiplicity {members_count[ci]} != dimension {d}"
             )
-        mats = np.empty((n, d, d), dtype=np.complex128)
-        for g in range(n):
-            mats[g] = V.conj().T @ V[left_inv_rows[g]]
+        mats = _tabulate(V, left_inv_rows)
         character = np.einsum("gii->g", mats)
         irreps.append(UnitaryIrrep(dim=d, matrices=mats, character=character))
     if sum(r.dim * r.dim for r in irreps) != n:
@@ -225,23 +241,3 @@ def fourier_distribution(
     if worst > imag_tol:
         raise ImagTooLarge(f"imaginary residue {worst:.2e} exceeds {imag_tol:.1e}")
     return acc.real
-
-
-def fourier_probability(
-    G: FiniteGroup, irreps, seq: SignedSequence, B, imag_tol: float = 1e-9
-) -> float:
-    """Point probability of one target element via the trace identity."""
-    b = B if isinstance(B, int) else G.index_of(B)
-    _check_complete(G, irreps)
-    idxs = [G.index_of(e) for e in seq.elements]
-    total = 0.0 + 0.0j
-    for rep in irreps:
-        mats = rep.matrices
-        prod = np.eye(rep.dim, dtype=np.complex128)
-        for a in idxs:
-            prod = prod @ ((mats[a] + mats[G.inv(a)]) / 2.0)
-        total += rep.dim * np.trace(prod @ mats[G.inv(b)])
-    total /= G.order
-    if abs(total.imag) > imag_tol:
-        raise ImagTooLarge(f"imaginary residue {abs(total.imag):.2e} exceeds {imag_tol:.1e}")
-    return float(total.real)

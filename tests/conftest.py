@@ -6,12 +6,14 @@ unit modules share one enumeration.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
 from signedwalk import catalog
+from signedwalk.elements import PermutationElement
 from signedwalk.groups import FiniteGroup, close_generators
 from signedwalk.irreps import decompose_regular
 from signedwalk.walk import SignedSequence
@@ -44,6 +46,15 @@ def sl2_49():
     return close_generators(catalog.sl2_prime_squared_generators(7))
 
 
+@pytest.fixture(scope="session")
+def s6():
+    """S6 from the transposition (0 1) and the 6-cycle (0 1 2 3 4 5), both
+    relabelled by i -> [3, 1, 4, 5, 2, 0][i] (the benchmark's seed-11 input)."""
+    return close_generators(
+        [PermutationElement((0, 3, 2, 1, 4, 5)), PermutationElement((3, 4, 0, 1, 5, 2))]
+    )
+
+
 # ---------------------------------------------------------------------------
 # independent oracles (kept deliberately naive)
 # ---------------------------------------------------------------------------
@@ -74,6 +85,34 @@ def naive_exact_counts(G: FiniteGroup, seq: SignedSequence) -> list[int]:
                 nxt[G.mul(g, ainv)] += c
         cur = nxt
     return cur
+
+
+def naive_dense_table(G: FiniteGroup) -> np.ndarray:
+    """The per-column build: table[:, j] = mul_many(all, j) on a copy without a table,
+    so every column goes through the variant's own product and lookup."""
+    bare = copy.copy(G)
+    bare._table = None
+    idxs = np.arange(G.order)
+    table = np.empty((G.order, G.order), dtype=np.int32)
+    for j in range(G.order):
+        table[:, j] = bare.mul_many(idxs, j)
+    return table
+
+
+def left_translation_rows(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(rows[x, h] = index of x h, inv_rows[a, b] = index of a^{-1} b)."""
+    rows = np.array([G.left_row(g) for g in range(G.order)], dtype=np.int64)
+    return rows, rows[[G.inv(g) for g in range(G.order)]]
+
+
+def naive_average_hermitian(H: np.ndarray, left_inv_rows: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g R(g) H R(g)^* as |G| row/column gathers of H, O(|G|^3)."""
+    n = H.shape[0]
+    acc = np.zeros_like(H)
+    for g in range(n):
+        pi = left_inv_rows[g]
+        acc += H[np.ix_(pi, pi)]
+    return acc / n
 
 
 def pascal_central_binomial(n: int) -> int:

@@ -160,6 +160,23 @@ def test_fourier_check_fails_at_absurd_tolerance(specs, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "table", "size": 1, "table": [[0]]},
+        {"kind": "permutation", "degree": 3, "generators": [[0, 1, 2]]},
+    ],
+)
+def test_fourier_check_rejects_trivial_group(capsys, tmp_path, spec):
+    group = tmp_path / "trivial.json"
+    group.write_text(json.dumps(spec))
+    code = main(["fourier-check", "--group", str(group), "--count", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "group is trivial" in captured.err
+
+
 def test_mult_bounds(specs, capsys):
     code, out = run(capsys, "mult-bounds", "--group", specs["sl2_3"], "--alpha", "1/2")
     assert code == 0

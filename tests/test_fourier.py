@@ -4,7 +4,7 @@ import pytest
 from signedwalk.elements import PermutationElement
 from signedwalk.errors import IncompleteIrreps
 from signedwalk.groups import close_generators
-from signedwalk.irreps import fourier_distribution, fourier_probability
+from signedwalk.irreps import fourier_distribution
 from signedwalk.walk import SignedSequence, exact_distribution
 
 from conftest import random_sequence
@@ -14,7 +14,7 @@ def test_three_cycle_squared_probability(bench_groups, bench_irreps):
     G = bench_groups["s3"]
     a = G.element(G.index_of(PermutationElement((1, 2, 0))))
     seq = SignedSequence((a, a))
-    p = fourier_probability(G, bench_irreps["s3"], seq, 0)
+    p = fourier_distribution(G, bench_irreps["s3"], seq)[0]
     assert p == pytest.approx(0.5, abs=1e-10)
 
 
@@ -27,7 +27,7 @@ def test_zero_outside_generated_subgroup(bench_groups, bench_irreps):
     outside = next(
         b for b in range(G.order) if G.encoding(b) not in sub_encodings
     )
-    p = fourier_probability(G, bench_irreps["s4"], seq, outside)
+    p = fourier_distribution(G, bench_irreps["s4"], seq)[outside]
     assert abs(p) <= 1e-9
 
 
@@ -57,4 +57,4 @@ def test_incomplete_irreps_rejected(bench_groups, bench_irreps):
     G = bench_groups["s3"]
     seq = SignedSequence.constant(G.element(1), 2)
     with pytest.raises(IncompleteIrreps):
-        fourier_probability(G, bench_irreps["s3"][:2], seq, 0)
+        fourier_distribution(G, bench_irreps["s3"][:2], seq)

@@ -17,7 +17,7 @@ from signedwalk.groups import (
     group_from_spec,
 )
 
-from conftest import BENCH_NAMES
+from conftest import BENCH_NAMES, naive_dense_table
 
 
 def test_closure_s3_from_transposition_and_cycle():
@@ -202,3 +202,34 @@ def test_hex_encodings_match_encoding(bench_groups):
         assert G.hex_encodings([3, 0, 3]) == [expected[3], expected[0], expected[3]]
         assert G.hex_encodings(()) == []
     assert len(unipotent_257.encoding(0)) == 8
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "sl2_5"])
+def test_dense_table_matches_per_column_build(bench_groups, name):
+    G = bench_groups[name]
+    assert G._table.dtype == np.int32
+    assert np.array_equal(G._table, naive_dense_table(G))
+
+
+def test_dense_table_s6_matches_per_column_build(s6):
+    assert s6.order == 720
+    assert np.array_equal(s6._table, naive_dense_table(s6))
+
+
+def test_dense_table_with_self_inverse_generators():
+    # D6 from two reflections of the hexagon: each multiplier is its own inverse
+    G = close_generators(
+        [PermutationElement((0, 5, 4, 3, 2, 1)), PermutationElement((1, 0, 5, 4, 3, 2))]
+    )
+    assert G.order == 12
+    assert np.array_equal(G._table, naive_dense_table(G))
+
+
+@pytest.mark.parametrize(
+    "ident", [PermutationElement.identity(3), MatrixElement.identity(5, 2)]
+)
+def test_dense_table_of_trivial_group(ident):
+    G = close_generators([ident])
+    assert G.order == 1
+    assert np.array_equal(G._table, [[0]])
+    assert np.array_equal(G._table, naive_dense_table(G))

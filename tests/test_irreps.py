@@ -5,7 +5,9 @@ from signedwalk import catalog
 from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import SizeCap
 from signedwalk.groups import close_generators
-from signedwalk.irreps import decompose_regular
+from signedwalk.irreps import _average_hermitian, _restricted_average, decompose_regular
+
+from conftest import left_translation_rows, naive_average_hermitian
 
 
 def test_abelian_splits_into_linear_characters():
@@ -69,21 +71,59 @@ def test_deterministic_for_fixed_seed(bench_groups):
         assert np.array_equal(ra.matrices, rb.matrices)
 
 
-def test_agrees_with_dixon_table(bench_groups, bench_irreps):
+def _assert_matches_dixon(G, irreps):
     """Splitting characters and table rows coincide up to permutation (1e-6)."""
+    t = dixon_character_table(G)
+    reps = t.classes.representatives
+    rows = {i: t.values[i] for i in range(t.num_classes)}
+    for rep in irreps:
+        chi = np.array([rep.character[r] for r in reps])
+        matches = [i for i, row in rows.items() if np.max(np.abs(row - chi)) < 1e-6]
+        assert len(matches) == 1
+        rows.pop(matches[0])
+    assert rows == {}
+
+
+def test_agrees_with_dixon_table(bench_groups, bench_irreps):
     for name in ("s4", "sl2_3", "sl2_5"):
-        G = bench_groups[name]
-        t = dixon_character_table(G)
-        reps = t.classes.representatives
-        rows = {i: t.values[i] for i in range(t.num_classes)}
-        for rep in bench_irreps[name]:
-            chi = np.array([rep.character[r] for r in reps])
-            matches = [
-                i for i, row in rows.items() if np.max(np.abs(row - chi)) < 1e-6
-            ]
-            assert len(matches) == 1
-            rows.pop(matches[0])
-        assert rows == {}
+        _assert_matches_dixon(bench_groups[name], bench_irreps[name])
+
+
+def test_s6_agrees_with_dixon_table(s6):
+    irreps = decompose_regular(s6, seed=11)
+    assert [r.dim for r in irreps] == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
+    _assert_matches_dixon(s6, irreps)
+
+
+@pytest.mark.parametrize("name", ["s4", "sl2_5"])
+def test_average_hermitian_matches_sum_over_group(bench_groups, name):
+    G = bench_groups[name]
+    rows, inv_rows = left_translation_rows(G)
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((G.order, G.order)) + 1j * rng.standard_normal((G.order, G.order))
+    fast = _average_hermitian(H, rows, inv_rows)
+    assert np.max(np.abs(fast - naive_average_hermitian(H, inv_rows))) <= 1e-12
+
+
+def test_restricted_average_on_reducible_subspace(bench_groups):
+    """V^* avg(V K V^*) V equals (1/|G|) sum_g rho(g) K rho(g)^* on the functions
+    constant on the left cosets of an involution: the action on G/<t>, invariant
+    and reducible.  `split` averages like this only when a first-pass eigenspace
+    is reducible, which generic draws never produce."""
+    G = bench_groups["s4"]
+    n = G.order
+    t = next(g for g in range(1, n) if G.mul(g, g) == 0)
+    coset = np.minimum(np.arange(n), G.mul_many(np.arange(n), t))
+    V = (coset[:, None] == np.unique(coset)[None, :]) / np.sqrt(2.0)
+    rows, inv_rows = left_translation_rows(G)
+    rho = np.array([V.T @ V[inv_rows[g]] for g in range(n)])
+    assert np.allclose(V @ rho, V[inv_rows], atol=1e-12)  # span(V) is invariant
+    assert np.sum(np.abs(np.einsum("gii->g", rho)) ** 2) / n > 1.5  # and reducible
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((V.shape[1],) * 2) + 1j * rng.standard_normal((V.shape[1],) * 2)
+    K = (X + X.conj().T) / 2.0
+    naive = sum(r @ K @ r.conj().T for r in rho) / n
+    assert np.max(np.abs(_restricted_average(V, K, rows, inv_rows) - naive)) <= 1e-12
 
 
 def test_dimension_multiset_stable_across_seeds(bench_groups):
