@@ -7,6 +7,11 @@ the rows of the character table reduced mod ell.  Splitting eigenspaces class
 by class, normalizing at the identity class, recovering degrees by modular
 square roots, and lifting each value through its eigenvalue multiplicities
 yields the complex table exactly.
+
+The class data the lift and the multiplicity windows need -- element orders,
+the power map u -> class of g^u and the orders modulo the center -- come from
+one batched power walk over the class representatives (as many `mul_many`
+calls as the largest element order), computed once and stored on the table.
 """
 
 from __future__ import annotations
@@ -17,8 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonIntegralMultiplicity, NoSuitablePrime, TooManyClasses
-from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes, element_order
+from .errors import (
+    ConsistencyFailure,
+    NonIntegralMultiplicity,
+    NoSuitablePrime,
+    TooManyClasses,
+)
+from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
 from .modarith import (
     charpoly_mod,
     element_of_order,
@@ -42,6 +52,8 @@ class CharacterTable:
     group: FiniteGroup
     classes: ConjugacyClasses
     class_orders: tuple[int, ...]  # order of each class representative
+    central_orders: tuple[int, ...]  # order of each representative modulo Z(G)
+    power_map: np.ndarray  # [u, c] = class of rep_c^u, for u below the largest order
     inverse_class: tuple[int, ...]
     degrees: tuple[int, ...]
     values: np.ndarray  # (num_chars, num_classes) complex128
@@ -66,24 +78,11 @@ class CharacterTable:
 
     def central_order(self, class_index: int) -> int:
         """Order of g*Z(G) in G/Z(G) for the class representative g."""
-        G = self.group
-        g = self.classes.representatives[class_index]
-        cur, u = g, 1
-        while not self.is_central_class(int(self.classes.class_of[cur])):
-            cur = G.mul(cur, g)
-            u += 1
-        return u
+        return self.central_orders[class_index]
 
     def power_classes(self, class_index: int) -> list[int]:
         """Class ids of g^u for u = 0..ord(g)-1, g the class representative."""
-        G = self.group
-        g = self.classes.representatives[class_index]
-        out = [0]
-        cur = g
-        for _ in range(self.class_orders[class_index] - 1):
-            out.append(int(self.classes.class_of[cur]))
-            cur = G.mul(cur, g)
-        return out
+        return self.power_map[: self.class_orders[class_index], class_index].tolist()
 
     def to_json(self) -> dict:
         return {
@@ -122,6 +121,26 @@ def _find_table_prime(exponent: int, group_order: int) -> int:
     )
 
 
+def _class_powers(G: FiniteGroup, cc: ConjugacyClasses):
+    """(orders, central orders, power map) of the class representatives from one
+    batched power walk: step u multiplies every rep^u by its rep at once, up to
+    the largest order.  power_map[u, c] is the class of rep_c^u; the central
+    order is the first u >= 1 whose power class is a singleton."""
+    reps = np.array(cc.representatives, dtype=np.int64)
+    singleton = np.array(cc.sizes) == 1
+    orders = np.zeros(reps.size, dtype=np.int64)
+    central = np.zeros(reps.size, dtype=np.int64)
+    rows = [np.zeros(reps.size, dtype=np.int64)]  # rep^0 is the identity, class 0
+    cur, u = reps, 1
+    while not orders.all():
+        cls = cc.class_of[cur]
+        rows.append(cls)
+        central[(central == 0) & singleton[cls]] = u
+        orders[(orders == 0) & (cur == 0)] = u
+        cur, u = G.mul_many(cur, reps), u + 1
+    return tuple(orders.tolist()), tuple(central.tolist()), np.stack(rows[:-1])
+
+
 def _class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.ndarray:
     """Multiplication-by-class-sum operator in the class basis, reduced mod ell."""
     r = cc.count
@@ -148,7 +167,7 @@ def dixon_character_table(
     r = cc.count
     if r > max_classes:
         raise TooManyClasses(f"{r} classes exceeds cap {max_classes}")
-    class_orders = tuple(element_order(G, rep) for rep in cc.representatives)
+    class_orders, central_orders, power_map = _class_powers(G, cc)
     exponent = 1
     for k in class_orders:
         exponent = exponent * k // math.gcd(exponent, k)
@@ -177,10 +196,10 @@ def dixon_character_table(
                 refined.append(matmul_mod(W, K, ell))
                 covered += K.shape[1]
             if covered != W.shape[1]:
-                raise ArithmeticError("class operator failed to split semisimply")
+                raise ConsistencyFailure("class operator failed to split semisimply")
         spaces = refined
     if any(W.shape[1] != 1 for W in spaces):
-        raise ArithmeticError("class operators did not separate all characters")
+        raise ConsistencyFailure("class operators did not separate all characters")
 
     # normalize eigenvectors and recover degrees
     sizes = np.array(cc.sizes, dtype=np.int64)
@@ -197,18 +216,18 @@ def dixon_character_table(
         droot = sqrt_mod(d2, ell)
         d = min(droot, ell - droot)
         if d < 1 or d > sqrt_cap:
-            raise ArithmeticError("lifted degree out of range")
+            raise ConsistencyFailure("lifted degree out of range")
         degrees[row] = d
         chibar[row] = d * w[inv_class_list] % ell
     if int(np.sum(degrees.astype(object) ** 2)) != G.order:
-        raise ArithmeticError("degree squares do not sum to the group order")
+        raise ConsistencyFailure("degree squares do not sum to the group order")
 
     # lift values to C through eigenvalue multiplicities
     z = element_of_order(exponent, ell)
     values = np.zeros((r, r), dtype=np.complex128)
     for c in range(r):
         kg = class_orders[c]
-        pcl = _power_classes_raw(G, cc, c, kg)
+        pcl = power_map[:kg, c]
         zeta_inv = inv_mod(pow(z, exponent // kg, ell), ell)
         zi_pows = np.array(
             [pow(zeta_inv, j, ell) for j in range(kg)], dtype=np.int64
@@ -232,6 +251,8 @@ def dixon_character_table(
         group=G,
         classes=cc,
         class_orders=class_orders,
+        central_orders=central_orders,
+        power_map=power_map,
         inverse_class=inverse_class,
         degrees=tuple(int(d) for d in degrees),
         values=values,
@@ -242,21 +263,11 @@ def dixon_character_table(
     return table
 
 
-def _power_classes_raw(G: FiniteGroup, cc: ConjugacyClasses, c: int, kg: int) -> list[int]:
-    g = cc.representatives[c]
-    out = [0]
-    cur = g
-    for _ in range(kg - 1):
-        out.append(int(cc.class_of[cur]))
-        cur = G.mul(cur, g)
-    return out
-
-
 def _check_orthogonality(table: CharacterTable, tol: float = 1e-8) -> None:
     sizes = np.array(table.classes.sizes, dtype=np.float64)
     gram = (table.values * sizes) @ table.values.conj().T / table.group.order
     if np.max(np.abs(gram - np.eye(table.num_classes))) > tol:
-        raise ArithmeticError("character rows fail orthogonality")
+        raise ConsistencyFailure("character rows fail orthogonality")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ class NoSuitablePrime(SignedWalkError):
     """No working prime found within the search bound for the character-table field."""
 
 
+class ConsistencyFailure(SignedWalkError):
+    """A modular computation contradicted its own invariants (a class operator
+    that does not split, a degree out of range, characters that are not
+    orthogonal, a missing root of unity)."""
+
+
 class SplitFailure(SignedWalkError):
     """Regular-representation splitting failed after the retry budget."""
 

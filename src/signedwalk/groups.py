@@ -4,13 +4,19 @@ A `FiniteGroup` is built by breadth-first closure from a generator list.
 Element indices follow BFS discovery order (identity at index 0); within a
 BFS layer, newly discovered elements are sorted by their canonical encoding,
 so indices are reproducible across runs.  Matrix groups get a vectorized
-numpy path (codes + searchsorted) that scales to a few million elements;
-permutation and table groups use a dict of encodings.  A dense index-level
-multiplication table is built when the order is at most `DENSE_TABLE_CAP`,
-from index gathers alone: the right-multiplication columns of the generators
-and their inverses are the only products the variant computes, and every
-other column h is column g gathered through the column of t, for h = g * t
-with g < h (the BFS numbering always provides such a parent).
+numpy path (codes + searchsorted) that scales to a few million elements: each
+BFS layer computes only the codes of its products, keeps the unseen ones
+(sorted-array membership), rebuilds just those rows and carries their inverses
+along the tree as t^-1 * g^-1, so no inversion runs after closure.
+Permutation and table groups use a dict of encodings.  `mul_many` takes one
+right factor or an index array aligned with the left factors, so a batch of
+unrelated products (e.g. the next power of every class representative) is
+one call.  A dense index-level multiplication table is built when the order
+is at most `DENSE_TABLE_CAP`, from index gathers alone: the
+right-multiplication columns of the generators and their inverses are the
+only products the variant computes, and every other column h is column g
+gathered through the column of t, for h = g * t with g < h (the BFS numbering
+always provides such a parent).
 """
 
 from __future__ import annotations
@@ -49,49 +55,6 @@ def _mat_codes(mats: np.ndarray, p: int) -> np.ndarray:
 
 def _codes_fit(p: int, m: int) -> bool:
     return p ** (m * m) < 2**62
-
-
-def _batch_inverse(mats: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of a stack of m x m matrices, m <= 4 via adjugate."""
-    m = mats.shape[1]
-    a = mats.astype(np.int64)
-    res_inv = np.array([0] + [pow(r, -1, p) for r in range(1, p)], dtype=np.int64)
-
-    def det_stack(b: np.ndarray) -> np.ndarray:
-        k = b.shape[1]
-        if k == 1:
-            return b[:, 0, 0] % p
-        if k == 2:
-            return (b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]) % p
-        acc = np.zeros(b.shape[0], dtype=np.int64)
-        for j in range(k):
-            minor = np.delete(np.delete(b, 0, axis=1), j, axis=2)
-            sub = det_stack(minor)
-            term = b[:, 0, j] * sub % p
-            acc = (acc - term) % p if j % 2 else (acc + term) % p
-        return acc % p
-
-    if m > 4:
-        from .elements import _inv_entries
-
-        out = np.empty_like(a)
-        for idx in range(a.shape[0]):
-            ent = tuple(int(x) for x in a[idx].reshape(-1))
-            out[idx] = np.array(_inv_entries(ent, m, p), dtype=np.int64).reshape(m, m)
-        return out
-
-    dets = det_stack(a)
-    if np.any(dets == 0):
-        raise NotInGroup("singular matrix encountered")
-    adj = np.empty_like(a)
-    for i in range(m):
-        for j in range(m):
-            minor = np.delete(np.delete(a, i, axis=1), j, axis=2)
-            cof = det_stack(minor) if m > 1 else np.ones(a.shape[0], dtype=np.int64)
-            if (i + j) % 2:
-                cof = (-cof) % p
-            adj[:, j, i] = cof
-    return adj * res_inv[dets][:, None, None] % p
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +163,17 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return int(self._inv[i])
 
-    def mul_many(self, idxs: np.ndarray, j: int) -> np.ndarray:
-        """Indices of g_i * g_j for all i in idxs."""
+    def mul_many(self, idxs: np.ndarray, j) -> np.ndarray:
+        """Indices of g_i * g_j for all i in idxs; j is one index, or an index
+        array aligned with idxs (one product per pair)."""
         if self._table is not None:
             return self._table[idxs, j]
         if self.variant == "matrix":
             prod = np.matmul(self._mats[idxs], self._mats[j]) % self.p
             return self._lookup(_mat_codes(prod, self.p))
         if self.variant == "perm":
-            prod = self._imgs[idxs][:, self._imgs[j]]
+            left = self._imgs[idxs]
+            prod = np.take_along_axis(left, np.broadcast_to(self._imgs[j], left.shape), axis=1)
             return np.array(
                 [self._index[self._perm_bytes(row)] for row in prod], dtype=np.int64
             )
@@ -307,44 +272,52 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 def _close_matrix(gens: list[MatrixElement], cap: int) -> FiniteGroup:
     p, m = gens[0].p, gens[0].m
-    mult_mats = []
+    mults, mult_invs = [], []
     seen_codes = set()
     for g in gens + [g.inv() for g in gens]:
         arr = np.array(g.rows(), dtype=np.int64)
         code = int(_mat_codes(arr[None, :, :], p)[0])
         if code not in seen_codes:
             seen_codes.add(code)
-            mult_mats.append(arr)
+            mults.append(arr)
+            mult_invs.append(np.array(g.inv().rows(), dtype=np.int64))
+    mults, mult_invs = np.stack(mults), np.stack(mult_invs)
 
-    ident = np.eye(m, dtype=np.int64)
-    levels = [ident[None, :, :]]
-    known = {int(_mat_codes(ident[None, :, :], p)[0])}
-    frontier = levels[0]
+    # Each layer computes only the codes of its products; the new rows (sorted
+    # by code, so by canonical encoding) are then rebuilt as frontier @ t, and
+    # their inverses carried along the tree as t^{-1} @ g^{-1}.
+    ident = np.eye(m, dtype=np.int64)[None, :, :]
+    frontier, frontier_inv = ident, ident
+    level_codes = [_mat_codes(ident, p)]
+    levels, inv_levels = [ident], [ident]
+    known = level_codes[0]  # sorted codes of every element found so far
     total = 1
     while frontier.shape[0]:
-        prods = np.concatenate([np.matmul(frontier, t) % p for t in mult_mats], axis=0)
-        codes = _mat_codes(prods, p)
+        F = frontier.shape[0]
+        codes = np.concatenate([_mat_codes(np.matmul(frontier, t) % p, p) for t in mults])
         uniq, first = np.unique(codes, return_index=True)
-        mask = np.fromiter((int(c) not in known for c in uniq), dtype=bool, count=len(uniq))
-        new = prods[first[mask]]
-        if new.shape[0]:
-            known.update(int(c) for c in uniq[mask])
-            total += new.shape[0]
-            if total > cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
-            levels.append(new)
-        frontier = new
+        fresh = ~np.isin(uniq, known, assume_unique=True)
+        pick, new_codes = first[fresh], uniq[fresh]
+        total += pick.size
+        if total > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        g, t = pick % F, pick // F
+        frontier = np.matmul(frontier[g], mults[t]) % p
+        frontier_inv = np.matmul(mult_invs[t], frontier_inv[g]) % p
+        levels.append(frontier)
+        inv_levels.append(frontier_inv)
+        level_codes.append(new_codes)
+        known = np.union1d(known, new_codes)
 
-    mats = np.concatenate(levels, axis=0)
     G = FiniteGroup()
     G.variant = "matrix"
     G.p, G.m = p, m
-    G.order = mats.shape[0]
-    G._mats = mats
-    G._codes = _mat_codes(mats, p)
+    G.order = total
+    G._mats = np.concatenate(levels, axis=0)
+    G._codes = np.concatenate(level_codes)
     G._code_perm = np.argsort(G._codes).astype(np.int64)
     G._sorted_codes = G._codes[G._code_perm]
-    G._inv = G._lookup(_mat_codes(_batch_inverse(mats, p), p))
+    G._inv = G._lookup(_mat_codes(np.concatenate(inv_levels, axis=0), p))
     G.generator_indices = tuple(int(G.index_of(g)) for g in gens)
     G._build_dense_table()
     return G

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConsistencyFailure
+
 
 def inv_mod(a: int, ell: int) -> int:
     return pow(int(a) % ell, -1, ell)
@@ -286,4 +288,4 @@ def element_of_order(e: int, ell: int) -> int:
             continue
         if all(pow(z, c, ell) != 1 for c in checks):
             return z
-    raise ArithmeticError("no element of the requested order found")
+    raise ConsistencyFailure("no element of the requested order found")

@@ -13,8 +13,21 @@ import numpy as np
 import pytest
 
 from signedwalk import catalog
-from signedwalk.elements import PermutationElement
-from signedwalk.groups import FiniteGroup, close_generators
+from signedwalk.elements import (
+    MatrixElement,
+    MulTable,
+    PermutationElement,
+    TableElement,
+    _inv_entries,
+)
+from signedwalk.errors import NotInGroup
+from signedwalk.groups import (
+    ConjugacyClasses,
+    FiniteGroup,
+    _mat_codes,
+    close_generators,
+    element_order,
+)
 from signedwalk.irreps import decompose_regular
 from signedwalk.walk import SignedSequence
 
@@ -44,6 +57,40 @@ def bench_irreps(bench_groups):
 @pytest.fixture(scope="session")
 def sl2_49():
     return close_generators(catalog.sl2_prime_squared_generators(7))
+
+
+# the four transvections of SL_2(49), conjugated by the benchmark's seed-11 word
+SL2_49_SEED11_GENERATORS = [
+    [[3, 4, 2, 0], [6, 3, 0, 2], [0, 6, 6, 3], [2, 0, 1, 6]],
+    [[6, 1, 0, 6], [5, 6, 2, 0], [3, 6, 3, 6], [2, 3, 2, 3]],
+    [[5, 6, 0, 6], [2, 5, 2, 0], [6, 0, 4, 1], [0, 6, 5, 4]],
+    [[2, 1, 6, 0], [5, 2, 0, 6], [6, 2, 0, 6], [3, 6, 2, 0]],
+]
+
+
+@pytest.fixture(scope="session")
+def sl2_49_seed11_generators() -> list[MatrixElement]:
+    return [MatrixElement.from_rows(rows, 7) for rows in SL2_49_SEED11_GENERATORS]
+
+
+@pytest.fixture(scope="session")
+def sl2_7():
+    return close_generators(catalog.sl2_generators(7))
+
+
+@pytest.fixture(scope="session")
+def z6():
+    """Z/6 as a table group generated by 1."""
+    table = MulTable([[(i + j) % 6 for j in range(6)] for i in range(6)])
+    return close_generators([TableElement(table, 1)])
+
+
+@pytest.fixture(scope="session")
+def s7():
+    """S7 (|G| = 5040, above DENSE_TABLE_CAP) from (0 1) and (0 1 2 3 4 5 6)."""
+    return close_generators(
+        [PermutationElement((1, 0, 2, 3, 4, 5, 6)), PermutationElement((1, 2, 3, 4, 5, 6, 0))]
+    )
 
 
 @pytest.fixture(scope="session")
@@ -97,6 +144,97 @@ def naive_dense_table(G: FiniteGroup) -> np.ndarray:
     for j in range(G.order):
         table[:, j] = bare.mul_many(idxs, j)
     return table
+
+
+def naive_batch_inverse(mats: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of a stack of m x m matrices: adjugate over recursive
+    cofactor determinants for m <= 4, per-element elimination above."""
+    m = mats.shape[1]
+    a = mats.astype(np.int64)
+    res_inv = np.array([0] + [pow(r, -1, p) for r in range(1, p)], dtype=np.int64)
+
+    def det_stack(b: np.ndarray) -> np.ndarray:
+        k = b.shape[1]
+        if k == 1:
+            return b[:, 0, 0] % p
+        if k == 2:
+            return (b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]) % p
+        acc = np.zeros(b.shape[0], dtype=np.int64)
+        for j in range(k):
+            minor = np.delete(np.delete(b, 0, axis=1), j, axis=2)
+            term = b[:, 0, j] * det_stack(minor) % p
+            acc = (acc - term) % p if j % 2 else (acc + term) % p
+        return acc % p
+
+    if m > 4:
+        out = np.empty_like(a)
+        for idx in range(a.shape[0]):
+            ent = tuple(int(x) for x in a[idx].reshape(-1))
+            out[idx] = np.array(_inv_entries(ent, m, p), dtype=np.int64).reshape(m, m)
+        return out
+    dets = det_stack(a)
+    if np.any(dets == 0):
+        raise NotInGroup("singular matrix encountered")
+    adj = np.empty_like(a)
+    for i in range(m):
+        for j in range(m):
+            minor = np.delete(np.delete(a, i, axis=1), j, axis=2)
+            cof = det_stack(minor) if m > 1 else np.ones(a.shape[0], dtype=np.int64)
+            if (i + j) % 2:
+                cof = (-cof) % p
+            adj[:, j, i] = cof
+    return adj * res_inv[dets][:, None, None] % p
+
+
+def naive_close_matrix(gens: list[MatrixElement]) -> tuple[np.ndarray, np.ndarray]:
+    """(matrices in index order, inverse indices) from a BFS that materializes every
+    product of a layer, tests membership in a Python set of codes, and inverts all
+    elements after closure."""
+    p, m = gens[0].p, gens[0].m
+    mult_mats, seen = [], set()
+    for g in gens + [g.inv() for g in gens]:
+        arr = np.array(g.rows(), dtype=np.int64)
+        code = int(_mat_codes(arr[None, :, :], p)[0])
+        if code not in seen:
+            seen.add(code)
+            mult_mats.append(arr)
+    ident = np.eye(m, dtype=np.int64)[None, :, :]
+    levels, frontier = [ident], ident
+    known = {int(_mat_codes(ident, p)[0])}
+    while frontier.shape[0]:
+        prods = np.concatenate([np.matmul(frontier, t) % p for t in mult_mats], axis=0)
+        uniq, first = np.unique(_mat_codes(prods, p), return_index=True)
+        mask = np.array([int(c) not in known for c in uniq], dtype=bool)
+        frontier = prods[first[mask]]
+        known.update(int(c) for c in uniq[mask])
+        if frontier.shape[0]:
+            levels.append(frontier)
+    mats = np.concatenate(levels, axis=0)
+    codes = _mat_codes(mats, p)
+    perm = np.argsort(codes)
+    inv_codes = _mat_codes(naive_batch_inverse(mats, p), p)
+    return mats, perm[np.searchsorted(codes[perm], inv_codes)]
+
+
+def naive_class_powers(G: FiniteGroup, cc: ConjugacyClasses):
+    """(orders, central orders, power classes per class) from scalar `G.mul` loops:
+    `element_order`, the power-class loop and the central-order while-loop."""
+    singleton = [size == 1 for size in cc.sizes]
+    orders, central, powers = [], [], []
+    for g in cc.representatives:
+        k = element_order(G, g)
+        out, cur = [0], g
+        for _ in range(k - 1):
+            out.append(int(cc.class_of[cur]))
+            cur = G.mul(cur, g)
+        cur, u = g, 1
+        while not singleton[int(cc.class_of[cur])]:
+            cur = G.mul(cur, g)
+            u += 1
+        orders.append(k)
+        central.append(u)
+        powers.append(out)
+    return tuple(orders), tuple(central), powers
 
 
 def left_translation_rows(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:

@@ -6,13 +6,16 @@ import pytest
 
 from signedwalk import catalog
 from signedwalk.chartable import (
+    _class_powers,
     check_multiplicity_bounds,
     dixon_character_table,
     eigenvalue_multiplicities,
     max_character_ratio,
 )
 from signedwalk.errors import TooManyClasses
-from signedwalk.groups import close_generators
+from signedwalk.groups import close_generators, conjugacy_classes
+
+from conftest import naive_class_powers
 
 
 def table_of(name):
@@ -150,3 +153,26 @@ def test_table_json_dump(bench_groups):
     assert payload["order"] == 8
     assert sorted(payload["degrees"]) == [1, 1, 1, 1, 2]
     assert len(payload["characters"]) == 5
+
+
+@pytest.mark.parametrize("name", ["s4", "sl2_5", "sl2_7", "z6", "s7"])
+def test_class_powers_match_scalar_loops(request, bench_groups, name):
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    cc = conjugacy_classes(G)
+    orders, central, power_map = _class_powers(G, cc)
+    want_orders, want_central, want_powers = naive_class_powers(G, cc)
+    assert orders == want_orders
+    assert central == want_central
+    assert power_map.shape == (max(orders), cc.count)
+    for c, want in enumerate(want_powers):
+        assert power_map[: orders[c], c].tolist() == want
+
+
+@pytest.mark.parametrize("name", ["sl2_5", "sl2_7"])
+def test_table_power_lookups_match_scalar_loops(request, bench_groups, name):
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    t = dixon_character_table(G)
+    want_orders, want_central, want_powers = naive_class_powers(t.group, t.classes)
+    assert t.class_orders == want_orders
+    assert [t.central_order(c) for c in range(t.num_classes)] == list(want_central)
+    assert [t.power_classes(c) for c in range(t.num_classes)] == want_powers

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from signedwalk import catalog
+from signedwalk import catalog, chartable
 from signedwalk.cli import main
+
+from conftest import naive_class_powers
 
 
 @pytest.fixture()
@@ -181,6 +184,38 @@ def test_mult_bounds(specs, capsys):
     code, out = run(capsys, "mult-bounds", "--group", specs["sl2_3"], "--alpha", "1/2")
     assert code == 0
     assert json.loads(out)["all_pass"]
+
+
+def _scalar_power_data(G, cc):
+    """`chartable._class_powers` rebuilt from the scalar `G.mul` loops."""
+    orders, central, powers = naive_class_powers(G, cc)
+    power_map = np.full((max(orders), cc.count), -1, dtype=np.int64)
+    for c, row in enumerate(powers):
+        power_map[: len(row), c] = row
+    return orders, central, power_map
+
+
+@pytest.mark.parametrize("command", [["chartab"], ["mult-bounds", "--alpha", "1/6"]])
+def test_s7_table_json_matches_scalar_power_loops(capsys, tmp_path, monkeypatch, command):
+    spec = tmp_path / "s7.json"
+    gens = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+    spec.write_text(json.dumps({"kind": "permutation", "degree": 7, "generators": gens}))
+    argv = [command[0], "--group", str(spec), *command[1:]]
+    batched = run(capsys, *argv)
+    monkeypatch.setattr(chartable, "_class_powers", _scalar_power_data)
+    assert run(capsys, *argv) == batched
+    assert batched[0] == 0
+
+
+@pytest.mark.parametrize("command", ["chartab", "mult-bounds"])
+def test_table_consistency_failure_exits_2(specs, capsys, monkeypatch, command):
+    # a square root of 0 makes every lifted degree 0, outside [1, sqrt(|G|)]
+    monkeypatch.setattr(chartable, "sqrt_mod", lambda a, ell: 0)
+    code = main([command, "--group", specs["s3"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "lifted degree out of range" in captured.err
 
 
 def test_mult_bounds_hypothesis_failures_reported(specs, capsys):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from signedwalk.groups import (
     group_from_spec,
 )
 
-from conftest import BENCH_NAMES, naive_dense_table
+from conftest import BENCH_NAMES, naive_close_matrix, naive_dense_table
 
 
 def test_closure_s3_from_transposition_and_cycle():
@@ -233,3 +234,73 @@ def test_dense_table_of_trivial_group(ident):
     assert G.order == 1
     assert np.array_equal(G._table, [[0]])
     assert np.array_equal(G._table, naive_dense_table(G))
+
+
+def _permutation_matrix(images, p):
+    rows = [[int(images[i] == j) for j in range(len(images))] for i in range(len(images))]
+    return MatrixElement.from_rows(rows, p)
+
+
+@pytest.mark.parametrize("name", ["sl2_5", "z6", "s4", "s7", "sl2_49"])
+def test_mul_many_with_aligned_index_array(request, bench_groups, name):
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    variants = [G]
+    if G._table is not None and G.variant != "table":
+        bare = copy.copy(G)  # the variant's own product, not the dense table
+        bare._table = None
+        variants.append(bare)
+    rng = np.random.default_rng(3)
+    idxs = rng.integers(0, G.order, size=300)
+    js = rng.integers(0, G.order, size=300)
+    pairwise = [G.mul(int(i), int(j)) for i, j in zip(idxs, js)]
+    for k in range(20):
+        i, j = int(idxs[k]), int(js[k])
+        assert G.element(pairwise[k]) == G.element(i).mul(G.element(j))
+    for H in variants:
+        assert H.mul_many(idxs, js).tolist() == pairwise
+        assert H.mul_many(idxs[:1], js[:1]).tolist() == pairwise[:1]
+        j0 = int(js[0])
+        assert H.mul_many(idxs, j0).tolist() == [G.mul(int(i), j0) for i in idxs]
+
+
+# name -> (|G|, generators)
+MATRIX_CLOSURE_CASES = {
+    "sl2_5": (120, lambda: catalog.sl2_generators(5)),
+    "sl2_7": (336, lambda: catalog.sl2_generators(7)),
+    # SL_3(3): an elementary matrix and a 3-cycle permutation matrix
+    "sl3_3": (
+        5616,
+        lambda: [
+            MatrixElement.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3),
+            _permutation_matrix([2, 0, 1], 3),
+        ],
+    ),
+    # signed 5x5 permutation matrices mod 3, 2^5 * 5! elements (m > 4)
+    "signed_perm5_mod3": (
+        3840,
+        lambda: [
+            _permutation_matrix([1, 2, 3, 4, 0], 3),
+            _permutation_matrix([1, 0, 2, 3, 4], 3),
+            MatrixElement.from_rows(np.diag([2, 1, 1, 1, 1]).tolist(), 3),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CLOSURE_CASES))
+def test_matrix_closure_matches_naive_bfs(name):
+    order, make_generators = MATRIX_CLOSURE_CASES[name]
+    gens = make_generators()
+    G = close_generators(gens)
+    mats, inv = naive_close_matrix(gens)
+    assert G.order == order
+    assert np.array_equal(G._mats, mats)
+    assert np.array_equal(G._inv, inv)
+
+
+def test_matrix_closure_matches_naive_bfs_on_benchmark_sl2_49(sl2_49_seed11_generators):
+    G = close_generators(sl2_49_seed11_generators)
+    mats, inv = naive_close_matrix(sl2_49_seed11_generators)
+    assert G.order == 117600
+    assert np.array_equal(G._mats, mats)
+    assert np.array_equal(G._inv, inv)
