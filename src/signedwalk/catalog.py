@@ -7,6 +7,7 @@ same constructions can be enumerated in-process or written to group files.
 from __future__ import annotations
 
 from .elements import MatrixElement, PermutationElement
+from .errors import ConsistencyFailure
 from .groups import FiniteGroup, close_generators
 
 
@@ -127,7 +128,7 @@ def nonsplit_torus_generator(p: int) -> MatrixElement:
                 continue
             if all(not mat_pow(g, c).is_identity() for c in checks):
                 return g
-    raise ArithmeticError(f"no order-{p + 1} torus element found in SL_2({p})")
+    raise ConsistencyFailure(f"no order-{p + 1} torus element found in SL_2({p})")
 
 
 _NAMED = {

@@ -8,6 +8,10 @@ by class, normalizing at the identity class, recovering degrees by modular
 square roots, and lifting each value through its eigenvalue multiplicities
 yields the complex table exactly.
 
+Each class-sum operator comes from one column (that of the inverse of the
+class representative, composed along the generator tree) and one `bincount`
+over the class pairs it produces.
+
 The class data the lift and the multiplicity windows need -- element orders,
 the power map u -> class of g^u and the orders modulo the center -- come from
 one batched power walk over the class representatives (as many `mul_many`
@@ -142,14 +146,20 @@ def _class_powers(G: FiniteGroup, cc: ConjugacyClasses):
 
 
 def _class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.ndarray:
-    """Multiplication-by-class-sum operator in the class basis, reduced mod ell."""
+    """Multiplication-by-class-sum operator in the class basis, reduced mod ell.
+
+    M[k, j] = #{x in C_i : x^-1 z_k in C_j}.  The count is the same for every
+    z in C_k, and x^-1 z is conjugate to z x^-1, so summing over z in C_k and
+    moving the conjugation to x (every x in C_i counts alike) gives
+    M[k, j] = |C_i| #{z in C_k : z x_i^-1 in C_j} / |C_k|: one column of
+    x_i^-1 and one `bincount` over all (class of z, class of z x_i^-1) pairs.
+    """
     r = cc.count
-    members = cc.members(i)
-    xinv = np.array([G.inv(int(x)) for x in members], dtype=np.int64)
-    M = np.zeros((r, r), dtype=np.int64)
-    for k, zk in enumerate(cc.representatives):
-        y = G.mul_many(xinv, zk)
-        M[k] = np.bincount(cc.class_of[y], minlength=r)
+    col = G.generator_tree().column(G.inv(cc.representatives[i]))
+    pairs = np.bincount(cc.class_of * r + cc.class_of[col], minlength=r * r).reshape(r, r)
+    M, rem = np.divmod(pairs * cc.sizes[i], np.array(cc.sizes, dtype=np.int64)[:, None])
+    if rem.any():
+        raise ConsistencyFailure("class-pair counts are not divisible by the class sizes")
     return M % ell
 
 

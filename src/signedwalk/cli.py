@@ -125,36 +125,11 @@ def _group(cfg: RunConfig) -> FiniteGroup:
     return close_generators(generators_from_spec(spec), cap=cfg.cap)
 
 
-def _sequence(cfg: RunConfig, G: FiniteGroup) -> SignedSequence:
-    return sequence_from_spec(_load_json(cfg.seq_path), G)
-
-
-def _sequence_raw(cfg: RunConfig) -> SignedSequence:
-    """Sequence without group enumeration (inline element specs only).
-
-    Ambient parameters come from --group when given, else from a "kind"/"p"
-    pair in the sequence file itself; bare permutation image lists are
-    self-describing.
-    """
-    spec = _load_json(cfg.seq_path)
-    gspec = _load_json(cfg.group_path) if cfg.group_path else spec
-    kind = gspec.get("kind", "permutation")
-    elems = []
-    for item in spec["elements"]:
-        if isinstance(item, int):
-            raise ValueError("index-based sequence entries need an enumerated group")
-        if kind == "matrix_mod_p":
-            from .elements import MatrixElement
-
-            elems.append(MatrixElement.from_rows(item, int(gspec["p"])))
-        elif kind == "permutation":
-            from .elements import PermutationElement
-
-            elems.append(PermutationElement(tuple(int(x) for x in item)))
-        else:
-            raise ValueError("raw sequences support matrix and permutation kinds")
-    repeat = int(spec.get("repeat", 1))
-    return SignedSequence(tuple(elems) * repeat, K=spec.get("K"))
+def _sequence(cfg: RunConfig, G: FiniteGroup | None) -> SignedSequence:
+    """The --seq file over G; with G None, inline entries only, their family taken
+    from --group when given (see `sequence_from_spec`)."""
+    ambient = _load_json(cfg.group_path) if G is None and cfg.group_path else None
+    return sequence_from_spec(_load_json(cfg.seq_path), G, ambient)
 
 
 def _bounds_payload(seq: SignedSequence, p: int | None) -> dict:
@@ -227,7 +202,7 @@ def cmd_rho(cfg: RunConfig) -> int:
             with open(dump_path, "w", encoding="utf-8") as fh:
                 json.dump(dist.to_json(G), fh, indent=2, sort_keys=True)
     else:
-        seq = _sequence_raw(cfg)
+        seq = _sequence(cfg, None)
         mc = rho_monte_carlo(seq, cfg.samples, cfg.seed, threads=cfg.threads)
         payload = {
             "method": "monte_carlo",
@@ -239,14 +214,13 @@ def cmd_rho(cfg: RunConfig) -> int:
 
 
 def cmd_mc(cfg: RunConfig) -> int:
+    G = None
     if cfg.group_path:
         try:
             G = _group(cfg)
-            seq = _sequence(cfg, G)
         except CapExceeded:
-            seq = _sequence_raw(cfg)
-    else:
-        seq = _sequence_raw(cfg)
+            pass
+    seq = _sequence(cfg, G)
     mc = rho_monte_carlo(seq, cfg.samples, cfg.seed, threads=cfg.threads)
     _emit(cfg, mc.to_json())
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import MixedVariants, NotInvertible
+from .errors import MixedVariants, NotInvertible, PowerCapExceeded
 
 
 def _byte_width(max_value: int) -> int:
@@ -154,7 +154,7 @@ class MatrixElement:
             cur = cur.mul(self)
             k += 1
             if k > cap:
-                raise ArithmeticError("order loop exceeded cap")
+                raise PowerCapExceeded("order loop exceeded cap")
         return k
 
     def encode(self) -> bytes:
@@ -320,7 +320,7 @@ class TableElement:
             cur = self.table.mul(cur, self.index)
             k += 1
             if k > cap:
-                raise ArithmeticError("order loop exceeded cap")
+                raise PowerCapExceeded("order loop exceeded cap")
         return k
 
     def encode(self) -> bytes:

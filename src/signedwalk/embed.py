@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import MatrixElement
-from .errors import NotInvertible, NotNonTrivial, PowerCapExceeded, PrimeSearchExhausted
+from .errors import (
+    ConsistencyFailure,
+    NotInvertible,
+    NotNonTrivial,
+    PowerCapExceeded,
+    PrimeSearchExhausted,
+)
 from .primes import factorize, next_prime
 
 DEFAULT_POWER_CAP = 10**6
@@ -256,7 +262,7 @@ def embed_mod_p(
 
     Clause "i": finite original order equals the image order.  Clause "ii":
     infinite original order, image order >= n.  Verification failure would
-    contradict the construction and raises ArithmeticError.
+    contradict the construction and raises ConsistencyFailure.
     """
     if not matrices:
         raise ValueError("need at least one matrix")
@@ -278,13 +284,13 @@ def embed_mod_p(
         image_order = img.order()
         if order is not None:
             if image_order != order:
-                raise ArithmeticError(
+                raise ConsistencyFailure(
                     f"image order {image_order} != original order {order} at p={p}"
                 )
             entries.append(EmbeddingEntry(order, image_order, "i"))
         else:
             if image_order < n:
-                raise ArithmeticError(
+                raise ConsistencyFailure(
                     f"image order {image_order} < n={n} for an infinite-order input at p={p}"
                 )
             entries.append(EmbeddingEntry(None, image_order, "ii"))

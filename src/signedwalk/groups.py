@@ -11,12 +11,19 @@ along the tree as t^-1 * g^-1, so no inversion runs after closure.
 Permutation and table groups use a dict of encodings.  `mul_many` takes one
 right factor or an index array aligned with the left factors, so a batch of
 unrelated products (e.g. the next power of every class representative) is
-one call.  A dense index-level multiplication table is built when the order
-is at most `DENSE_TABLE_CAP`, from index gathers alone: the
-right-multiplication columns of the generators and their inverses are the
-only products the variant computes, and every other column h is column g
-gathered through the column of t, for h = g * t with g < h (the BFS numbering
-always provides such a parent).
+one call.
+
+The generator tree (`generator_tree`, built on first use and cached) holds
+the right-multiplication columns of the generators and their inverses and,
+for every h >= 1, a parent g < h and a multiplier t with h = g * t (the BFS
+numbering always provides one).  Only the generator columns are products the
+variant computes; each inverse column is the inverse permutation of its
+generator's column.  Everything else that needs whole-group arithmetic is
+index gathers along this tree: the dense multiplication table (built when the
+order is at most `DENSE_TABLE_CAP`: column h is column g gathered through the
+column of t), the column of any element (its tree word composed), and the
+conjugacy classes (connected components of the conjugation permutations
+h -> t h t^-1, found by min-label hooking with pointer jumping).
 """
 
 from __future__ import annotations
@@ -57,6 +64,30 @@ def _codes_fit(p: int, m: int) -> bool:
     return p ** (m * m) < 2**62
 
 
+@dataclass(frozen=True)
+class GeneratorTree:
+    """Right-multiplication columns of the multipliers (the generators and their
+    inverses) and a spanning tree of the Cayley graph: for every h >= 1,
+    h = parent[h] * mults[via[h]] with parent[h] < h (entries at 0 are unused)."""
+
+    mults: tuple[int, ...]  # distinct multiplier indices, generators first
+    cols: np.ndarray  # (k, |G|) int32, cols[k, h] = index of g_h * t_k
+    via: np.ndarray
+    parent: np.ndarray
+
+    def column(self, x: int) -> np.ndarray:
+        """Column h -> index(g_h * g_x): the multiplier columns composed along
+        the tree path from the identity to x, one gather per edge."""
+        path = []
+        while x:
+            path.append(int(self.via[x]))
+            x = int(self.parent[x])
+        col = np.arange(self.cols.shape[1], dtype=np.int32)
+        for k in reversed(path):
+            col = self.cols[k][col]
+        return col
+
+
 # ---------------------------------------------------------------------------
 # the group
 # ---------------------------------------------------------------------------
@@ -65,7 +96,9 @@ def _codes_fit(p: int, m: int) -> bool:
 class FiniteGroup:
     """Finite group enumerated from generators; all queries are index-based.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction, apart from caches filled on first use (the
+    generator tree, right columns) with values that do not depend on who fills
+    them; safe to share across threads.
     """
 
     def __init__(self) -> None:  # populated by the factory functions below
@@ -75,6 +108,7 @@ class FiniteGroup:
         self._inv: np.ndarray | None = None
         self._table: np.ndarray | None = None
         self._right_cols: dict[int, np.ndarray] = {}
+        self._tree: GeneratorTree | None = None
         # matrix variant
         self.p: int | None = None
         self.m: int | None = None
@@ -193,10 +227,6 @@ class FiniteGroup:
             )
         raise AssertionError("table groups always carry a dense table")
 
-    def conj_many(self, idxs: np.ndarray, t: int) -> np.ndarray:
-        """Indices of g_t * g_i * g_t^{-1} for all i in idxs."""
-        return self.mul_many(self.lmul_many(t, idxs), self.inv(t))
-
     def right_column(self, j: int) -> np.ndarray:
         """Cached column i -> index(g_i * g_j), used by the walk engine."""
         col = self._right_cols.get(j)
@@ -222,27 +252,47 @@ class FiniteGroup:
 
     # -- construction helpers ---------------------------------------------
 
+    def generator_tree(self) -> GeneratorTree:
+        """The cached generator tree (see the module docstring), built on first use.
+
+        Costs one `mul_many` over the whole group per distinct generator; each
+        inverse column is its generator's column inverted by one scatter.  For
+        h >= 1 the parent is the smallest h * t^-1 over the multipliers t, which
+        lies in the previous BFS layer, so parent[h] < h.
+        """
+        if self._tree is not None:
+            return self._tree
+        n = self.order
+        idxs = np.arange(n)
+        gens = list(dict.fromkeys(self.generator_indices))
+        mults = tuple(dict.fromkeys(gens + [int(self._inv[t]) for t in gens]))
+        pos = {t: k for k, t in enumerate(mults)}
+        inverse_of = np.array([pos[int(self._inv[t])] for t in mults], dtype=np.int64)
+        cols = np.empty((len(mults), n), dtype=np.int32)
+        for k, t in enumerate(mults):
+            if k < len(gens):
+                cols[k] = self.mul_many(idxs, t)
+            else:  # t is the inverse of the generator at inverse_of[k]
+                cols[k, cols[inverse_of[k]]] = idxs
+        # the multipliers are closed under inversion, so cols[k, h] = h * t_k
+        # runs over every candidate parent h * t^-1, and t = t_k^-1
+        best = np.argmin(cols, axis=0)
+        parent = cols[best, idxs].astype(np.int64)
+        assert np.all(parent[1:] < idxs[1:]), "indices are not in BFS order"
+        self._tree = GeneratorTree(mults, cols, inverse_of[best], parent)
+        return self._tree
+
     def _build_dense_table(self) -> None:
-        """Fill the table column by column along the BFS tree: each h >= 1 is
-        g * t for a multiplier t (a generator or its inverse) and a parent g < h,
-        so column h is column g gathered through t's right-multiplication column."""
+        """Fill the table column by column along the generator tree: column h is
+        column parent[h] gathered through the column of its multiplier."""
         n = self.order
         if n > DENSE_TABLE_CAP or self._table is not None:
             return
-        idxs = np.arange(n)
-        gens = self.generator_indices
-        mults = list(dict.fromkeys(list(gens) + [int(self._inv[t]) for t in gens]))
-        cols = np.stack([self.mul_many(idxs, t) for t in mults]).astype(np.int32)
-        # parents[k, h] = h * t_k^{-1}, the g with g * t_k = h
-        parents = np.empty_like(cols)
-        parents[np.arange(len(mults))[:, None], cols] = idxs
-        via = np.argmin(parents, axis=0)
-        parent = parents[via, idxs]
-        assert np.all(parent[1:] < idxs[1:]), "indices are not in BFS order"
+        tree = self.generator_tree()
         table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = idxs
+        table[:, 0] = np.arange(n)
         for h in range(1, n):
-            table[:, h] = cols[via[h]][table[:, parent[h]]]
+            table[:, h] = tree.cols[tree.via[h]][table[:, tree.parent[h]]]
         self._table = table
 
 
@@ -414,40 +464,37 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    """Orbit computation under conjugation by the generators (BFS per class)."""
-    n = G.order
-    class_of = np.full(n, -1, dtype=np.int64)
-    conjugators = list(
-        dict.fromkeys(
-            list(G.generator_indices) + [G.inv(t) for t in G.generator_indices]
-        )
+    """Connected components of conjugation by the generators and their inverses.
+
+    Conjugation by a multiplier t is h -> t h t^-1 = inv[R[inv[R[h]]]], R the
+    column of t^-1: four gathers (R runs over all columns, as the multipliers
+    are closed under inversion).  Each round hooks the label of every h onto
+    the label of each conjugate of h when that is smaller (a scatter-min), then
+    jumps pointers (lab = lab[lab]) until every label is a root; rounds repeat
+    until no label changes.  Hooking labels rather than elements merges whole
+    label trees, so a long conjugation cycle (the reflections of a large
+    dihedral group) takes a few rounds, not one per step along it.  The final
+    label of a class is its lowest index, the representative; class ids
+    follow the representatives in increasing order.
+    """
+    inv = G._inv
+    perms = [inv[R[inv[R]]] for R in G.generator_tree().cols]
+    lab = np.arange(G.order)
+    while True:
+        before = lab.copy()
+        for pi in perms:
+            roots = lab.copy()
+            np.minimum.at(lab, roots, roots[pi])
+        jumped = lab[lab]
+        while not np.array_equal(jumped, lab):
+            lab, jumped = jumped, jumped[jumped]
+        if np.array_equal(lab, before):
+            break
+    reps, class_of = np.unique(lab, return_inverse=True)
+    sizes = np.bincount(class_of)
+    return ConjugacyClasses(
+        class_of.astype(np.int64, copy=False), tuple(reps.tolist()), tuple(sizes.tolist())
     )
-    if not conjugators:
-        conjugators = [0]
-    reps: list[int] = []
-    sizes: list[int] = []
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(start)
-        class_of[start] = cid
-        frontier = np.array([start], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            new_parts = []
-            for t in conjugators:
-                c = G.conj_many(frontier, t)
-                fresh = c[class_of[c] < 0]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    fresh = fresh[class_of[fresh] < 0]
-                    class_of[fresh] = cid
-                    new_parts.append(fresh)
-            frontier = np.unique(np.concatenate(new_parts)) if new_parts else np.array([], dtype=np.int64)
-            size += frontier.size
-        sizes.append(size)
-    return ConjugacyClasses(class_of, tuple(reps), tuple(sizes))
 
 
 def center_and_centralizer(G: FiniteGroup, g: GroupElement | int) -> tuple[tuple[int, ...], int]:

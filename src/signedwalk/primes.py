@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PrimeSearchExhausted
+from .errors import ConsistencyFailure, PrimeSearchExhausted
 
 # Witnesses proving primality for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -95,7 +95,7 @@ def _pollard_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho factorization failed for {n}")
+    raise ConsistencyFailure(f"rho factorization failed for {n}")
 
 
 def factorize(n: int, trial_bound: int = 10**6) -> dict[int, int]:

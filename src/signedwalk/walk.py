@@ -21,7 +21,7 @@ import numpy as np
 
 from .elements import GroupElement, MatrixElement, PermutationElement, TableElement, same_family
 from .errors import CapExceeded, ElementNotInGroup, NotInGroup, NotNonTrivial
-from .groups import FiniteGroup
+from .groups import FiniteGroup, element_from_spec
 from .primes import is_prime
 
 MAX_WALK_LENGTH = 4096
@@ -429,17 +429,29 @@ def signed_sum_check(a_list, K: int | None = None) -> SignedSumResult:
 # ---------------------------------------------------------------------------
 
 
-def sequence_from_spec(spec: dict, G: FiniteGroup) -> SignedSequence:
-    """Sequence file contract: elements are indices or inline element specs."""
-    from .groups import element_from_spec
+def sequence_from_spec(
+    spec: dict, G: FiniteGroup | None = None, ambient: dict | None = None
+) -> SignedSequence:
+    """Sequence file contract: elements are indices or inline element specs.
 
-    raw = spec["elements"]
+    Without an enumerated group G every entry must be inline; its family comes
+    from `ambient` (a group spec) when given, else from a "kind"/"p" pair in the
+    sequence spec itself, and bare permutation image lists are self-describing.
+    """
+    gspec = ambient if ambient is not None else spec
+    kind = gspec.get("kind", "permutation")
     elems = []
-    for item in raw:
-        if isinstance(item, int):
-            elems.append(G.element(item))
+    for item in spec["elements"]:
+        if G is not None:
+            elems.append(G.element(item) if isinstance(item, int) else element_from_spec(G, item))
+        elif isinstance(item, int):
+            raise ValueError("index-based sequence entries need an enumerated group")
+        elif kind == "matrix_mod_p":
+            elems.append(MatrixElement.from_rows(item, int(gspec["p"])))
+        elif kind == "permutation":
+            elems.append(PermutationElement(tuple(int(x) for x in item)))
         else:
-            elems.append(element_from_spec(G, item))
+            raise ValueError("raw sequences support matrix and permutation kinds")
     repeat = int(spec.get("repeat", 1))
     if repeat < 1:
         raise ValueError("repeat must be >= 1")

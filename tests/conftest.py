@@ -74,6 +74,46 @@ def sl2_49_seed11_generators() -> list[MatrixElement]:
 
 
 @pytest.fixture(scope="session")
+def sl2_49_seed11(sl2_49_seed11_generators):
+    return close_generators(sl2_49_seed11_generators)
+
+
+@pytest.fixture(scope="session")
+def trivial():
+    return close_generators([PermutationElement.identity(3)])
+
+
+@pytest.fixture(scope="session")
+def d6_reflections():
+    """D6 from two reflections of the hexagon: each multiplier is its own inverse."""
+    return close_generators(
+        [PermutationElement((0, 5, 4, 3, 2, 1)), PermutationElement((1, 0, 5, 4, 3, 2))]
+    )
+
+
+# groups on which the class and class-matrix gathers are checked against the
+# naive loops: every variant, with and without a dense table, a trivial group
+# and self-inverse generators
+CLASS_CASES = [
+    "s3", "q8", "s4", "sl2_5", "sl2_7", "z6", "s7", "trivial", "d6_reflections", "sl2_49_seed11"
+]
+
+
+@pytest.fixture(scope="session")
+def class_case(request, bench_groups):
+    """name -> (group, classes from the naive BFS), each computed once."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+            cache[name] = (G, naive_conjugacy_classes(G))
+        return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
 def sl2_7():
     return close_generators(catalog.sl2_generators(7))
 
@@ -214,6 +254,47 @@ def naive_close_matrix(gens: list[MatrixElement]) -> tuple[np.ndarray, np.ndarra
     perm = np.argsort(codes)
     inv_codes = _mat_codes(naive_batch_inverse(mats, p), p)
     return mats, perm[np.searchsorted(codes[perm], inv_codes)]
+
+
+def naive_conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
+    """Orbits under conjugation by the generators and their inverses, one BFS per
+    class, each step conjugating the frontier through `lmul_many` / `mul_many`."""
+    n = G.order
+    class_of = np.full(n, -1, dtype=np.int64)
+    gens = G.generator_indices
+    conjugators = list(dict.fromkeys(list(gens) + [G.inv(t) for t in gens]))
+    reps: list[int] = []
+    sizes: list[int] = []
+    for start in range(n):
+        if class_of[start] >= 0:
+            continue
+        cid = len(reps)
+        reps.append(start)
+        class_of[start] = cid
+        frontier = np.array([start], dtype=np.int64)
+        size = 1
+        while frontier.size:
+            new_parts = []
+            for t in conjugators:
+                c = G.mul_many(G.lmul_many(t, frontier), G.inv(t))
+                fresh = np.unique(c[class_of[c] < 0])
+                class_of[fresh] = cid
+                new_parts.append(fresh)
+            frontier = np.unique(np.concatenate(new_parts))
+            size += frontier.size
+        sizes.append(size)
+    return ConjugacyClasses(class_of, tuple(reps), tuple(sizes))
+
+
+def naive_class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.ndarray:
+    """M[k, j] = #{x in C_i : x^-1 z_k in C_j} mod ell, one `mul_many` per class
+    representative z_k over the inverses of every member of C_i."""
+    r = cc.count
+    xinv = np.array([G.inv(int(x)) for x in cc.members(i)], dtype=np.int64)
+    M = np.zeros((r, r), dtype=np.int64)
+    for k, zk in enumerate(cc.representatives):
+        M[k] = np.bincount(cc.class_of[G.mul_many(xinv, zk)], minlength=r)
+    return M % ell
 
 
 def naive_class_powers(G: FiniteGroup, cc: ConjugacyClasses):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,16 +7,17 @@ import pytest
 
 from signedwalk import catalog
 from signedwalk.chartable import (
+    _class_matrix,
     _class_powers,
     check_multiplicity_bounds,
     dixon_character_table,
     eigenvalue_multiplicities,
     max_character_ratio,
 )
-from signedwalk.errors import TooManyClasses
+from signedwalk.errors import ConsistencyFailure, TooManyClasses
 from signedwalk.groups import close_generators, conjugacy_classes
 
-from conftest import naive_class_powers
+from conftest import CLASS_CASES, naive_class_matrix, naive_class_powers
 
 
 def table_of(name):
@@ -176,3 +178,23 @@ def test_table_power_lookups_match_scalar_loops(request, bench_groups, name):
     assert t.class_orders == want_orders
     assert [t.central_order(c) for c in range(t.num_classes)] == list(want_central)
     assert [t.power_classes(c) for c in range(t.num_classes)] == want_powers
+
+
+@pytest.mark.parametrize("name", CLASS_CASES)
+def test_class_matrices_match_per_representative_counts(class_case, name):
+    G, cc = class_case(name)
+    big = 2**31 - 1  # above every count, so the reduction keeps them exact
+    for i in range(cc.count):
+        exact = naive_class_matrix(G, cc, i, big)
+        assert np.array_equal(_class_matrix(G, cc, i, big), exact)
+        assert np.array_equal(_class_matrix(G, cc, i, 7), exact % 7)
+
+
+def test_class_matrix_rejects_counts_that_do_not_divide(bench_groups):
+    G = bench_groups["s4"]
+    cc = conjugacy_classes(G)
+    k = max(range(cc.count), key=lambda c: cc.sizes[c])
+    wrong = dataclasses.replace(cc, sizes=cc.sizes[:k] + (cc.sizes[k] + 1,) + cc.sizes[k + 1 :])
+    i = next(c for c in range(cc.count) if cc.sizes[c] > 1 and c != k)
+    with pytest.raises(ConsistencyFailure):
+        _class_matrix(G, wrong, i, 2**31 - 1)

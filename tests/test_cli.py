@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from signedwalk import catalog, chartable
+from signedwalk import catalog, chartable, embed, primes
 from signedwalk.cli import main
+from signedwalk.elements import MatrixElement, TableElement
+from signedwalk.errors import ConsistencyFailure
 
 from conftest import naive_class_powers
 
@@ -320,3 +322,89 @@ def test_exit_code_input_error(specs, capsys, tmp_path):
 def test_exit_code_resource_cap(specs, capsys):
     code, _ = run(capsys, "closure", "--group", specs["sl2_5"], "--cap", "10")
     assert code == 3
+
+
+def run_failing(capsys, *argv) -> tuple[int, str]:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("repeat", [0, -1])
+def test_repeat_below_one_is_an_input_error_on_both_paths(specs, capsys, tmp_path, repeat):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"elements": [[1, 0, 2]], "repeat": repeat}))
+    for argv in (
+        ["rho", "--group", specs["s3"], "--seq", str(seq)],  # enumerated group
+        ["mc", "--group", specs["s3"], "--seq", str(seq)],  # enumerated group
+        ["mc", "--seq", str(seq)],  # no enumeration
+        ["rho", "--group", specs["s3"], "--seq", str(seq), "--cap", "2"],  # closure over cap
+    ):
+        code, err = run_failing(capsys, *argv, "--samples", "100")
+        assert code == 2
+        assert err == "input error: repeat must be >= 1\n"
+
+
+def test_matrix_order_cap_exits_3(specs, capsys, tmp_path, monkeypatch):
+    # the walk bounds need every element order; a budget of 2 products stops at order 5
+    monkeypatch.setattr(MatrixElement.order, "__defaults__", (2,))
+    seq = tmp_path / "inline_seq.json"
+    seq.write_text(json.dumps({"elements": [[[1, 1], [0, 1]]]}))
+    argv = ["rho", "--group", specs["sl2_5"], "--seq", str(seq), "--cap", "10", "--samples", "100"]
+    code, err = run_failing(capsys, *argv)
+    assert code == 3
+    assert err == "resource cap: order loop exceeded cap\n"
+
+
+def test_table_order_cap_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(TableElement.order, "__defaults__", (1,))
+    group = tmp_path / "z6.json"
+    group.write_text(
+        json.dumps(
+            {"kind": "table", "table": [[(i + j) % 6 for j in range(6)] for i in range(6)]}
+        )
+    )
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"elements": [1, 2]}))
+    code, err = run_failing(capsys, "rho", "--group", str(group), "--seq", str(seq))
+    assert code == 3
+    assert err == "resource cap: order loop exceeded cap\n"
+
+
+@pytest.mark.parametrize(
+    ("matrix", "message"),
+    [
+        ([[-1, 0], [0, -1]], "image order 1 != original order 2"),  # finite order
+        ([[1, 1], [0, 1]], "image order 1 < n=3 for an infinite-order input"),
+    ],
+)
+def test_embedding_order_mismatch_exits_2(capsys, tmp_path, monkeypatch, matrix, message):
+    # a reduction that collapses everything to the identity contradicts both clauses
+    monkeypatch.setattr(embed, "reduce_matrix_mod_p", lambda A, p: MatrixElement.identity(p, A.m))
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([matrix]))
+    code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
+    assert code == 2
+    assert err.startswith(f"input error: {message}")
+
+
+def test_factorization_failure_exits_2(capsys, tmp_path, monkeypatch):
+    # the prime 1000003 declared composite sends Pollard rho after a factor it cannot find
+    real_is_prime = primes.is_prime
+    monkeypatch.setattr(primes, "is_prime", lambda n: n != 1000003 and real_is_prime(n))
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1, "1/1000003"], [0, 1]]]))
+    code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
+    assert code == 2
+    assert err == "input error: rho factorization failed for 1000003\n"
+
+
+def test_missing_torus_element_is_a_consistency_failure(monkeypatch):
+    # not reachable from the CLI; as a SignedWalkError it would exit 2 there.
+    # With a square in place of the non-square the scan sees only split-torus
+    # elements, whose orders divide p - 1, so none has order p + 1.
+    monkeypatch.setattr(catalog, "least_nonsquare", lambda p: 1)
+    with pytest.raises(ConsistencyFailure, match="no order-8 torus element"):
+        catalog.nonsplit_torus_generator(7)

@@ -18,7 +18,13 @@ from signedwalk.groups import (
     group_from_spec,
 )
 
-from conftest import BENCH_NAMES, naive_close_matrix, naive_dense_table
+from conftest import (
+    BENCH_NAMES,
+    CLASS_CASES,
+    naive_close_matrix,
+    naive_conjugacy_classes,
+    naive_dense_table,
+)
 
 
 def test_closure_s3_from_transposition_and_cycle():
@@ -304,3 +310,48 @@ def test_matrix_closure_matches_naive_bfs_on_benchmark_sl2_49(sl2_49_seed11_gene
     assert G.order == 117600
     assert np.array_equal(G._mats, mats)
     assert np.array_equal(G._inv, inv)
+
+
+@pytest.mark.parametrize("name", CLASS_CASES)
+def test_conjugacy_classes_match_naive_bfs(class_case, name):
+    G, naive = class_case(name)
+    cc = conjugacy_classes(G)
+    assert cc.class_of.dtype == naive.class_of.dtype
+    assert np.array_equal(cc.class_of, naive.class_of)
+    assert cc.representatives == naive.representatives
+    assert cc.sizes == naive.sizes
+
+
+def test_conjugacy_classes_of_a_long_conjugation_cycle():
+    # D_2503 as affine maps x -> +-x + b mod 2503: conjugating by the translation
+    # moves the 2503 reflections along one cycle, so the labels must cross it in
+    # a few rounds (|G| = 5006, above DENSE_TABLE_CAP)
+    p = 2503
+    G = close_generators(
+        [MatrixElement.from_rows([[1, 1], [0, 1]], p), MatrixElement.from_rows([[p - 1, 0], [0, 1]], p)]
+    )
+    cc, naive = conjugacy_classes(G), naive_conjugacy_classes(G)
+    assert np.array_equal(cc.class_of, naive.class_of)
+    assert cc.representatives == naive.representatives and cc.sizes == naive.sizes
+    assert sorted(cc.sizes) == [1] + [2] * ((p - 1) // 2) + [p]
+
+
+@pytest.mark.parametrize("name", CLASS_CASES)
+def test_generator_tree_composes_to_columns(class_case, name):
+    G, _ = class_case(name)
+    bare = copy.copy(G)  # products from the variant itself, not the dense table
+    if G.variant != "table":
+        bare._table = None
+    tree = G.generator_tree()
+    n = G.order
+    idxs = np.arange(n)
+    gens = set(G.generator_indices)
+    assert set(tree.mults) == gens | {G.inv(t) for t in gens}
+    assert tree.cols.dtype == np.int32
+    for k, t in enumerate(tree.mults):
+        assert np.array_equal(tree.cols[k], bare.mul_many(idxs, t))
+    assert np.all(tree.parent[1:] < idxs[1:])
+    assert np.array_equal(tree.cols[tree.via[1:], tree.parent[1:]], idxs[1:])
+    rng = np.random.default_rng(11)
+    for x in [0, n - 1] + rng.integers(0, n, size=6).tolist():
+        assert np.array_equal(tree.column(x), bare.mul_many(idxs, x))

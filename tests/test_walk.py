@@ -132,7 +132,8 @@ def test_conjugating_entries_conjugates_law(bench_groups, seed):
     conj = SignedSequence(tuple(g.mul(e).mul(g.inv()) for e in seq.elements))
     law = exact_distribution(G, seq).counts
     law_conj = exact_distribution(G, conj).counts
-    image = G.conj_many(np.arange(G.order), G.index_of(g))  # h -> g h g^{-1}
+    gi = G.index_of(g)
+    image = G.mul_many(G.lmul_many(gi, np.arange(G.order)), G.inv(gi))  # h -> g h g^{-1}
     assert all(law_conj[int(image[h])] == law[h] for h in range(G.order))
 
 
