@@ -588,9 +588,9 @@ def main(argv=None) -> int:
             val = getattr(args, key)
             if val is not None:
                 extra[key] = val
-    if args.command == "order" or args.command == "sweep":
-        extra["element"] = json.loads(extra["element"])
     try:
+        if args.command == "order" or args.command == "sweep":
+            extra["element"] = json.loads(extra["element"])
         cfg = RunConfig(
             group_path=args.group,
             seq_path=args.seq,

@@ -1,17 +1,28 @@
 """Enumerated finite groups with index-based multiplication.
 
-A `FiniteGroup` is built by breadth-first closure from a generator list.
-Element indices follow BFS discovery order (identity at index 0); within a
-BFS layer, newly discovered elements are sorted by their canonical encoding,
-so indices are reproducible across runs.  Matrix groups get a vectorized
-numpy path (codes + searchsorted) that scales to a few million elements: each
-BFS layer computes only the codes of its products, keeps the unseen ones
-(sorted-array membership), rebuilds just those rows and carries their inverses
-along the tree as t^-1 * g^-1, so no inversion runs after closure.
-Permutation and table groups use a dict of encodings.  `mul_many` takes one
-right factor or an index array aligned with the left factors, so a batch of
-unrelated products (e.g. the next power of every class representative) is
-one call.
+Every element is one row of small non-negative ints: the row-major entries of
+a matrix mod p, the image list of a permutation, or the one-entry index of a
+table element.  A `RowArith` holds all that depends on the family: how to
+compose two row arrays (matmul mod p, `take_along_axis`, or a lookup in the
+multiplication table), the big-endian byte encoder behind `encode()`, and a
+sortable key per row in `encode()` order.  The key is the base-p (matrices),
+base-degree (permutations) or plain (tables) int64 code of the row when every
+code fits below 2^63, and the `np.void` view of the encoded bytes otherwise.
+The closure, `index_of`, `mul_many`, `hex_encodings` and the Monte-Carlo walk
+all go through it, so no group method branches on the variant.
+
+`close_generators` numbers the elements in breadth-first order (identity at
+index 0); within a BFS layer the new elements are sorted by key, so indices
+are reproducible across runs.  The multipliers (the generators and their
+inverses) are closed under inversion, so the Cayley graph is undirected and
+every product of layer k lies in layer k-1, k or k+1: each layer's products are
+tested against the keys of layers k-1 and k only.  Each layer computes just the
+keys of its products, rebuilds the rows of the new ones and carries their
+inverses along the tree as t^-1 * g^-1, so no inversion runs after closure.  A
+group holds one row array and its keys sorted for `searchsorted` lookups.
+`mul_many` takes one right factor or an index array aligned with the left
+factors, so a batch of unrelated products (e.g. the next power of every class
+representative) is one call.
 
 The generator tree (`generator_tree`, built on first use and cached) holds
 the right-multiplication columns of the generators and their inverses and,
@@ -48,20 +59,90 @@ DENSE_TABLE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
-# vectorized helpers for the matrix variant
+# row arithmetic of one element family
 # ---------------------------------------------------------------------------
 
 
-def _mat_codes(mats: np.ndarray, p: int) -> np.ndarray:
-    """Base-p integer codes, first entry most significant (matches byte encoding)."""
-    flat = mats.reshape(mats.shape[0], -1).astype(np.int64)
-    k = flat.shape[1]
-    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return flat @ powers
+class RowArith:
+    """Rows, products, encodings and sort keys for the family of `template`."""
+
+    def __init__(self, template: GroupElement) -> None:
+        self.family = template.family
+        self.p = self.m = self.degree = self.table = None
+        if isinstance(template, MatrixElement):
+            p, m = template.p, template.m
+            if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
+                raise SizeCap(f"products of {m}x{m} matrices mod p={p} overflow int64")
+            self.variant, self.p, self.m = "matrix", p, m
+            base, width, top = p, m * m, p - 1
+            ident = MatrixElement.identity(p, m)
+        elif isinstance(template, PermutationElement):
+            self.variant, self.degree = "perm", template.degree
+            base = width = template.degree
+            top, ident = base - 1, PermutationElement.identity(base)
+        else:
+            self.variant, self.table = "table", template.table
+            self._table_rows = np.array(template.table.rows, dtype=np.int64)
+            base, width, top = template.table.size, 1, 2**32 - 1  # 4 bytes per index
+            ident = TableElement(template.table, template.table.identity_index)
+        byte_width = _byte_width(top)
+        self.row_bytes = width * byte_width
+        self._shifts = 8 * np.arange(byte_width - 1, -1, -1, dtype=np.int64)
+        self._powers = None
+        if base**width < 2**63:
+            self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self.identity = self.rows([ident])
+
+    def rows(self, elements) -> np.ndarray:
+        """(len, width) int64 rows of elements of this family."""
+        out = []
+        for g in elements:
+            if g.family != self.family:
+                raise NotInGroup("element family does not match group")
+            if self.variant == "table":
+                out.append((g.index,))
+            else:
+                out.append(g.entries if self.variant == "matrix" else g.images)
+        return np.array(out, dtype=np.int64).reshape(len(out), -1)
+
+    def element(self, row: np.ndarray) -> GroupElement:
+        vals = tuple(row.tolist())
+        if self.variant == "matrix":
+            return MatrixElement(self.p, self.m, vals)
+        if self.variant == "perm":
+            return PermutationElement(vals)
+        return TableElement(self.table, vals[0])
+
+    def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Rows of left[i] * right[i]; a one-row side broadcasts against the other."""
+        if self.variant == "matrix":
+            m = self.m
+            prod = np.matmul(left.reshape(-1, m, m), right.reshape(-1, m, m)) % self.p
+            return prod.reshape(-1, m * m)
+        if self.variant == "perm":  # (l * r)(x) = l(r(x))
+            return np.take_along_axis(left, right, axis=1)
+        return self._table_rows[left, right]
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """(len, row_bytes) uint8: each row's `encode()` bytes, entries big-endian."""
+        data = (rows[:, :, None] >> self._shifts) & 0xFF
+        return data.astype(np.uint8).reshape(len(rows), self.row_bytes)
+
+    def byte_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The encoded rows as `np.void` scalars, which sort in `encode()` order."""
+        return self.encode(rows).view(np.dtype((np.void, self.row_bytes))).ravel()
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Sortable keys in `encode()` order: int64 codes where they fit, else bytes."""
+        if self._powers is None:
+            return self.byte_keys(rows)
+        return rows @ self._powers
 
 
-def _codes_fit(p: int, m: int) -> bool:
-    return p ** (m * m) < 2**62
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position of each key in the nonempty sorted_keys, whether it is there)."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
 
 
 @dataclass(frozen=True)
@@ -96,34 +177,24 @@ class GeneratorTree:
 class FiniteGroup:
     """Finite group enumerated from generators; all queries are index-based.
 
-    Immutable after construction, apart from caches filled on first use (the
-    generator tree, right columns) with values that do not depend on who fills
-    them; safe to share across threads.
+    Element i is row `_rows[i]` of the group's `RowArith`.  Immutable after
+    construction, apart from caches filled on first use (the generator tree,
+    right columns) with values that do not depend on who fills them; safe to
+    share across threads.
     """
 
-    def __init__(self) -> None:  # populated by the factory functions below
-        self.variant: str = ""
-        self.order: int = 0
-        self.generator_indices: tuple[int, ...] = ()
+    def __init__(self, arith: RowArith, rows: np.ndarray, keys: np.ndarray) -> None:
+        self._arith = arith
+        self.variant, self.p, self.m, self.degree = arith.variant, arith.p, arith.m, arith.degree
+        self.order = len(rows)
+        self._rows = rows
+        self._key_perm = np.argsort(keys)
+        self._sorted_keys = keys[self._key_perm]
+        self.generator_indices: tuple[int, ...] = ()  # set by close_generators
         self._inv: np.ndarray | None = None
         self._table: np.ndarray | None = None
         self._right_cols: dict[int, np.ndarray] = {}
         self._tree: GeneratorTree | None = None
-        # matrix variant
-        self.p: int | None = None
-        self.m: int | None = None
-        self._mats: np.ndarray | None = None
-        self._codes: np.ndarray | None = None
-        self._sorted_codes: np.ndarray | None = None
-        self._code_perm: np.ndarray | None = None
-        # permutation variant
-        self.degree: int | None = None
-        self._imgs: np.ndarray | None = None
-        # table variant
-        self._multable: MulTable | None = None
-        self._member: np.ndarray | None = None  # group index -> table index
-        # generic encoding lookup (perm / table)
-        self._index: dict[bytes, int] | None = None
 
     def __len__(self) -> int:
         return self.order
@@ -133,61 +204,35 @@ class FiniteGroup:
     def element(self, i: int) -> GroupElement:
         if not (0 <= i < self.order):
             raise IndexError(i)
-        if self.variant == "matrix":
-            ent = tuple(int(x) for x in self._mats[i].reshape(-1))
-            return MatrixElement(self.p, self.m, ent)
-        if self.variant == "perm":
-            return PermutationElement(tuple(int(x) for x in self._imgs[i]))
-        return TableElement(self._multable, int(self._member[i]))
+        return self._arith.element(self._rows[i])
 
     def elements(self):
         return (self.element(i) for i in range(self.order))
 
     def index_of(self, g: GroupElement) -> int:
-        if self.variant == "matrix":
-            if not isinstance(g, MatrixElement) or g.family != ("matrix", self.p, self.m):
-                raise NotInGroup("element family does not match group")
-            code = 0
-            for e in g.entries:
-                code = code * self.p + e
-            return int(self._lookup(np.array([code], dtype=np.int64))[0])
-        if self.variant == "perm":
-            if not isinstance(g, PermutationElement) or g.degree != self.degree:
-                raise NotInGroup("element family does not match group")
-        else:
-            if not isinstance(g, TableElement) or g.table is not self._multable:
-                raise NotInGroup("element belongs to a different table")
-        idx = self._index.get(g.encode())
-        if idx is None:
-            raise NotInGroup("element not in enumerated group")
-        return idx
+        return int(self._lookup(self._arith.keys(self._arith.rows([g])))[0])
 
     def encoding(self, i: int) -> bytes:
         return self.element(i).encode()
 
     def hex_encodings(self, idxs) -> list[str]:
         """`encoding(i).hex()` for every i in idxs, without building elements."""
-        idxs = np.asarray(idxs, dtype=np.int64)
-        if self.variant == "matrix":
-            rows = self._mats[idxs].reshape(idxs.size, self.m * self.m)
-            width = _byte_width(self.p - 1)
-        elif self.variant == "perm":
-            rows, width = self._imgs[idxs], _byte_width(self.degree - 1)
-        else:
-            rows, width = self._member[idxs][:, None], 4
-        shifts = 8 * np.arange(width - 1, -1, -1, dtype=np.int64)
-        data = ((rows[:, :, None] >> shifts) & 0xFF).astype(np.uint8).tobytes().hex()
-        k = 2 * rows.shape[1] * width
+        rows = self._rows[np.asarray(idxs, dtype=np.int64)]
+        data = self._arith.encode(rows).tobytes().hex()
+        k = 2 * self._arith.row_bytes
         return [data[i : i + k] for i in range(0, len(data), k)]
 
     # -- index arithmetic ------------------------------------------------
 
-    def _lookup(self, codes: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._sorted_codes, codes)
-        pos = np.minimum(pos, self.order - 1)
-        if not np.all(self._sorted_codes[pos] == codes):
-            raise NotInGroup("product code not found (group not closed?)")
-        return self._code_perm[pos]
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        pos, found = _find(self._sorted_keys, keys)
+        if not np.all(found):
+            raise NotInGroup("element not in enumerated group")
+        return self._key_perm[pos]
+
+    def _product_indices(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        arith = self._arith
+        return self._lookup(arith.keys(arith.compose(left, right)))
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
@@ -202,30 +247,13 @@ class FiniteGroup:
         array aligned with idxs (one product per pair)."""
         if self._table is not None:
             return self._table[idxs, j]
-        if self.variant == "matrix":
-            prod = np.matmul(self._mats[idxs], self._mats[j]) % self.p
-            return self._lookup(_mat_codes(prod, self.p))
-        if self.variant == "perm":
-            left = self._imgs[idxs]
-            prod = np.take_along_axis(left, np.broadcast_to(self._imgs[j], left.shape), axis=1)
-            return np.array(
-                [self._index[self._perm_bytes(row)] for row in prod], dtype=np.int64
-            )
-        raise AssertionError("table groups always carry a dense table")
+        return self._product_indices(self._rows[idxs], self._rows[np.reshape(j, -1)])
 
     def lmul_many(self, i: int, idxs: np.ndarray) -> np.ndarray:
         """Indices of g_i * g_j for all j in idxs."""
         if self._table is not None:
             return self._table[i, idxs]
-        if self.variant == "matrix":
-            prod = np.matmul(self._mats[i], self._mats[idxs]) % self.p
-            return self._lookup(_mat_codes(prod, self.p))
-        if self.variant == "perm":
-            prod = self._imgs[i][self._imgs[idxs]]
-            return np.array(
-                [self._index[self._perm_bytes(row)] for row in prod], dtype=np.int64
-            )
-        raise AssertionError("table groups always carry a dense table")
+        return self._product_indices(self._rows[[i]], self._rows[idxs])
 
     def right_column(self, j: int) -> np.ndarray:
         """Cached column i -> index(g_i * g_j), used by the walk engine."""
@@ -243,12 +271,6 @@ class FiniteGroup:
         if self._table is not None:
             return np.array(self._table[i, :])
         return self.lmul_many(i, np.arange(self.order))
-
-    def _perm_bytes(self, row: np.ndarray) -> bytes:
-        w = max(1, ((self.degree - 1).bit_length() + 7) // 8) if self.degree > 1 else 1
-        if w == 1:
-            return bytes(int(x) for x in row)
-        return b"".join(int(x).to_bytes(w, "big") for x in row)
 
     # -- construction helpers ---------------------------------------------
 
@@ -286,7 +308,7 @@ class FiniteGroup:
         """Fill the table column by column along the generator tree: column h is
         column parent[h] gathered through the column of its multiplier."""
         n = self.order
-        if n > DENSE_TABLE_CAP or self._table is not None:
+        if n > DENSE_TABLE_CAP:
             return
         tree = self.generator_tree()
         table = np.empty((n, n), dtype=np.int32)
@@ -305,129 +327,51 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Breadth-first closure of the generators under products and inverses.
 
     Deterministic element numbering: identity first, then layer by layer in
-    canonical-encoding order.  Raises CapExceeded if the closure grows past
-    `cap` (callers can fall back to the Monte-Carlo path), MixedVariants if
-    the generators do not share one family.
+    canonical-encoding order (see the module docstring).  Raises CapExceeded
+    if the closure grows past `cap` (callers can fall back to the Monte-Carlo
+    path), MixedVariants if the generators do not share one family.
     """
     gens = list(generators)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    fam = same_family(gens)
-    if fam[0] == "matrix":
-        if not _codes_fit(fam[1], fam[2]):
-            raise SizeCap(f"matrix parameters p={fam[1]}, m={fam[2]} too large to enumerate")
-        return _close_matrix(gens, cap)
-    return _close_generic(gens, cap)
+    same_family(gens)
+    arith = RowArith(gens[0])
+    gen_rows, gen_inv_rows = arith.rows(gens), arith.rows([g.inv() for g in gens])
+    both = np.concatenate([gen_rows, gen_inv_rows])
+    keep = np.sort(np.unique(arith.keys(both), return_index=True)[1])
+    mults = both[keep]
+    mult_invs = np.concatenate([gen_inv_rows, gen_rows])[keep]
 
-
-def _close_matrix(gens: list[MatrixElement], cap: int) -> FiniteGroup:
-    p, m = gens[0].p, gens[0].m
-    mults, mult_invs = [], []
-    seen_codes = set()
-    for g in gens + [g.inv() for g in gens]:
-        arr = np.array(g.rows(), dtype=np.int64)
-        code = int(_mat_codes(arr[None, :, :], p)[0])
-        if code not in seen_codes:
-            seen_codes.add(code)
-            mults.append(arr)
-            mult_invs.append(np.array(g.inv().rows(), dtype=np.int64))
-    mults, mult_invs = np.stack(mults), np.stack(mult_invs)
-
-    # Each layer computes only the codes of its products; the new rows (sorted
-    # by code, so by canonical encoding) are then rebuilt as frontier @ t, and
-    # their inverses carried along the tree as t^{-1} @ g^{-1}.
-    ident = np.eye(m, dtype=np.int64)[None, :, :]
-    frontier, frontier_inv = ident, ident
-    level_codes = [_mat_codes(ident, p)]
-    levels, inv_levels = [ident], [ident]
-    known = level_codes[0]  # sorted codes of every element found so far
-    total = 1
-    while frontier.shape[0]:
-        F = frontier.shape[0]
-        codes = np.concatenate([_mat_codes(np.matmul(frontier, t) % p, p) for t in mults])
-        uniq, first = np.unique(codes, return_index=True)
-        fresh = ~np.isin(uniq, known, assume_unique=True)
-        pick, new_codes = first[fresh], uniq[fresh]
+    # Each layer computes only the keys of its products; the new rows (sorted
+    # by key, so by canonical encoding) are then rebuilt as frontier * t, and
+    # their inverses carried along the tree as t^-1 * g^-1.  Layer 0 stands in
+    # for its own missing predecessor.
+    frontier = frontier_inv = arith.identity
+    levels, inv_levels = [frontier], [frontier_inv]
+    layer_keys = [arith.keys(frontier)]
+    prev, total = layer_keys[0], 1
+    while len(frontier):
+        F = len(frontier)
+        keys = np.concatenate([arith.keys(arith.compose(frontier, t[None])) for t in mults])
+        uniq, first = np.unique(keys, return_index=True)
+        fresh = ~(_find(prev, uniq)[1] | _find(layer_keys[-1], uniq)[1])
+        pick = first[fresh]
         total += pick.size
         if total > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
         g, t = pick % F, pick // F
-        frontier = np.matmul(frontier[g], mults[t]) % p
-        frontier_inv = np.matmul(mult_invs[t], frontier_inv[g]) % p
+        frontier = arith.compose(frontier[g], mults[t])
+        frontier_inv = arith.compose(mult_invs[t], frontier_inv[g])
         levels.append(frontier)
         inv_levels.append(frontier_inv)
-        level_codes.append(new_codes)
-        known = np.union1d(known, new_codes)
+        prev = layer_keys[-1]
+        layer_keys.append(uniq[fresh])
 
-    G = FiniteGroup()
-    G.variant = "matrix"
-    G.p, G.m = p, m
-    G.order = total
-    G._mats = np.concatenate(levels, axis=0)
-    G._codes = np.concatenate(level_codes)
-    G._code_perm = np.argsort(G._codes).astype(np.int64)
-    G._sorted_codes = G._codes[G._code_perm]
-    G._inv = G._lookup(_mat_codes(np.concatenate(inv_levels, axis=0), p))
-    G.generator_indices = tuple(int(G.index_of(g)) for g in gens)
+    G = FiniteGroup(arith, np.concatenate(levels), np.concatenate(layer_keys))
+    G._inv = G._lookup(arith.keys(np.concatenate(inv_levels)))
+    G.generator_indices = tuple(G._lookup(arith.keys(gen_rows)).tolist())
     G._build_dense_table()
     return G
-
-
-def _close_generic(gens: list[GroupElement], cap: int) -> FiniteGroup:
-    ident = _identity_like(gens[0])
-    elements: list[GroupElement] = [ident]
-    index: dict[bytes, int] = {ident.encode(): 0}
-    multipliers = []
-    seen = set()
-    for g in gens + [g.inv() for g in gens]:
-        k = g.encode()
-        if k not in seen:
-            seen.add(k)
-            multipliers.append(g)
-    frontier = [ident]
-    while frontier:
-        discovered: dict[bytes, GroupElement] = {}
-        for g in frontier:
-            for t in multipliers:
-                h = g.mul(t)
-                k = h.encode()
-                if k not in index and k not in discovered:
-                    discovered[k] = h
-        frontier = []
-        for k in sorted(discovered):
-            index[k] = len(elements)
-            elements.append(discovered[k])
-            frontier.append(discovered[k])
-            if len(elements) > cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
-
-    G = FiniteGroup()
-    G._index = index
-    G.order = len(elements)
-    if isinstance(ident, PermutationElement):
-        G.variant = "perm"
-        G.degree = ident.degree
-        G._imgs = np.array([e.images for e in elements], dtype=np.int64)
-    else:
-        G.variant = "table"
-        G._multable = ident.table
-        G._member = np.array([e.index for e in elements], dtype=np.int64)
-        tab = np.array(ident.table.rows, dtype=np.int64)
-        back = -np.ones(ident.table.size, dtype=np.int64)
-        back[G._member] = np.arange(G.order)
-        G._table = back[tab[np.ix_(G._member, G._member)]].astype(np.int32)
-    G._inv = np.array([index[e.inv().encode()] for e in elements], dtype=np.int64)
-    G.generator_indices = tuple(index[g.encode()] for g in gens)
-    G._build_dense_table()
-    return G
-
-
-def _identity_like(g: GroupElement) -> GroupElement:
-    if isinstance(g, MatrixElement):
-        return MatrixElement.identity(g.p, g.m)
-    if isinstance(g, PermutationElement):
-        return PermutationElement.identity(g.degree)
-    return TableElement(g.table, g.table.identity_index)
 
 
 # ---------------------------------------------------------------------------
@@ -555,4 +499,4 @@ def element_from_spec(G: FiniteGroup, data) -> GroupElement:
         return MatrixElement.from_rows(data, G.p)
     if G.variant == "perm":
         return PermutationElement(tuple(int(x) for x in data))
-    return TableElement(G._multable, int(data))
+    return TableElement(G._arith.table, int(data))

@@ -4,10 +4,13 @@ All probabilities of the walk are dyadic rationals; the exact engine therefore
 keeps integer counts with denominator 2^n and never rounds.  Each convolution
 step is a vectorized gather over an int64 array of base-2^32 limbs, carried
 often enough that no limb overflows; the counts come back as exact Python
-ints.  The Monte-Carlo estimator is deterministic for a fixed (seed, samples)
-pair regardless of worker count: samples are processed in fixed-size batches
-whose bit streams come from a counter-based generator keyed by (seed, batch
-index).
+ints.  The Monte-Carlo estimator needs no enumeration: it multiplies the rows
+of the sequence with the family's `RowArith.compose` (the same products the
+closure uses) and counts the products by their encoded bytes, so the modal
+product's encoding is its key.  It is deterministic for a fixed (seed,
+samples) pair regardless of worker count: samples are processed in fixed-size
+batches whose bit streams come from a counter-based generator keyed by (seed,
+batch index).
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elements import GroupElement, MatrixElement, PermutationElement, TableElement, same_family
+from .elements import GroupElement, MatrixElement, PermutationElement, same_family
 from .errors import CapExceeded, ElementNotInGroup, NotInGroup, NotNonTrivial
-from .groups import FiniteGroup, element_from_spec
+from .groups import FiniteGroup, RowArith, element_from_spec
 from .primes import is_prime
 
 MAX_WALK_LENGTH = 4096
@@ -226,44 +229,13 @@ class MonteCarloResult:
         }
 
 
-def _mc_batch_products(elements, bits: np.ndarray):
-    """Products for one batch; returns (codes array or byte-key list)."""
-    first = elements[0]
-    size, n = bits.shape
-    if isinstance(first, MatrixElement):
-        p, m = first.p, first.m
-        mats = [np.array(e.rows(), dtype=np.int64) for e in elements]
-        invs = [np.array(e.inv().rows(), dtype=np.int64) for e in elements]
-        cur = np.broadcast_to(np.eye(m, dtype=np.int64), (size, m, m)).copy()
-        for i in range(n):
-            pick = bits[:, i].astype(bool)[:, None, None]
-            step = np.where(pick, mats[i][None], invs[i][None])
-            cur = np.matmul(cur, step) % p
-        flat = cur.reshape(size, -1)
-        powers = p ** np.arange(m * m - 1, -1, -1, dtype=np.int64)
-        return flat @ powers
-    if isinstance(first, PermutationElement):
-        deg = first.degree
-        imgs = [np.array(e.images, dtype=np.int64) for e in elements]
-        invs = [np.array(e.inv().images, dtype=np.int64) for e in elements]
-        cur = np.broadcast_to(np.arange(deg, dtype=np.int64), (size, deg)).copy()
-        for i in range(n):
-            pick = bits[:, i].astype(bool)[:, None]
-            step = np.where(pick, imgs[i][None], invs[i][None])
-            cur = np.take_along_axis(cur, step, axis=1)
-        if deg <= 15:
-            powers = deg ** np.arange(deg - 1, -1, -1, dtype=np.int64)
-            return cur @ powers
-        return [bytes(int(x) for x in row) for row in cur]
-    table: TableElement = first  # table variant
-    rows = np.array(table.table.rows, dtype=np.int64)
-    fwd = np.array([e.index for e in elements], dtype=np.int64)
-    bwd = np.array([e.inv().index for e in elements], dtype=np.int64)
-    cur = np.full(size, table.table.identity_index, dtype=np.int64)
-    for i in range(n):
-        pick = bits[:, i].astype(bool)
-        cur = np.where(pick, rows[cur, fwd[i]], rows[cur, bwd[i]])
-    return cur
+def _mc_batch_products(arith: RowArith, fwd: np.ndarray, bwd: np.ndarray, bits: np.ndarray):
+    """Encoded products of one batch as byte keys: sample s multiplies, left to
+    right, row fwd[i] where bits[s, i] is set and its inverse bwd[i] elsewhere."""
+    cur = np.repeat(arith.identity, bits.shape[0], axis=0)
+    for i in range(bits.shape[1]):
+        cur = arith.compose(cur, np.where(bits[:, i, None].astype(bool), fwd[i], bwd[i]))
+    return arith.byte_keys(cur)
 
 
 def rho_monte_carlo(
@@ -284,20 +256,16 @@ def rho_monte_carlo(
         raise ValueError("samples must be >= 1")
     elements = seq.elements
     n = seq.n
+    arith = RowArith(elements[0])
+    fwd, bwd = arith.rows(elements), arith.rows([e.inv() for e in elements])
     n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
 
     def run_batch(b: int) -> dict:
         size = min(_MC_BATCH, samples - b * _MC_BATCH)
         gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, b]))
         bits = gen.integers(0, 2, size=(size, n), dtype=np.uint8)
-        keys = _mc_batch_products(elements, bits)
-        if isinstance(keys, list):
-            counts: dict = {}
-            for k in keys:
-                counts[k] = counts.get(k, 0) + 1
-            return counts
-        uniq, cnt = np.unique(keys, return_counts=True)
-        return {int(u): int(c) for u, c in zip(uniq, cnt)}
+        uniq, cnt = np.unique(_mc_batch_products(arith, fwd, bwd, bits), return_counts=True)
+        return dict(zip(uniq.tolist(), cnt.tolist()))
 
     merged: dict = {}
     if threads > 1:
@@ -312,34 +280,14 @@ def rho_monte_carlo(
             raise CapExceeded(f"distinct products exceeded cap {distinct_cap}")
 
     best = max(merged.values())
-    top_key = min(k for k, c in merged.items() if c == best)
-    top_hex = top_key.hex() if isinstance(top_key, bytes) else _code_to_hex(elements[0], top_key)
+    top_key = min(k for k, c in merged.items() if c == best)  # bytes: encode() order
     return MonteCarloResult(
         samples=samples,
         seed=seed,
         max_count=best,
         distinct_products=len(merged),
-        top_encoding=top_hex,
+        top_encoding=top_key.hex(),
     )
-
-
-def _code_to_hex(template: GroupElement, code: int) -> str:
-    if isinstance(template, MatrixElement):
-        p, m = template.p, template.m
-        digits = []
-        for _ in range(m * m):
-            digits.append(code % p)
-            code //= p
-        ent = tuple(reversed(digits))
-        return MatrixElement(p, m, ent).encode().hex()
-    if isinstance(template, PermutationElement):
-        deg = template.degree
-        digits = []
-        for _ in range(deg):
-            digits.append(code % deg)
-            code //= deg
-        return PermutationElement(tuple(reversed(digits))).encode().hex()
-    return TableElement(template.table, int(code)).encode().hex()
 
 
 # ---------------------------------------------------------------------------

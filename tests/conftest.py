@@ -21,13 +21,7 @@ from signedwalk.elements import (
     _inv_entries,
 )
 from signedwalk.errors import NotInGroup
-from signedwalk.groups import (
-    ConjugacyClasses,
-    FiniteGroup,
-    _mat_codes,
-    close_generators,
-    element_order,
-)
+from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators, element_order
 from signedwalk.irreps import decompose_regular
 from signedwalk.walk import SignedSequence
 
@@ -226,6 +220,13 @@ def naive_batch_inverse(mats: np.ndarray, p: int) -> np.ndarray:
     return adj * res_inv[dets][:, None, None] % p
 
 
+def _mat_codes(mats: np.ndarray, p: int) -> np.ndarray:
+    """Base-p integer codes of a stack of matrices, first entry most significant."""
+    flat = mats.reshape(mats.shape[0], -1).astype(np.int64)
+    k = flat.shape[1]
+    return flat @ (p ** np.arange(k - 1, -1, -1, dtype=np.int64))
+
+
 def naive_close_matrix(gens: list[MatrixElement]) -> tuple[np.ndarray, np.ndarray]:
     """(matrices in index order, inverse indices) from a BFS that materializes every
     product of a layer, tests membership in a Python set of codes, and inverts all
@@ -254,6 +255,42 @@ def naive_close_matrix(gens: list[MatrixElement]) -> tuple[np.ndarray, np.ndarra
     perm = np.argsort(codes)
     inv_codes = _mat_codes(naive_batch_inverse(mats, p), p)
     return mats, perm[np.searchsorted(codes[perm], inv_codes)]
+
+
+def naive_close_generic(gens) -> tuple[list, np.ndarray]:
+    """(elements in index order, inverse indices) from a BFS over single elements:
+    a dict of canonical encodings holds every element found so far, each layer's
+    new elements are sorted by encoding, and every inverse is looked up by
+    encoding after closure.  Works for any element family."""
+    ident = gens[0].mul(gens[0].inv())
+    elements = [ident]
+    index = {ident.encode(): 0}
+    multipliers = list({g.encode(): g for g in gens + [g.inv() for g in gens]}.values())
+    frontier = [ident]
+    while frontier:
+        discovered = {}
+        for g in frontier:
+            for t in multipliers:
+                h = g.mul(t)
+                k = h.encode()
+                if k not in index and k not in discovered:
+                    discovered[k] = h
+        frontier = [discovered[k] for k in sorted(discovered)]
+        for h in frontier:
+            index[h.encode()] = len(elements)
+            elements.append(h)
+    return elements, np.array([index[e.inv().encode()] for e in elements], dtype=np.int64)
+
+
+def element_rows(elements) -> np.ndarray:
+    """Matrix entries, permutation images or the table index, one row per element."""
+    rows = [
+        e.entries if isinstance(e, MatrixElement)
+        else e.images if isinstance(e, PermutationElement)
+        else (e.index,)
+        for e in elements
+    ]
+    return np.array(rows, dtype=np.int64)
 
 
 def naive_conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:

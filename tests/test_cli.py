@@ -5,7 +5,7 @@ import pytest
 
 from signedwalk import catalog, chartable, embed, primes
 from signedwalk.cli import main
-from signedwalk.elements import MatrixElement, TableElement
+from signedwalk.elements import MatrixElement, PermutationElement, TableElement
 from signedwalk.errors import ConsistencyFailure
 
 from conftest import naive_class_powers
@@ -408,3 +408,49 @@ def test_missing_torus_element_is_a_consistency_failure(monkeypatch):
     monkeypatch.setattr(catalog, "least_nonsquare", lambda p: 1)
     with pytest.raises(ConsistencyFailure, match="no order-8 torus element"):
         catalog.nonsplit_torus_generator(7)
+
+
+MINUS_I_MOD_17 = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def test_mc_on_wide_matrices_reports_the_true_top_element(capsys, tmp_path):
+    # 17^16 > 2^63: the products are counted by their encoded bytes, not int64 codes
+    seq = tmp_path / "minus_i.json"
+    seq.write_text(json.dumps({"kind": "matrix_mod_p", "p": 17, "elements": [MINUS_I_MOD_17]}))
+    code, out = run(capsys, "mc", "--seq", str(seq), "--samples", "500")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["top_element"] == "10000000001000000000100000000010"
+    assert payload["distinct_products"] == 1
+
+
+def test_mc_on_a_degree_300_permutation(capsys, tmp_path):
+    # images above 255 take two bytes each in the encoding
+    images = (1, 0) + tuple(range(2, 300))
+    seq = tmp_path / "transposition.json"
+    seq.write_text(json.dumps({"elements": [list(images)]}))
+    code, out = run(capsys, "mc", "--seq", str(seq), "--samples", "500")
+    assert code == 0
+    assert json.loads(out)["top_element"] == PermutationElement(images).encode().hex()
+
+
+def test_closure_of_a_small_group_of_wide_matrices(capsys, tmp_path):
+    group = tmp_path / "minus_i.json"
+    group.write_text(
+        json.dumps({"kind": "matrix_mod_p", "p": 17, "m": 4, "generators": [MINUS_I_MOD_17]})
+    )
+    code, out = run(capsys, "closure", "--group", str(group), "--elements")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 2
+    assert payload["elements"] == [
+        MatrixElement.identity(17, 4).encode().hex(),
+        MatrixElement.from_rows(MINUS_I_MOD_17, 17).encode().hex(),
+    ]
+
+
+@pytest.mark.parametrize("command", ["order", "sweep"])
+def test_malformed_element_is_an_input_error(specs, capsys, command):
+    code, err = run_failing(capsys, command, "--group", specs["s3"], "--element", "[1,")
+    assert code == 2
+    assert err.startswith("input error: ")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from signedwalk import catalog
 from signedwalk.elements import MatrixElement, MulTable, PermutationElement, TableElement
-from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup
+from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup, SizeCap
 from signedwalk.groups import (
     center_and_centralizer,
     close_generators,
@@ -21,6 +22,8 @@ from signedwalk.groups import (
 from conftest import (
     BENCH_NAMES,
     CLASS_CASES,
+    element_rows,
+    naive_close_generic,
     naive_close_matrix,
     naive_conjugacy_classes,
     naive_dense_table,
@@ -53,6 +56,13 @@ def test_closure_cyclic_from_order_5_element():
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         close_generators(catalog.sl2_generators(5), cap=50)
+
+
+def test_closure_cap_is_inclusive():
+    gens = [PermutationElement((1, 0, 2)), PermutationElement((1, 2, 0))]
+    assert close_generators(gens, cap=6).order == 6
+    with pytest.raises(CapExceeded):
+        close_generators(gens, cap=5)
 
 
 def test_closure_mixed_variants():
@@ -300,7 +310,7 @@ def test_matrix_closure_matches_naive_bfs(name):
     G = close_generators(gens)
     mats, inv = naive_close_matrix(gens)
     assert G.order == order
-    assert np.array_equal(G._mats, mats)
+    assert np.array_equal(G._rows.reshape(mats.shape), mats)
     assert np.array_equal(G._inv, inv)
 
 
@@ -308,7 +318,7 @@ def test_matrix_closure_matches_naive_bfs_on_benchmark_sl2_49(sl2_49_seed11_gene
     G = close_generators(sl2_49_seed11_generators)
     mats, inv = naive_close_matrix(sl2_49_seed11_generators)
     assert G.order == 117600
-    assert np.array_equal(G._mats, mats)
+    assert np.array_equal(G._rows.reshape(mats.shape), mats)
     assert np.array_equal(G._inv, inv)
 
 
@@ -355,3 +365,142 @@ def test_generator_tree_composes_to_columns(class_case, name):
     rng = np.random.default_rng(11)
     for x in [0, n - 1] + rng.integers(0, n, size=6).tolist():
         assert np.array_equal(tree.column(x), bare.mul_many(idxs, x))
+
+
+def _dihedral_2503():
+    """D_2503 as affine maps x -> +-x + b mod 2503 (|G| = 5006, 1252 BFS layers)."""
+    p = 2503
+    return [
+        MatrixElement.from_rows([[1, 1], [0, 1]], p),
+        MatrixElement.from_rows([[p - 1, 0], [0, 1]], p),
+    ]
+
+
+def _affine_mod_16():
+    """x -> a x + b on Z/16 with a odd (|G| = 128) as permutations of degree 16."""
+    return [
+        PermutationElement(tuple((x + 1) % 16 for x in range(16))),
+        PermutationElement(tuple(3 * x % 16 for x in range(16))),
+        PermutationElement(tuple(-x % 16 for x in range(16))),
+    ]
+
+
+def _dihedral_degree_300():
+    """D_300 on 300 points (|G| = 600): entries above 255 take two bytes each."""
+    return [
+        PermutationElement(tuple((x + 1) % 300 for x in range(300))),
+        PermutationElement(tuple(-x % 300 for x in range(300))),
+    ]
+
+
+def _s4_table():
+    """S4 as a multiplication table under a shuffled labelling, so neither the
+    identity nor the generators sit at small indices."""
+    perms = [PermutationElement(p) for p in itertools.permutations(range(4))]
+    order = np.random.default_rng(7).permutation(len(perms)).tolist()
+    perms = [perms[k] for k in order]
+    index = {g: i for i, g in enumerate(perms)}
+    table = MulTable([[index[a.mul(b)] for b in perms] for a in perms])
+    gens = (PermutationElement((1, 0, 2, 3)), PermutationElement((1, 2, 3, 0)))
+    return [TableElement(table, index[g]) for g in gens]
+
+
+def _s8():
+    return [
+        PermutationElement((1, 0, 2, 3, 4, 5, 6, 7)),
+        PermutationElement((1, 2, 3, 4, 5, 6, 7, 0)),
+    ]
+
+
+# name -> (|G|, generators, keys are encoded bytes)
+GENERIC_CLOSURE_CASES = {
+    "s8": (40320, _s8, False),
+    "dihedral_2503": (5006, _dihedral_2503, False),
+    "affine_mod_16": (128, _affine_mod_16, True),
+    "dihedral_degree_300": (600, _dihedral_degree_300, True),
+    "s4_table": (24, _s4_table, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_CLOSURE_CASES))
+def test_closure_matches_naive_generic_bfs(name):
+    order, make_generators, byte_keys = GENERIC_CLOSURE_CASES[name]
+    gens = make_generators()
+    G = close_generators(gens, cap=order)  # no element may be found twice
+    elements, inv = naive_close_generic(gens)
+    assert G.order == order
+    assert (G._sorted_keys.dtype.kind == "V") == byte_keys
+    assert np.array_equal(G._rows, element_rows(elements))
+    assert np.array_equal(G._inv, inv)
+    assert G.generator_indices == tuple(elements.index(g) for g in gens)
+
+
+# every fixture group but the seed-11 SL2(49), whose element-by-element BFS
+# would take minutes (its numbering is checked against `naive_close_matrix`)
+FIXTURE_CLOSURE_CASES = [
+    name for name in dict.fromkeys(CLASS_CASES + BENCH_NAMES) if name != "sl2_49_seed11"
+]
+
+
+@pytest.mark.parametrize("name", FIXTURE_CLOSURE_CASES)
+def test_fixture_closure_matches_naive_generic_bfs(request, bench_groups, name):
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    elements, inv = naive_close_generic([G.element(i) for i in G.generator_indices])
+    assert np.array_equal(G._rows, element_rows(elements))
+    assert np.array_equal(G._inv, inv)
+
+
+def _wide_minus_identity():
+    """-I as a 4 x 4 matrix mod 17: 17^16 > 2^63, so keys are encoded bytes."""
+    return MatrixElement.from_rows(np.diag([16] * 4).tolist(), 17)
+
+
+def test_small_group_of_wide_matrices_closes():
+    minus = _wide_minus_identity()
+    G = close_generators([minus])
+    assert G.order == 2 and G._sorted_keys.dtype.kind == "V"
+    assert G.hex_encodings([0, 1]) == [
+        MatrixElement.identity(17, 4).encode().hex(), minus.encode().hex()
+    ]
+    assert G.index_of(minus) == 1 and G.inv(1) == 1
+
+
+def _s4_table_without_transpositions():
+    transposition, four_cycle = _s4_table()
+    return [four_cycle], transposition
+
+
+def test_matrix_products_that_overflow_int64_are_refused():
+    # 2 * (p - 1)^2 >= 2^63 for the Mersenne prime p = 2^61 - 1
+    with pytest.raises(SizeCap, match="overflow int64"):
+        close_generators([MatrixElement.from_rows([[1, 1], [0, 1]], 2**61 - 1)])
+
+
+# name -> () -> (generators, an element of their family outside the group)
+NON_MEMBER_CASES = {
+    "matrix": lambda: (
+        [MatrixElement.from_rows([[1, 1], [0, 1]], 5)],
+        MatrixElement.from_rows([[1, 0], [1, 1]], 5),
+    ),
+    "wide_matrix": lambda: (
+        [_wide_minus_identity()],
+        MatrixElement.from_rows(np.diag([2, 9, 1, 1]).tolist(), 17),
+    ),
+    "perm": lambda: ([PermutationElement((1, 2, 0))], PermutationElement((1, 0, 2))),
+    "wide_perm": lambda: (
+        _dihedral_degree_300(),
+        PermutationElement((1, 0) + tuple(range(2, 300))),
+    ),
+    "table": _s4_table_without_transpositions,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_MEMBER_CASES))
+def test_index_of_rejects_non_members(name):
+    gens, outsider = NON_MEMBER_CASES[name]()
+    G = close_generators(gens)
+    assert G.index_of(gens[0]) == G.generator_indices[0]
+    with pytest.raises(NotInGroup):
+        G.index_of(outsider)
+    with pytest.raises(NotInGroup):  # another family altogether
+        G.index_of(TableElement(MulTable([[0]]), 0))
