@@ -16,8 +16,8 @@ from signedwalk.groups import close_generators
 from signedwalk.walk import (
     SignedSequence,
     central_binomial_bound,
+    exact_distribution,
     order_length_bound,
-    rho_exact,
 )
 
 
@@ -32,7 +32,7 @@ def main() -> int:
     a = G.element(1)
     rows = []
     for n in range(1, args.n_max + 1):
-        rho = rho_exact(G, SignedSequence.constant(a, n))
+        rho = exact_distribution(G, SignedSequence.constant(a, n)).rho()
         binom = float(central_binomial_bound(n))
         if n >= 2 and args.order >= 2:
             bound, vac = order_length_bound(args.order, n)

@@ -27,7 +27,6 @@ from .walk import (
     exact_distribution,
     order_length_bound,
     prime_order_length_bound,
-    rho_exact,
     rho_monte_carlo,
     signed_sum_check,
 )

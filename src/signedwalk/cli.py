@@ -3,6 +3,8 @@
 Exit codes: 0 success or verified pass, 1 verification failure, 2 input error,
 3 resource cap.  Output is deterministic for a fixed (config, seed); JSON is
 emitted with sorted keys and no timestamps, so reruns are byte-identical.
+Each subcommand accepts only the flags its handler reads; handlers take the
+parsed argparse namespace.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +33,9 @@ from .errors import (
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     FiniteGroup,
-    close_generators,
     element_from_spec,
     element_order,
-    generators_from_spec,
+    group_from_spec,
 )
 from .irreps import decompose_regular, fourier_distribution
 from .spectral import (
@@ -72,39 +72,13 @@ _RESOURCE_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated per-command configuration assembled from CLI flags."""
-
-    group_path: str | None = None
-    seq_path: str | None = None
-    samples: int = 100_000
-    seed: int = 0
-    tol: float | None = None
-    cap: int = DEFAULT_CLOSURE_CAP
-    threads: int = 1
-    out: str | None = None
-    fmt: str = "json"
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
-        if self.threads < 1 or self.samples < 1 or self.cap < 1:
-            raise ValueError("threads, samples, and cap must be >= 1")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _emit(cfg: RunConfig, payload, csv_rows=None, csv_header=None) -> None:
-    if cfg.fmt == "csv" and csv_rows is not None:
+def _emit(args: argparse.Namespace, payload, csv_rows=None, csv_header=None) -> None:
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         if csv_header:
@@ -113,23 +87,24 @@ def _emit(cfg: RunConfig, payload, csv_rows=None, csv_header=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _group(cfg: RunConfig) -> FiniteGroup:
-    spec = _load_json(cfg.group_path)
-    return close_generators(generators_from_spec(spec), cap=cfg.cap)
+def _group(args: argparse.Namespace) -> FiniteGroup:
+    return group_from_spec(_load_json(args.group), cap=args.cap)
 
 
-def _sequence(cfg: RunConfig, G: FiniteGroup | None) -> SignedSequence:
-    """The --seq file over G; with G None, inline entries only, their family taken
-    from --group when given (see `sequence_from_spec`)."""
-    ambient = _load_json(cfg.group_path) if G is None and cfg.group_path else None
-    return sequence_from_spec(_load_json(cfg.seq_path), G, ambient)
+def _group_under_cap(spec: dict, cap: int) -> FiniteGroup | None:
+    """The closure of the group spec, or None when it grows past cap (the
+    walk then runs on inline entries without enumeration)."""
+    try:
+        return group_from_spec(spec, cap=cap)
+    except CapExceeded:
+        return None
 
 
 def _bounds_payload(seq: SignedSequence, p: int | None) -> dict:
@@ -164,30 +139,27 @@ def _rho_json(rho) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_order(cfg: RunConfig) -> int:
-    G = _group(cfg)
-    g = element_from_spec(G, cfg.extra["element"])
-    _emit(cfg, {"order": element_order(G, g)})
+def cmd_order(args: argparse.Namespace) -> int:
+    data = json.loads(args.element)
+    G = _group(args)
+    _emit(args, {"order": element_order(G, element_from_spec(G, data))})
     return EXIT_OK
 
 
-def cmd_closure(cfg: RunConfig) -> int:
-    G = _group(cfg)
+def cmd_closure(args: argparse.Namespace) -> int:
+    G = _group(args)
     payload = {"order": G.order, "generators": list(G.generator_indices)}
-    if cfg.extra.get("elements"):
+    if args.elements:
         payload["elements"] = G.hex_encodings(range(G.order))
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_rho(cfg: RunConfig) -> int:
-    seq_spec = _load_json(cfg.seq_path)
-    try:
-        G = _group(cfg)
-    except CapExceeded:
-        G = None
+def cmd_rho(args: argparse.Namespace) -> int:
+    seq_spec, group_spec = _load_json(args.seq), _load_json(args.group)
+    G = _group_under_cap(group_spec, args.cap)
+    seq = sequence_from_spec(seq_spec, G, group_spec)
     if G is not None:
-        seq = sequence_from_spec(seq_spec, G)
         dist = exact_distribution(G, seq)
         rho = dist.rho()
         payload = {
@@ -197,70 +169,63 @@ def cmd_rho(cfg: RunConfig) -> int:
             "maximizers": G.hex_encodings(rho.maximizers),
             "bounds": _bounds_payload(seq, G.p),
         }
-        dump_path = cfg.extra.get("dump_dist")
-        if dump_path:
-            with open(dump_path, "w", encoding="utf-8") as fh:
+        if args.dump_dist:
+            with open(args.dump_dist, "w", encoding="utf-8") as fh:
                 json.dump(dist.to_json(G), fh, indent=2, sort_keys=True)
     else:
-        seq = _sequence(cfg, None)
-        mc = rho_monte_carlo(seq, cfg.samples, cfg.seed, threads=cfg.threads)
+        mc = rho_monte_carlo(seq, args.samples, args.seed, threads=args.threads)
         payload = {
             "method": "monte_carlo",
             "rho": mc.to_json(),
             "bounds": _bounds_payload(seq, None),
         }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_mc(cfg: RunConfig) -> int:
-    G = None
-    if cfg.group_path:
-        try:
-            G = _group(cfg)
-        except CapExceeded:
-            pass
-    seq = _sequence(cfg, G)
-    mc = rho_monte_carlo(seq, cfg.samples, cfg.seed, threads=cfg.threads)
-    _emit(cfg, mc.to_json())
+def cmd_mc(args: argparse.Namespace) -> int:
+    group_spec = G = None
+    if args.group:
+        group_spec = _load_json(args.group)
+        G = _group_under_cap(group_spec, args.cap)
+    seq = sequence_from_spec(_load_json(args.seq), G, group_spec)
+    mc = rho_monte_carlo(seq, args.samples, args.seed, threads=args.threads)
+    _emit(args, mc.to_json())
     return EXIT_OK
 
 
-def cmd_chartab(cfg: RunConfig) -> int:
-    G = _group(cfg)
-    table = dixon_character_table(G)
-    _emit(cfg, table.to_json())
+def cmd_chartab(args: argparse.Namespace) -> int:
+    table = dixon_character_table(_group(args))
+    _emit(args, table.to_json())
     return EXIT_OK
 
 
-def cmd_irreps(cfg: RunConfig) -> int:
-    G = _group(cfg)
-    irreps = decompose_regular(G, seed=cfg.seed)
+def cmd_irreps(args: argparse.Namespace) -> int:
+    G = _group(args)
+    irreps = decompose_regular(G, seed=args.seed)
     payload = {
         "dimensions": [r.dim for r in irreps],
         "sum_of_squares": sum(r.dim**2 for r in irreps),
         "order": G.order,
     }
-    if cfg.extra.get("dump_matrices"):
+    if args.dump_matrices:
         payload["matrices"] = [
             [[[float(x.real), float(x.imag)] for x in row] for row in mat]
             for r in irreps
             for mat in r.matrices
         ]
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_fourier_check(cfg: RunConfig) -> int:
-    G = _group(cfg)
+def cmd_fourier_check(args: argparse.Namespace) -> int:
+    G = _group(args)
     if G.order == 1:
         raise ValueError("fourier-check draws non-trivial elements; the group is trivial (|G| = 1)")
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-    irreps = decompose_regular(G, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    count = int(cfg.extra.get("count", 10))
+    irreps = decompose_regular(G, seed=args.seed)
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(args.count):
         n = int(rng.integers(1, 17))
         seq = SignedSequence(
             tuple(G.element(int(rng.integers(1, G.order))) for _ in range(n))
@@ -270,18 +235,16 @@ def cmd_fourier_check(cfg: RunConfig) -> int:
         scale = 1 << seq.n
         dev = max(abs(fd[i] - ed.counts[i] / scale) for i in range(G.order))
         worst = max(worst, dev)
-    _emit(cfg, {"max_abs_deviation": worst, "sequences": count, "tolerance": tol})
-    return EXIT_OK if worst <= tol else EXIT_VERIFY_FAIL
+    _emit(args, {"max_abs_deviation": worst, "sequences": args.count, "tolerance": args.tol})
+    return EXIT_OK if worst <= args.tol else EXIT_VERIFY_FAIL
 
 
-def cmd_mult_bounds(cfg: RunConfig) -> int:
-    G = _group(cfg)
-    table = dixon_character_table(G)
-    alpha = Fraction(cfg.extra.get("alpha", "1/6"))
-    report = check_multiplicity_bounds(table, alpha)
+def cmd_mult_bounds(args: argparse.Namespace) -> int:
+    table = dixon_character_table(_group(args))
+    report = check_multiplicity_bounds(table, args.alpha)
     ratio = max_character_ratio(table)
     payload = {
-        "alpha": str(alpha),
+        "alpha": str(args.alpha),
         "max_character_ratio": None if ratio is None else ratio[0],
         "entries": len(report.entries),
         "hypothesis_failed": report.count("hypothesis_failed"),
@@ -289,16 +252,14 @@ def cmd_mult_bounds(cfg: RunConfig) -> int:
         "all_pass": report.all_pass,
         "no_nonlinear_characters": ratio is None,
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK if report.all_pass else EXIT_VERIFY_FAIL
 
 
-def cmd_svd_props(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    draws = int(cfg.extra.get("draws", 1000))
-    unitary_draws = int(cfg.extra.get("unitary_draws", 200))
+def cmd_svd_props(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
     ok = True
-    for _ in range(draws):
+    for _ in range(args.draws):
         d = int(rng.integers(2, 21))
         M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         M2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -306,17 +267,17 @@ def cmd_svd_props(cfg: RunConfig) -> int:
         ok &= product_singular_bounds(M, M2).passed
     worst_dev = 0.0
     for d in range(2, 17):
-        for _ in range(unitary_draws):
+        for _ in range(args.unitary_draws):
             _, _, dev = cos_spectrum(random_unitary(d, rng))
             worst_dev = max(worst_dev, dev)
     ok &= worst_dev <= 1e-8
     v1, v2, v3 = trig_inequality_scan(1e-4)
     ok &= max(v1, v2, v3) <= 1e-12
     _emit(
-        cfg,
+        args,
         {
-            "matrix_draws": draws,
-            "unitary_draws_per_size": unitary_draws,
+            "matrix_draws": args.draws,
+            "unitary_draws_per_size": args.unitary_draws,
             "cos_spectrum_worst_dev": worst_dev,
             "trig_violations": [v1, v2, v3],
             "all_pass": bool(ok),
@@ -325,21 +286,20 @@ def cmd_svd_props(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_diag(cfg: RunConfig) -> int:
-    G = _group(cfg)
-    if G.variant != "matrix":
+def cmd_diag(args: argparse.Namespace) -> int:
+    G = _group(args)
+    if G.variant != "matrix_mod_p":
         raise ValueError("cascade diagnostics need a matrix group (for p and m)")
-    seq = _sequence(cfg, G)
-    irreps = decompose_regular(G, seed=cfg.seed)
-    want = cfg.extra.get("dim")
+    seq = sequence_from_spec(_load_json(args.seq), G)
+    irreps = decompose_regular(G, seed=args.seed)
+    want = args.dim
     rep = None
     for r in irreps:
-        if want is None or r.dim == int(want):
+        if want is None or r.dim == want:
             rep = r if want is not None or rep is None or r.dim > rep.dim else rep
     if rep is None:
         raise ValueError(f"no irreducible of dimension {want}")
-    b_index = int(cfg.extra.get("target", 0))
-    diag = cascade_diagnostics(G.p, G.m, G, rep, seq, b_index)
+    diag = cascade_diagnostics(G.p, G.m, G, rep, seq, G.element(args.target))
     payload = {
         "p": diag.p,
         "m": diag.m,
@@ -356,7 +316,7 @@ def cmd_diag(cfg: RunConfig) -> int:
         "prefix_product_ok": diag.prefix_ok,
     }
     _emit(
-        cfg,
+        args,
         payload,
         csv_rows=diag.csv_rows(),
         csv_header=("l", "observed_s_l", "predicted_bound", "for_s6_lhs", "for_s6_rhs"),
@@ -364,42 +324,33 @@ def cmd_diag(cfg: RunConfig) -> int:
     return EXIT_OK if diag.prefix_ok else EXIT_VERIFY_FAIL
 
 
-def cmd_embed(cfg: RunConfig) -> int:
-    data = _load_json(cfg.extra["matrices"])
-    mats = rational_matrices_from_json(data)
-    n = int(cfg.extra["n"])
-    p_min = cfg.extra.get("p_min")
-    res = embed_mod_p(mats, n, p_min=None if p_min is None else int(p_min))
-    _emit(cfg, res.to_json())
+def cmd_embed(args: argparse.Namespace) -> int:
+    mats = rational_matrices_from_json(_load_json(args.matrices))
+    res = embed_mod_p(mats, args.n, p_min=args.p_min)
+    _emit(args, res.to_json())
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    s = int(cfg.extra["s"])
-    n = int(cfg.extra["n"])
-    p = cfg.extra.get("p")
-    value, vacuous = order_length_bound(s, n)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    value, vacuous = order_length_bound(args.s, args.n)
     payload = {
-        "binomial": _fraction_json(central_binomial_bound(n)),
+        "binomial": _fraction_json(central_binomial_bound(args.n)),
         "order_length": {"value": value, "vacuous": vacuous},
     }
-    if p is not None:
-        payload["prime_order_length"] = {"value": prime_order_length_bound(int(p), s, n)}
-    _emit(cfg, payload)
+    if args.p is not None:
+        payload["prime_order_length"] = {"value": prime_order_length_bound(args.p, args.s, args.n)}
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_example2(cfg: RunConfig) -> int:
-    if cfg.extra.get("a"):
-        a_list = [int(x) for x in str(cfg.extra["a"]).split(",")]
-        K = cfg.extra.get("k")
-        res = signed_sum_check(a_list, K=None if K is None else int(K))
+def cmd_example2(args: argparse.Namespace) -> int:
+    if args.a:
+        res = signed_sum_check([int(x) for x in args.a.split(",")], K=args.k)
     else:
-        K = int(cfg.extra.get("k", 3))
-        n = int(cfg.extra.get("n", 100))
-        rng = np.random.default_rng(cfg.seed)
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        mags = rng.integers(1, K + 1, size=n)
+        K = 3 if args.k is None else args.k
+        rng = np.random.default_rng(args.seed)
+        signs = rng.integers(0, 2, size=args.n) * 2 - 1
+        mags = rng.integers(1, K + 1, size=args.n)
         res = signed_sum_check(list(signs * mags), K=K)
     payload = {
         "n": res.n,
@@ -410,21 +361,20 @@ def cmd_example2(cfg: RunConfig) -> int:
         "lower_bound": 1.0 / (4.0 * res.K * math.sqrt(res.n)),
         "bound_holds": res.bound_holds,
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK if res.bound_holds else EXIT_VERIFY_FAIL
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    G = _group(cfg)
-    g = element_from_spec(G, cfg.extra["element"])
-    n_max = int(cfg.extra.get("n_max", 32))
-    gi = G.index_of(g)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    data = json.loads(args.element)
+    G = _group(args)
+    gi = G.index_of(element_from_spec(G, data))
     if gi == 0:
         raise ValueError("sweep element must be non-trivial")
     s = element_order(G, gi)
     rows = []
     payload = []
-    for n in range(1, n_max + 1):
+    for n in range(1, args.n_max + 1):
         seq = SignedSequence.constant(G.element(gi), n)
         rho = exact_distribution(G, seq).rho()
         binom = central_binomial_bound(n)
@@ -444,7 +394,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             }
         )
     _emit(
-        cfg,
+        args,
         payload,
         csv_rows=rows,
         csv_header=("n", "rho", "binomial", "order_length", "vacuous"),
@@ -457,6 +407,42 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, ok, rule: str):
+    """argparse type: `convert(text)`, rejected (exit 2) unless it is `rule`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {rule}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type: a fraction such as 1/6 (exit 2 on a zero denominator too)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text} is not a fraction") from None
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+
+# the flags several subcommands share; each subcommand names the ones it reads
+_SHARED = {
+    "group": dict(required=True, help="group spec JSON path"),
+    "seq": dict(required=True, help="sequence spec JSON path"),
+    "cap": dict(type=_AT_LEAST_ONE, default=DEFAULT_CLOSURE_CAP, help="closure size cap"),
+    "samples": dict(type=_AT_LEAST_ONE, default=100_000, help="Monte-Carlo samples"),
+    "seed": dict(type=_checked(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), default=0),
+    "threads": dict(type=_AT_LEAST_ONE, default=1, help="Monte-Carlo worker threads"),
+    "out": dict(default=None, help="write the output to this path instead of stdout"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="signedwalk",
@@ -464,150 +450,82 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, group=False, seq=False):
-        if group:
-            p.add_argument("--group", required=True, help="group spec JSON path")
-        else:
-            p.add_argument("--group", help="group spec JSON path")
-        if seq:
-            p.add_argument("--seq", required=True, help="sequence spec JSON path")
-        else:
-            p.add_argument("--seq", help="sequence spec JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100_000)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    def command(name: str, handler, shared: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in shared.split():
+            p.add_argument(f"--{flag}", **_SHARED[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("order", help="order of one element in an enumerated group")
-    common(p, group=True)
+    p = command("order", cmd_order, "group cap out", "order of one element in an enumerated group")
     p.add_argument("--element", required=True, help="inline element spec (JSON)")
 
-    p = sub.add_parser("closure", help="enumerate the group generated by the spec")
-    common(p, group=True)
+    p = command("closure", cmd_closure, "group cap out", "enumerate the group generated by the spec")
     p.add_argument("--elements", action="store_true", help="include element encodings")
 
-    p = sub.add_parser("rho", help="maximum point probability (exact, MC fallback)")
-    common(p, group=True, seq=True)
+    p = command(
+        "rho", cmd_rho, "group seq cap samples seed threads out",
+        "maximum point probability (exact, MC fallback)",
+    )
     p.add_argument("--dump-dist", default=None, help="also write the full law to this path")
 
-    p = sub.add_parser("mc", help="Monte-Carlo estimate without enumeration")
-    common(p, seq=True)
+    p = command(
+        "mc", cmd_mc, "seq cap samples seed threads out", "Monte-Carlo estimate without enumeration"
+    )
+    p.add_argument("--group", help="group spec JSON path (optional)")
 
-    p = sub.add_parser("chartab", help="character table")
-    common(p, group=True)
+    command("chartab", cmd_chartab, "group cap out", "character table")
 
-    p = sub.add_parser("irreps", help="explicit unitary irreducibles")
-    common(p, group=True)
+    p = command("irreps", cmd_irreps, "group cap seed out", "explicit unitary irreducibles")
     p.add_argument("--dump-matrices", action="store_true")
 
-    p = sub.add_parser("fourier-check", help="trace identity vs exact law")
-    common(p, group=True)
-    p.add_argument("--count", type=int, default=10, help="random sequences to test")
+    p = command("fourier-check", cmd_fourier_check, "group cap seed out", "trace identity vs exact law")
+    p.add_argument("--tol", type=_checked(float, lambda v: v > 0, "> 0"), default=1e-8)
+    p.add_argument("--count", type=_AT_LEAST_ONE, default=10, help="random sequences to test")
 
-    p = sub.add_parser("mult-bounds", help="eigenvalue multiplicity windows")
-    common(p, group=True)
-    p.add_argument("--alpha", default="1/6", help="window half-width (fraction)")
+    p = command("mult-bounds", cmd_mult_bounds, "group cap out", "eigenvalue multiplicity windows")
+    p.add_argument("--alpha", type=_fraction, default="1/6", help="window half-width (fraction)")
 
-    p = sub.add_parser("svd-props", help="singular-value inequality suites")
-    common(p)
+    p = command("svd-props", cmd_svd_props, "seed out", "singular-value inequality suites")
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--unitary-draws", type=int, default=200)
 
-    p = sub.add_parser("diag", help="cascade diagnostics for one irreducible")
-    common(p, group=True, seq=True)
+    p = command(
+        "diag", cmd_diag, "group seq cap seed out format", "cascade diagnostics for one irreducible"
+    )
     p.add_argument("--dim", type=int, default=None, help="irreducible dimension")
     p.add_argument("--target", type=int, default=0, help="target element index")
 
-    p = sub.add_parser("embed", help="order-preserving reduction mod p")
-    common(p)
+    p = command("embed", cmd_embed, "out", "order-preserving reduction mod p")
     p.add_argument("--matrices", required=True, help="JSON list of rational matrices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p-min", type=int, default=None)
 
-    p = sub.add_parser("bounds", help="closed-form bound calculators")
-    common(p)
+    p = command("bounds", cmd_bounds, "out", "closed-form bound calculators")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
 
-    p = sub.add_parser("example2", help="signed integer sum lower-bound check")
-    common(p)
+    p = command("example2", cmd_example2, "seed out", "signed integer sum lower-bound check")
     p.add_argument("--a", default=None, help="comma-separated terms")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=100)
 
-    p = sub.add_parser("sweep", help="rho vs n curve for a constant sequence")
-    common(p, group=True)
+    p = command("sweep", cmd_sweep, "group cap out format", "rho vs n curve for a constant sequence")
     p.add_argument("--element", required=True, help="inline element spec (JSON)")
     p.add_argument("--n-max", type=int, default=32)
 
     return ap
 
 
-_HANDLERS = {
-    "order": cmd_order,
-    "closure": cmd_closure,
-    "rho": cmd_rho,
-    "mc": cmd_mc,
-    "chartab": cmd_chartab,
-    "irreps": cmd_irreps,
-    "fourier-check": cmd_fourier_check,
-    "mult-bounds": cmd_mult_bounds,
-    "svd-props": cmd_svd_props,
-    "diag": cmd_diag,
-    "embed": cmd_embed,
-    "bounds": cmd_bounds,
-    "example2": cmd_example2,
-    "sweep": cmd_sweep,
-}
-
-_EXTRA_KEYS = {
-    "order": ("element",),
-    "closure": ("elements",),
-    "rho": ("dump_dist",),
-    "irreps": ("dump_matrices",),
-    "fourier-check": ("count",),
-    "mult-bounds": ("alpha",),
-    "svd-props": ("draws", "unitary_draws"),
-    "diag": ("dim", "target"),
-    "embed": ("matrices", "n", "p_min"),
-    "bounds": ("s", "n", "p"),
-    "example2": ("a", "k", "n"),
-    "sweep": ("element", "n_max"),
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    extra = {}
-    for key in _EXTRA_KEYS.get(args.command, ()):
-        if hasattr(args, key):
-            val = getattr(args, key)
-            if val is not None:
-                extra[key] = val
     try:
-        if args.command == "order" or args.command == "sweep":
-            extra["element"] = json.loads(extra["element"])
-        cfg = RunConfig(
-            group_path=args.group,
-            seq_path=args.seq,
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
-            cap=args.cap,
-            threads=args.threads,
-            out=args.out,
-            fmt=args.fmt,
-            extra=extra,
-        )
-        return _HANDLERS[args.command](cfg)
+        return args.handler(args)
     except _RESOURCE_ERRORS as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SignedWalkError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (SignedWalkError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -47,27 +47,7 @@ def _det_mod(entries: tuple[int, ...], m: int, p: int) -> int:
 
 
 def _inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
-    """Inverse mod p: adjugate for m <= 4, Gauss-Jordan above."""
-    if m == 1:
-        return (pow(entries[0], -1, p),)
-    if m <= 4:
-        det = _det_mod(entries, m, p)
-        if det == 0:
-            raise NotInvertible("singular matrix mod p")
-        dinv = pow(det, -1, p)
-        rows = _mat_rows(entries, m)
-        adj = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                minor = [
-                    [rows[r][c] for c in range(m) if c != j]
-                    for r in range(m)
-                    if r != i
-                ]
-                flat = tuple(x for row in minor for x in row)
-                cof = _det_mod(flat, m - 1, p)
-                adj[j][i] = (-cof if (i + j) % 2 else cof) * dinv % p
-        return tuple(x for row in adj for x in row)
+    """Inverse mod p by Gauss-Jordan elimination on [A | I]."""
     rows = [
         list(entries[i * m : (i + 1) * m]) + [int(i == j) for j in range(m)]
         for i in range(m)
@@ -84,6 +64,20 @@ def _inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
                 f = rows[r][col]
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
     return tuple(rows[i][m + j] for i in range(m) for j in range(m))
+
+
+def is_square(rows, entry_type=int) -> bool:
+    """Whether rows is a non-empty square list of lists of `entry_type` values."""
+    return (
+        isinstance(rows, (list, tuple))
+        and len(rows) > 0
+        and all(
+            isinstance(row, (list, tuple))
+            and len(row) == len(rows)
+            and all(isinstance(x, entry_type) for x in row)
+            for row in rows
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -256,10 +250,10 @@ class MulTable:
     """
 
     def __init__(self, rows) -> None:
+        if not is_square(rows):
+            raise ValueError("table must be a square list of int lists")
         size = len(rows)
-        table = tuple(tuple(int(x) for x in row) for row in rows)
-        if any(len(row) != size for row in table):
-            raise ValueError("table must be square")
+        table = tuple(tuple(row) for row in rows)
         full = frozenset(range(size))
         for row in table:
             if frozenset(row) != full:

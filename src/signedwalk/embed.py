@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import MatrixElement
+from .elements import MatrixElement, is_square
 from .errors import (
     ConsistencyFailure,
     NotInvertible,
     NotNonTrivial,
     PowerCapExceeded,
-    PrimeSearchExhausted,
 )
-from .primes import factorize, next_prime
+from .primes import factorize, next_prime_outside
 
 DEFAULT_POWER_CAP = 10**6
 PRIME_SEARCH_BOUND = 10**9
@@ -272,11 +271,7 @@ def embed_mod_p(
     if p_min is None:
         p_min = max(m + 1, 5)
     report = bad_prime_set(matrices, n, power_cap)
-    p = next_prime(p_min)
-    while p in report.primes:
-        p = next_prime(p + 1)
-        if p > PRIME_SEARCH_BOUND:
-            raise PrimeSearchExhausted(f"no admissible prime below {PRIME_SEARCH_BOUND}")
+    p = next_prime_outside(p_min, report.primes, PRIME_SEARCH_BOUND)
 
     images = [reduce_matrix_mod_p(A, p) for A in matrices]
     entries = []
@@ -304,6 +299,8 @@ def embed_mod_p(
 
 def rational_matrices_from_json(data) -> list[RationalMatrix]:
     """Input contract: list of matrices, entries as ints or "num/den" strings."""
+    if not (isinstance(data, list) and all(is_square(rows, (int, str)) for rows in data)):
+        raise ValueError("matrices must be a list of square lists of int or 'num/den' entries")
     out = []
     for rows in data:
         out.append(

@@ -50,6 +50,7 @@ from .elements import (
     PermutationElement,
     TableElement,
     _byte_width,
+    is_square,
     same_family,
 )
 from .errors import CapExceeded, NotInGroup, SizeCap
@@ -73,11 +74,11 @@ class RowArith:
             p, m = template.p, template.m
             if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
                 raise SizeCap(f"products of {m}x{m} matrices mod p={p} overflow int64")
-            self.variant, self.p, self.m = "matrix", p, m
+            self.variant, self.p, self.m = "matrix_mod_p", p, m
             base, width, top = p, m * m, p - 1
             ident = MatrixElement.identity(p, m)
         elif isinstance(template, PermutationElement):
-            self.variant, self.degree = "perm", template.degree
+            self.variant, self.degree = "permutation", template.degree
             base = width = template.degree
             top, ident = base - 1, PermutationElement.identity(base)
         else:
@@ -102,24 +103,24 @@ class RowArith:
             if self.variant == "table":
                 out.append((g.index,))
             else:
-                out.append(g.entries if self.variant == "matrix" else g.images)
+                out.append(g.entries if self.variant == "matrix_mod_p" else g.images)
         return np.array(out, dtype=np.int64).reshape(len(out), -1)
 
     def element(self, row: np.ndarray) -> GroupElement:
         vals = tuple(row.tolist())
-        if self.variant == "matrix":
+        if self.variant == "matrix_mod_p":
             return MatrixElement(self.p, self.m, vals)
-        if self.variant == "perm":
+        if self.variant == "permutation":
             return PermutationElement(vals)
         return TableElement(self.table, vals[0])
 
     def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Rows of left[i] * right[i]; a one-row side broadcasts against the other."""
-        if self.variant == "matrix":
+        if self.variant == "matrix_mod_p":
             m = self.m
             prod = np.matmul(left.reshape(-1, m, m), right.reshape(-1, m, m)) % self.p
             return prod.reshape(-1, m * m)
-        if self.variant == "perm":  # (l * r)(x) = l(r(x))
+        if self.variant == "permutation":  # (l * r)(x) = l(r(x))
             return np.take_along_axis(left, right, axis=1)
         return self._table_rows[left, right]
 
@@ -203,11 +204,8 @@ class FiniteGroup:
 
     def element(self, i: int) -> GroupElement:
         if not (0 <= i < self.order):
-            raise IndexError(i)
+            raise NotInGroup(f"index {i} out of range")
         return self._arith.element(self._rows[i])
-
-    def elements(self):
-        return (self.element(i) for i in range(self.order))
 
     def index_of(self, g: GroupElement) -> int:
         return int(self._lookup(self._arith.keys(self._arith.rows([g])))[0])
@@ -454,39 +452,66 @@ def center_and_centralizer(G: FiniteGroup, g: GroupElement | int) -> tuple[tuple
     return tuple(int(z) for z in np.nonzero(central)[0]), centralizer_size
 
 
-def center_indices(G: FiniteGroup) -> tuple[int, ...]:
-    return center_and_centralizer(G, 0)[0]
-
-
 # ---------------------------------------------------------------------------
 # group specification files (the on-disk contract)
 # ---------------------------------------------------------------------------
 
 
+def spec_field(spec, key: str, of_type: type | None = None):
+    """spec[key] of a spec dict, checked to be an `of_type` when given;
+    ValueError naming the key when it is missing or of another type."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a spec must be a JSON object, not {type(spec).__name__}")
+    if key not in spec:
+        raise ValueError(f"spec has no {key!r}")
+    if of_type is not None and not isinstance(spec[key], of_type):
+        raise ValueError(f"spec {key!r} must be of type {of_type.__name__}")
+    return spec[key]
+
+
+def element_from_entry(
+    kind: str, entry, p: int | None = None, table: MulTable | None = None
+) -> GroupElement:
+    """One inline element of a group-spec kind: a square list of int lists
+    reduced mod p (matrix_mod_p), a list of ints (permutation images) or one int
+    (table index).  ValueError when the entry does not have that shape."""
+    if kind == "matrix_mod_p":
+        if not is_square(entry):
+            raise ValueError("a matrix_mod_p entry must be a square list of int lists")
+        return MatrixElement.from_rows(entry, p)
+    if kind == "permutation":
+        if not (isinstance(entry, (list, tuple)) and all(isinstance(x, int) for x in entry)):
+            raise ValueError("a permutation entry must be a list of ints")
+        return PermutationElement(tuple(entry))
+    if kind == "table":
+        if not isinstance(entry, int):
+            raise ValueError("a table entry must be one int")
+        return TableElement(table, entry)
+    raise ValueError(f"unknown group kind: {kind!r}")
+
+
 def generators_from_spec(spec: dict) -> list[GroupElement]:
     """Parse a group-spec dict into a generator list."""
-    kind = spec.get("kind")
+    kind = spec_field(spec, "kind")
+    p = table = None
     if kind == "matrix_mod_p":
-        p, m = int(spec["p"]), int(spec["m"])
-        gens = [MatrixElement.from_rows(rows, p) for rows in spec["generators"]]
-        if any(g.m != m for g in gens):
-            raise ValueError("generator size does not match 'm'")
-        return gens
-    if kind == "permutation":
-        degree = int(spec["degree"])
-        gens = [PermutationElement(tuple(int(x) for x in imgs)) for imgs in spec["generators"]]
-        if any(g.degree != degree for g in gens):
-            raise ValueError("generator degree does not match 'degree'")
-        return gens
-    if kind == "table":
-        table = MulTable(spec["table"])
-        if int(spec.get("size", table.size)) != table.size:
+        p, m = spec_field(spec, "p", int), spec_field(spec, "m", int)
+    elif kind == "permutation":
+        degree = spec_field(spec, "degree", int)
+    elif kind == "table":
+        table = MulTable(spec_field(spec, "table"))
+        if spec.get("size", table.size) != table.size:
             raise ValueError("table size mismatch")
-        gen_idx = spec.get("generators")
-        if gen_idx is None:
-            gen_idx = list(range(table.size))
-        return [TableElement(table, int(i)) for i in gen_idx]
-    raise ValueError(f"unknown group kind: {kind!r}")
+        if spec.get("generators") is None:
+            return [TableElement(table, i) for i in range(table.size)]
+    else:
+        raise ValueError(f"unknown group kind: {kind!r}")
+    gens = [element_from_entry(kind, e, p, table) for e in spec_field(spec, "generators", list)]
+    if kind == "matrix_mod_p" and any(g.m != m for g in gens):
+        raise ValueError("generator size does not match 'm'")
+    if kind == "permutation" and any(g.degree != degree for g in gens):
+        raise ValueError("generator degree does not match 'degree'")
+    return gens
 
 
 def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -494,9 +519,5 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 
 def element_from_spec(G: FiniteGroup, data) -> GroupElement:
-    """Inline element spec: matrix rows, permutation image list, or table index."""
-    if G.variant == "matrix":
-        return MatrixElement.from_rows(data, G.p)
-    if G.variant == "perm":
-        return PermutationElement(tuple(int(x) for x in data))
-    return TableElement(G._arith.table, int(data))
+    """Inline element spec of G's kind: matrix rows, permutation image list, or table index."""
+    return element_from_entry(G.variant, data, G.p, G._arith.table)

@@ -277,11 +277,11 @@ def sqrt_mod(a: int, ell: int) -> int:
 
 def element_of_order(e: int, ell: int) -> int:
     """An element of exact multiplicative order e in F_ell^* (needs e | ell-1)."""
-    from .primes import prime_factors
+    from .primes import factorize
 
     if (ell - 1) % e != 0:
         raise ValueError("e does not divide ell - 1")
-    checks = [e // q for q in prime_factors(e)] if e > 1 else []
+    checks = [e // q for q in sorted(factorize(e))] if e > 1 else []
     for a in range(2, ell):
         z = pow(a, (ell - 1) // e, ell)
         if z == 1 and e > 1:

@@ -128,17 +128,13 @@ def factorize(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     return out
 
 
-def prime_factors(n: int) -> list[int]:
-    return sorted(factorize(n))
-
-
 def next_prime_outside(start: int, excluded: set[int], bound: int = 10**9) -> int:
-    """Smallest prime >= start that is not in `excluded`; PrimeSearchExhausted past bound."""
+    """Smallest prime >= start that is not in `excluded`.  Only skipping past an
+    excluded prime raises PrimeSearchExhausted when it leads above bound, so the
+    first prime from a start above bound is still returned when admissible."""
     p = next_prime(start)
     while p in excluded:
+        p = next_prime(p + 1)
         if p > bound:
             raise PrimeSearchExhausted(f"no admissible prime below {bound}")
-        p = next_prime(p + 1)
-    if p > bound:
-        raise PrimeSearchExhausted(f"no admissible prime below {bound}")
     return p

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elements import GroupElement, MatrixElement, PermutationElement, same_family
+from .elements import GroupElement, same_family
 from .errors import CapExceeded, ElementNotInGroup, NotInGroup, NotNonTrivial
-from .groups import FiniteGroup, RowArith, element_from_spec
+from .groups import FiniteGroup, RowArith, element_from_entry, element_from_spec, spec_field
 from .primes import is_prime
 
 MAX_WALK_LENGTH = 4096
@@ -182,10 +182,6 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
     if np.any(carry):
         out = np.concatenate([out, carry[None, :]])
     return out
-
-
-def rho_exact(G: FiniteGroup, seq: SignedSequence) -> RhoResult:
-    return exact_distribution(G, seq).rho()
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +378,24 @@ def sequence_from_spec(
 ) -> SignedSequence:
     """Sequence file contract: elements are indices or inline element specs.
 
-    Without an enumerated group G every entry must be inline; its family comes
+    Without an enumerated group G every entry must be inline; its kind comes
     from `ambient` (a group spec) when given, else from a "kind"/"p" pair in the
     sequence spec itself, and bare permutation image lists are self-describing.
     """
-    gspec = ambient if ambient is not None else spec
-    kind = gspec.get("kind", "permutation")
-    elems = []
-    for item in spec["elements"]:
-        if G is not None:
-            elems.append(G.element(item) if isinstance(item, int) else element_from_spec(G, item))
-        elif isinstance(item, int):
+    items = spec_field(spec, "elements", list)
+    if G is not None:
+        elems = [
+            G.element(item) if isinstance(item, int) else element_from_spec(G, item)
+            for item in items
+        ]
+    else:
+        gspec = ambient if ambient is not None else spec
+        kind = gspec.get("kind", "permutation")
+        p = spec_field(gspec, "p", int) if kind == "matrix_mod_p" else None
+        if any(isinstance(item, int) for item in items):
             raise ValueError("index-based sequence entries need an enumerated group")
-        elif kind == "matrix_mod_p":
-            elems.append(MatrixElement.from_rows(item, int(gspec["p"])))
-        elif kind == "permutation":
-            elems.append(PermutationElement(tuple(int(x) for x in item)))
-        else:
-            raise ValueError("raw sequences support matrix and permutation kinds")
-    repeat = int(spec.get("repeat", 1))
-    if repeat < 1:
+        elems = [element_from_entry(kind, item, p) for item in items]
+    repeat = spec.get("repeat", 1)
+    if not isinstance(repeat, int) or repeat < 1:
         raise ValueError("repeat must be >= 1")
     return SignedSequence(tuple(elems) * repeat, K=spec.get("K"))

@@ -27,7 +27,6 @@ from signedwalk.walk import (
     exact_distribution,
     order_length_bound,
     rho_below_order_length_bound,
-    rho_exact,
     rho_monte_carlo,
     signed_sum_check,
 )
@@ -71,7 +70,7 @@ def test_criterion_2_binomial_walk_exact():
     a = G.element(1)
     ok = True
     for n in range(1, 65):
-        r = rho_exact(G, SignedSequence.constant(a, n))
+        r = exact_distribution(G, SignedSequence.constant(a, n)).rho()
         if r.fraction != central_binomial_bound(n):
             ok = False
             break
@@ -85,7 +84,7 @@ def test_criterion_3_torsion_lower_bound():
         G = close_generators(catalog.cyclic_generators(s))
         a = G.element(1)
         for n in (10, 50, 100):
-            r = rho_exact(G, SignedSequence.constant(a, n))
+            r = exact_distribution(G, SignedSequence.constant(a, n)).rho()
             if r.fraction < Fraction(1, s):
                 ok = False
             _RHO_LEDGER.append((f"c{s}", r.fraction, s, n))
@@ -117,7 +116,7 @@ def test_criterion_5_order_length_bound_consistency():
             for _ in range(10):
                 n = int(rng.integers(2, 17))
                 seq = random_sequence(G, n, rng)
-                sample.append((name, rho_exact(G, seq).fraction, seq.min_order, n))
+                sample.append((name, exact_distribution(G, seq).rho().fraction, seq.min_order, n))
     for _, rho, s, n in sample:
         if s < 2 or n < 2:
             continue
@@ -130,7 +129,7 @@ def test_criterion_5_order_length_bound_consistency():
     gen = catalog.nonsplit_torus_generator(149)
     T = close_generators([gen])
     assert T.order == 150
-    r = rho_exact(T, SignedSequence.constant(gen, 256))
+    r = exact_distribution(T, SignedSequence.constant(gen, 256)).rho()
     spot_ok = r.fraction <= Fraction(141, 150)
     ok &= spot_ok
     _report(
@@ -215,7 +214,7 @@ def test_criterion_9_monte_carlo_consistency(bench_groups):
     for trial in range(20):
         n = int(rng.integers(4, 17))
         seq = random_sequence(G, n, rng)
-        exact = rho_exact(G, seq)
+        exact = exact_distribution(G, seq).rho()
         rho = exact.value
         mc1 = rho_monte_carlo(seq, samples=100_000, seed=1000 + trial, threads=1)
         mc4 = rho_monte_carlo(seq, samples=100_000, seed=1000 + trial, threads=4)

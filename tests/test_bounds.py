@@ -76,7 +76,7 @@ def test_order_length_bound_with_partial_order_count():
     """The bound also applies with N = #elements of order >= sigma in place of n."""
     from signedwalk import catalog
     from signedwalk.groups import close_generators
-    from signedwalk.walk import SignedSequence, rho_exact
+    from signedwalk.walk import SignedSequence, exact_distribution
 
     G = close_generators(catalog.symmetric_generators(4))
     from signedwalk.elements import PermutationElement
@@ -89,7 +89,7 @@ def test_order_length_bound_with_partial_order_count():
     assert N == 6
     value, vacuous = order_length_bound(sigma, N)
     assert vacuous  # desk scale: 141/4 >> 1
-    assert rho_exact(G, seq).fraction <= value
+    assert exact_distribution(G, seq).rho().fraction <= value
 
 
 def test_signed_sum_all_ones_matches_binomial():

@@ -454,3 +454,158 @@ def test_malformed_element_is_an_input_error(specs, capsys, command):
     code, err = run_failing(capsys, command, "--group", specs["s3"], "--element", "[1,")
     assert code == 2
     assert err.startswith("input error: ")
+
+
+RAW_MATRIX_SEQ = {"elements": [[[1, 1], [0, 1]]]}  # no "kind": read as permutations
+
+
+@pytest.mark.parametrize(
+    ("command", "files", "message"),
+    [
+        pytest.param(
+            ["rho", "--group", "{s3}", "--seq", "{seq}"], {"seq": {"elements": 5}}, "'elements'",
+            id="elements-not-a-list",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "permutation", "degree": 3, "generators": [5]}},
+            "a permutation entry must be a list of ints",
+            id="int-permutation-generator",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"], {"group": [1, 2]}, "a spec must be a JSON object",
+            id="group-spec-not-an-object",
+        ),
+        pytest.param(
+            ["mc", "--seq", "{seq}"], {"seq": RAW_MATRIX_SEQ}, "a permutation entry",
+            id="raw-matrix-sequence-without-kind",
+        ),
+        pytest.param(
+            ["order", "--group", "{s3}", "--element", "5"], {}, "a permutation entry",
+            id="int-permutation-element",
+        ),
+        pytest.param(
+            ["order", "--group", "{s3}", "--element", "[[1,0],[0,1]]"], {}, "a permutation entry",
+            id="matrix-permutation-element",
+        ),
+        pytest.param(
+            ["embed", "--matrices", "{mats}", "--n", "3"], {"mats": [1, 2]}, "square lists",
+            id="embed-matrices-not-matrices",
+        ),
+        pytest.param(
+            ["rho", "--group", "{s3}", "--seq", "{seq}"], {"seq": {"elements": [99]}}, "out of range",
+            id="sequence-index-out-of-range",
+        ),
+        pytest.param(
+            ["rho", "--group", "{s3}", "--seq", "{seq}"],
+            {"seq": {"elements": [1], "repeat": [2]}},
+            "repeat",
+            id="repeat-not-an-int",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "matrix_mod_p", "p": [5], "m": 2, "generators": []}},
+            "'p'",
+            id="p-not-an-int",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"], {"group": {"kind": "table", "table": 6}}, "square",
+            id="table-not-a-table",
+        ),
+        pytest.param(
+            ["diag", "--group", "{sl2_5}", "--seq", "{seq}", "--target", "999"], {}, "out of range",
+            id="diag-target-out-of-range",
+        ),
+    ],
+)
+def test_malformed_input_is_an_input_error(specs, capsys, tmp_path, command, files, message):
+    paths = dict(specs)
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code, err = run_failing(capsys, *(arg.format(**paths) for arg in command))
+    assert code == 2
+    assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    ("kind", "spec", "key"),
+    [
+        ("group", {"kind": "matrix_mod_p", "m": 2, "generators": [[[1, 1], [0, 1]]]}, "'p'"),
+        ("group", {"kind": "permutation", "degree": 3}, "'generators'"),
+        ("seq", {"repeat": 2}, "'elements'"),
+    ],
+    ids=["group-without-p", "group-without-generators", "seq-without-elements"],
+)
+def test_missing_spec_key_is_named(specs, capsys, tmp_path, kind, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    group = str(path) if kind == "group" else specs["s3"]
+    seq = str(path) if kind == "seq" else specs["seq"]
+    code, err = run_failing(capsys, "rho", "--group", group, "--seq", seq)
+    assert code == 2
+    assert err == f"input error: spec has no {key}\n"
+
+
+def run_rejected(capsys, *argv) -> str:
+    """argparse refuses the command line: exit 2, usage on stderr, nothing run."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chartab", "--group", "{s3}", "--format", "csv"],
+        ["bounds", "--s", "3", "--n", "4", "--seed", "1"],
+        ["mult-bounds", "--group", "{s3}", "--threads", "2"],
+        ["order", "--group", "{s3}", "--element", "[1,0,2]", "--seq", "x.json"],
+    ],
+    ids=["chartab-format", "bounds-seed", "mult-bounds-threads", "order-seq"],
+)
+def test_flags_a_command_does_not_read_are_rejected(specs, capsys, argv):
+    err = run_rejected(capsys, *(arg.format(**specs) for arg in argv))
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--seq", "{seq}", "--group", "{s3}", "--threads", "0"],
+        ["mc", "--seq", "{seq}", "--group", "{s3}", "--samples", "0"],
+        ["closure", "--group", "{s3}", "--cap", "0"],
+        ["irreps", "--group", "{s3}", "--seed", "-1"],
+        ["irreps", "--group", "{s3}", "--seed", str(2**64)],
+        ["fourier-check", "--group", "{s3}", "--tol", "0"],
+        ["fourier-check", "--group", "{s3}", "--count", "0"],
+        ["mult-bounds", "--group", "{s3}", "--alpha", "1/0"],
+    ],
+    ids=["threads-0", "samples-0", "cap-0", "seed-negative", "seed-2**64", "tol-0", "count-0",
+         "alpha-over-0"],
+)
+def test_out_of_range_values_are_rejected(specs, capsys, argv):
+    err = run_rejected(capsys, *(arg.format(**specs) for arg in argv))
+    assert "Traceback" not in err
+    assert "is not " in err
+
+
+@pytest.mark.parametrize(
+    ("matrices", "p_min", "code", "prime"),
+    [
+        ([[[-1, 0], [0, -1]]], 10**9 + 8, 0, 10**9 + 9),  # first prime admissible past the bound
+        ([[[1, "1/999999937"], [0, 1]]], 999_999_937, 3, None),  # skipping it leads past the bound
+    ],
+    ids=["admissible-past-bound", "skip-past-bound"],
+)
+def test_embed_prime_search_bound(capsys, tmp_path, matrices, p_min, code, prime):
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps(matrices))
+    argv = ["embed", "--matrices", str(mats), "--n", "3", "--p-min", str(p_min)]
+    got, out = run(capsys, *argv)
+    assert got == code
+    if prime is not None:
+        assert json.loads(out)["prime"] == prime

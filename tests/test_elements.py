@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +29,22 @@ def test_matrix_inverse_small_and_large():
         rows = [[(i * m + j + 1) % p for j in range(m)] for i in range(m)]
         rows = [[1 if i == j else rows[i][j] if i < j else 0 for j in range(m)] for i in range(m)]
         g = MatrixElement.from_rows(rows, p)
+        assert g.mul(g.inv()).is_identity()
+        assert g.inv().mul(g).is_identity()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 257])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_matrix_inverse_of_random_invertible_matrices(m, p):
+    rng = np.random.default_rng(1000 * m + p)
+    found = 0
+    while found < 10:
+        rows = rng.integers(0, p, size=(m, m)).tolist()
+        try:
+            g = MatrixElement.from_rows(rows, p)
+        except NotInvertible:
+            continue
+        found += 1
         assert g.mul(g.inv()).is_identity()
         assert g.inv().mul(g).is_identity()
 

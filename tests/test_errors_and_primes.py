@@ -3,7 +3,12 @@ import pytest
 
 from signedwalk import catalog
 from signedwalk.chartable import dixon_character_table, eigenvalue_multiplicities
-from signedwalk.errors import CapExceeded, ImagTooLarge, NonIntegralMultiplicity
+from signedwalk.errors import (
+    CapExceeded,
+    ImagTooLarge,
+    NonIntegralMultiplicity,
+    PrimeSearchExhausted,
+)
 from signedwalk.groups import close_generators
 from signedwalk.irreps import UnitaryIrrep, fourier_distribution
 from signedwalk.primes import factorize, is_prime, next_prime, next_prime_outside
@@ -48,6 +53,13 @@ def test_is_prime_and_next_prime():
     assert not is_prime(1) and not is_prime(8401) and not is_prime(25201)
     assert next_prime(14) == 17
     assert next_prime_outside(2, {2, 3, 5}) == 7
+
+
+def test_next_prime_outside_checks_the_bound_only_after_a_skip():
+    # the first prime from a start past the bound is still returned when admissible
+    assert next_prime_outside(10**9 + 8, set()) == 10**9 + 9
+    with pytest.raises(PrimeSearchExhausted):
+        next_prime_outside(999_999_937, {999_999_937})  # the next prime is 10^9 + 7
 
 
 def test_factorize_semiprime_and_powers():

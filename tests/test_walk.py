@@ -14,7 +14,6 @@ from signedwalk.walk import (
     SignedSequence,
     central_binomial_bound,
     exact_distribution,
-    rho_exact,
     rho_monte_carlo,
     sequence_from_spec,
 )
@@ -157,14 +156,14 @@ def test_reversal_symmetry(bench_groups):
     drev = exact_distribution(G, rev)
     # reversed walk is the image of the original under g -> g^{-1}
     assert all(drev.counts[G.inv(i)] == d.counts[i] for i in range(G.order))
-    assert rho_exact(G, seq).count == rho_exact(G, rev).count
+    assert exact_distribution(G, seq).rho().count == exact_distribution(G, rev).rho().count
 
 
 def test_rho_example_one_parity():
     G = cyclic(67)
     a = G.element(1)
     for n in (5, 8):
-        r = rho_exact(G, SignedSequence.constant(a, n))
+        r = exact_distribution(G, SignedSequence.constant(a, n)).rho()
         assert r.fraction == central_binomial_bound(n)
         if n % 2 == 0:
             assert r.maximizers == (0,)
@@ -174,7 +173,7 @@ def test_rho_example_one_parity():
 
 def test_rho_order_three_short_walk():
     G = cyclic(3)
-    r = rho_exact(G, SignedSequence.constant(G.element(1), 2))
+    r = exact_distribution(G, SignedSequence.constant(G.element(1), 2)).rho()
     assert r.fraction == Fraction(1, 2)
     assert r.maximizers == (0,)
 
@@ -183,7 +182,7 @@ def test_torsion_lower_bound_all_equal():
     for s in range(3, 9):
         G = cyclic(s)
         for n in (5, 12):
-            r = rho_exact(G, SignedSequence.constant(G.element(1), n))
+            r = exact_distribution(G, SignedSequence.constant(G.element(1), n)).rho()
             assert r.fraction >= Fraction(1, s)
 
 
@@ -215,7 +214,7 @@ def test_walk_length_cap():
 def test_long_walk_float_value():
     # counts near 2^1200 exceed float range; the convenience double must survive
     G = cyclic(5)
-    r = rho_exact(G, SignedSequence.constant(G.element(1), 1200))
+    r = exact_distribution(G, SignedSequence.constant(G.element(1), 1200)).rho()
     assert r.value == pytest.approx(0.2, abs=1e-9)
 
 
@@ -241,7 +240,7 @@ def test_monte_carlo_within_five_stderr(bench_groups):
     rng = np.random.default_rng(23)
     seq = random_sequence(G, 8, rng)
     mc = rho_monte_carlo(seq, samples=100_000, seed=11)
-    exact = rho_exact(G, seq)
+    exact = exact_distribution(G, seq).rho()
     rho = exact.value
     assert abs(mc.plugin_max_frequency - rho) <= 5 * math.sqrt(rho * (1 - rho) / 100_000)
 
@@ -252,7 +251,7 @@ def test_monte_carlo_wide_permutation_bytes_path():
     G = close_generators([cyc])
     seq = SignedSequence.constant(G.element(G.index_of(cyc)), 9)
     mc = rho_monte_carlo(seq, samples=40_000, seed=3, threads=2)
-    exact = rho_exact(G, seq)
+    exact = exact_distribution(G, seq).rho()
     assert abs(mc.plugin_max_frequency - exact.value) <= 5 * mc.stderr + 1e-12
     assert mc == rho_monte_carlo(seq, samples=40_000, seed=3, threads=1)
 
@@ -261,7 +260,7 @@ def test_monte_carlo_permutation_and_table_paths():
     Gp = close_generators(catalog.symmetric_generators(4))
     seqp = SignedSequence.constant(Gp.element(Gp.index_of(PermutationElement((1, 2, 3, 0)))), 4)
     mcp = rho_monte_carlo(seqp, samples=20_000, seed=3)
-    exact = rho_exact(Gp, seqp).value
+    exact = exact_distribution(Gp, seqp).rho().value
     assert abs(mcp.plugin_max_frequency - exact) <= 5 * mcp.stderr + 1e-12
 
     rows = [[(i + j) % 8 for j in range(8)] for i in range(8)]
@@ -271,7 +270,7 @@ def test_monte_carlo_permutation_and_table_paths():
     seqt = SignedSequence.constant(TableElement(t, 1), 6)
     Gt = close_generators([TableElement(t, 1)])
     mct = rho_monte_carlo(seqt, samples=20_000, seed=3)
-    exact_t = rho_exact(Gt, seqt).value
+    exact_t = exact_distribution(Gt, seqt).rho().value
     assert abs(mct.plugin_max_frequency - exact_t) <= 5 * mct.stderr + 1e-12
 
 
