@@ -155,7 +155,7 @@ def _class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.
     x_i^-1 and one `bincount` over all (class of z, class of z x_i^-1) pairs.
     """
     r = cc.count
-    col = G.generator_tree().column(G.inv(cc.representatives[i]))
+    col = G.right_column(G.inv(cc.representatives[i]))
     pairs = np.bincount(cc.class_of * r + cc.class_of[col], minlength=r * r).reshape(r, r)
     M, rem = np.divmod(pairs * cc.sizes[i], np.array(cc.sizes, dtype=np.int64)[:, None])
     if rem.any():

@@ -171,7 +171,7 @@ def cmd_rho(args: argparse.Namespace) -> int:
         }
         if args.dump_dist:
             with open(args.dump_dist, "w", encoding="utf-8") as fh:
-                json.dump(dist.to_json(G), fh, indent=2, sort_keys=True)
+                dist.write_json(G, fh)
     else:
         mc = rho_monte_carlo(seq, args.samples, args.seed, threads=args.threads)
         payload = {
@@ -487,8 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_fraction, default="1/6", help="window half-width (fraction)")
 
     p = command("svd-props", cmd_svd_props, "seed out", "singular-value inequality suites")
-    p.add_argument("--draws", type=int, default=1000)
-    p.add_argument("--unitary-draws", type=int, default=200)
+    p.add_argument("--draws", type=_AT_LEAST_ONE, default=1000)
+    p.add_argument("--unitary-draws", type=_AT_LEAST_ONE, default=200)
 
     p = command(
         "diag", cmd_diag, "group seq cap seed out format", "cascade diagnostics for one irreducible"
@@ -508,12 +508,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("example2", cmd_example2, "seed out", "signed integer sum lower-bound check")
     p.add_argument("--a", default=None, help="comma-separated terms")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_AT_LEAST_ONE, default=None)
     p.add_argument("--n", type=int, default=100)
 
     p = command("sweep", cmd_sweep, "group cap out format", "rho vs n curve for a constant sequence")
     p.add_argument("--element", required=True, help="inline element spec (JSON)")
-    p.add_argument("--n-max", type=int, default=32)
+    p.add_argument("--n-max", type=_AT_LEAST_ONE, default=32)
 
     return ap
 

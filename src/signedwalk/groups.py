@@ -30,11 +30,12 @@ for every h >= 1, a parent g < h and a multiplier t with h = g * t (the BFS
 numbering always provides one).  Only the generator columns are products the
 variant computes; each inverse column is the inverse permutation of its
 generator's column.  Everything else that needs whole-group arithmetic is
-index gathers along this tree: the dense multiplication table (built when the
-order is at most `DENSE_TABLE_CAP`: column h is column g gathered through the
-column of t), the column of any element (its tree word composed), and the
-conjugacy classes (connected components of the conjugation permutations
-h -> t h t^-1, found by min-label hooking with pointer jumping).
+index gathers along this tree: the column of any element (`right_column`: its
+tree word composed), the conjugacy classes (connected components of the
+conjugation permutations h -> t h t^-1, found by min-label hooking with
+pointer jumping) and, on demand for the regular representation, the dense
+multiplication table (`dense_table`: column h is column g gathered through the
+column of t).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .elements import (
 from .errors import CapExceeded, NotInGroup, SizeCap
 
 DEFAULT_CLOSURE_CAP = 4_000_000
-DENSE_TABLE_CAP = 4096
+_COLUMN_SLICE = 1 << 14  # products per `mul_many` call when tabulating a generator column
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,8 @@ class RowArith:
         """Rows of left[i] * right[i]; a one-row side broadcasts against the other."""
         if self.variant == "matrix_mod_p":
             m = self.m
-            prod = np.matmul(left.reshape(-1, m, m), right.reshape(-1, m, m)) % self.p
+            prod = np.matmul(left.reshape(-1, m, m), right.reshape(-1, m, m))
+            prod %= self.p
             return prod.reshape(-1, m * m)
         if self.variant == "permutation":  # (l * r)(x) = l(r(x))
             return np.take_along_axis(left, right, axis=1)
@@ -157,18 +159,6 @@ class GeneratorTree:
     via: np.ndarray
     parent: np.ndarray
 
-    def column(self, x: int) -> np.ndarray:
-        """Column h -> index(g_h * g_x): the multiplier columns composed along
-        the tree path from the identity to x, one gather per edge."""
-        path = []
-        while x:
-            path.append(int(self.via[x]))
-            x = int(self.parent[x])
-        col = np.arange(self.cols.shape[1], dtype=np.int32)
-        for k in reversed(path):
-            col = self.cols[k][col]
-        return col
-
 
 # ---------------------------------------------------------------------------
 # the group
@@ -179,9 +169,8 @@ class FiniteGroup:
     """Finite group enumerated from generators; all queries are index-based.
 
     Element i is row `_rows[i]` of the group's `RowArith`.  Immutable after
-    construction, apart from caches filled on first use (the generator tree,
-    right columns) with values that do not depend on who fills them; safe to
-    share across threads.
+    construction, apart from the generator tree, cached on first use with a
+    value that does not depend on who fills it; safe to share across threads.
     """
 
     def __init__(self, arith: RowArith, rows: np.ndarray, keys: np.ndarray) -> None:
@@ -193,8 +182,6 @@ class FiniteGroup:
         self._sorted_keys = keys[self._key_perm]
         self.generator_indices: tuple[int, ...] = ()  # set by close_generators
         self._inv: np.ndarray | None = None
-        self._table: np.ndarray | None = None
-        self._right_cols: dict[int, np.ndarray] = {}
         self._tree: GeneratorTree | None = None
 
     def __len__(self) -> int:
@@ -228,13 +215,7 @@ class FiniteGroup:
             raise NotInGroup("element not in enumerated group")
         return self._key_perm[pos]
 
-    def _product_indices(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        arith = self._arith
-        return self._lookup(arith.keys(arith.compose(left, right)))
-
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
         return int(self.mul_many(np.array([i]), j)[0])
 
     def inv(self, i: int) -> int:
@@ -243,42 +224,33 @@ class FiniteGroup:
     def mul_many(self, idxs: np.ndarray, j) -> np.ndarray:
         """Indices of g_i * g_j for all i in idxs; j is one index, or an index
         array aligned with idxs (one product per pair)."""
-        if self._table is not None:
-            return self._table[idxs, j]
-        return self._product_indices(self._rows[idxs], self._rows[np.reshape(j, -1)])
+        arith = self._arith
+        rows = arith.compose(self._rows[idxs], self._rows[np.reshape(j, -1)])
+        return self._lookup(arith.keys(rows))
 
-    def lmul_many(self, i: int, idxs: np.ndarray) -> np.ndarray:
-        """Indices of g_i * g_j for all j in idxs."""
-        if self._table is not None:
-            return self._table[i, idxs]
-        return self._product_indices(self._rows[[i]], self._rows[idxs])
-
-    def right_column(self, j: int) -> np.ndarray:
-        """Cached column i -> index(g_i * g_j), used by the walk engine."""
-        col = self._right_cols.get(j)
-        if col is None:
-            if self._table is not None:
-                col = np.array(self._table[:, j])
-            else:
-                col = self.mul_many(np.arange(self.order), j)
-            self._right_cols[j] = col
+    def right_column(self, x: int) -> np.ndarray:
+        """Column h -> index(g_h * g_x): the multiplier columns composed along
+        the tree path from the identity to x, one gather per edge."""
+        tree = self.generator_tree()
+        path = []
+        while x:
+            path.append(int(tree.via[x]))
+            x = int(tree.parent[x])
+        col = np.arange(self.order, dtype=np.int32)
+        for k in reversed(path):
+            col = tree.cols[k][col]
         return col
-
-    def left_row(self, i: int) -> np.ndarray:
-        """Row h -> index(g_i * g_h), used for the regular representation."""
-        if self._table is not None:
-            return np.array(self._table[i, :])
-        return self.lmul_many(i, np.arange(self.order))
 
     # -- construction helpers ---------------------------------------------
 
     def generator_tree(self) -> GeneratorTree:
         """The cached generator tree (see the module docstring), built on first use.
 
-        Costs one `mul_many` over the whole group per distinct generator; each
-        inverse column is its generator's column inverted by one scatter.  For
-        h >= 1 the parent is the smallest h * t^-1 over the multipliers t, which
-        lies in the previous BFS layer, so parent[h] < h.
+        Costs one product per element and distinct generator, taken
+        `_COLUMN_SLICE` elements per `mul_many`; each inverse column is its
+        generator's column inverted by one scatter.  For h >= 1 the parent is
+        the smallest h * t^-1 over the multipliers t, which lies in the
+        previous BFS layer, so parent[h] < h.
         """
         if self._tree is not None:
             return self._tree
@@ -290,8 +262,9 @@ class FiniteGroup:
         inverse_of = np.array([pos[int(self._inv[t])] for t in mults], dtype=np.int64)
         cols = np.empty((len(mults), n), dtype=np.int32)
         for k, t in enumerate(mults):
-            if k < len(gens):
-                cols[k] = self.mul_many(idxs, t)
+            if k < len(gens):  # sliced, so no product temporary spans the group
+                for s in range(0, n, _COLUMN_SLICE):
+                    cols[k, s : s + _COLUMN_SLICE] = self.mul_many(idxs[s : s + _COLUMN_SLICE], t)
             else:  # t is the inverse of the generator at inverse_of[k]
                 cols[k, cols[inverse_of[k]]] = idxs
         # the multipliers are closed under inversion, so cols[k, h] = h * t_k
@@ -302,18 +275,17 @@ class FiniteGroup:
         self._tree = GeneratorTree(mults, cols, inverse_of[best], parent)
         return self._tree
 
-    def _build_dense_table(self) -> None:
-        """Fill the table column by column along the generator tree: column h is
-        column parent[h] gathered through the column of its multiplier."""
+    def dense_table(self) -> np.ndarray:
+        """The (|G|, |G|) int32 table[i, j] = index(g_i * g_j), filled column by
+        column along the generator tree: column h is column parent[h] gathered
+        through the column of its multiplier."""
         n = self.order
-        if n > DENSE_TABLE_CAP:
-            return
         tree = self.generator_tree()
         table = np.empty((n, n), dtype=np.int32)
         table[:, 0] = np.arange(n)
         for h in range(1, n):
             table[:, h] = tree.cols[tree.via[h]][table[:, tree.parent[h]]]
-        self._table = table
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +317,7 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     # their inverses carried along the tree as t^-1 * g^-1.  Layer 0 stands in
     # for its own missing predecessor.
     frontier = frontier_inv = arith.identity
-    levels, inv_levels = [frontier], [frontier_inv]
+    levels, inv_keys = [frontier], [arith.keys(frontier_inv)]
     layer_keys = [arith.keys(frontier)]
     prev, total = layer_keys[0], 1
     while len(frontier):
@@ -361,14 +333,13 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         frontier = arith.compose(frontier[g], mults[t])
         frontier_inv = arith.compose(mult_invs[t], frontier_inv[g])
         levels.append(frontier)
-        inv_levels.append(frontier_inv)
+        inv_keys.append(arith.keys(frontier_inv))
         prev = layer_keys[-1]
         layer_keys.append(uniq[fresh])
 
     G = FiniteGroup(arith, np.concatenate(levels), np.concatenate(layer_keys))
-    G._inv = G._lookup(arith.keys(np.concatenate(inv_levels)))
+    G._inv = G._lookup(np.concatenate(inv_keys))
     G.generator_indices = tuple(G._lookup(arith.keys(gen_rows)).tolist())
-    G._build_dense_table()
     return G
 
 
@@ -440,16 +411,15 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
 
 
 def center_and_centralizer(G: FiniteGroup, g: GroupElement | int) -> tuple[tuple[int, ...], int]:
-    """(center as sorted element indices, order of the centralizer of g)."""
+    """(center as sorted element indices, order of the centralizer of g), read
+    off the conjugacy classes: the center is the union of the singleton
+    classes, and |C(g)| = |G| / |class of g|."""
     i = g if isinstance(g, int) else G.index_of(g)
     if not (0 <= i < G.order):
         raise NotInGroup(f"index {i} out of range")
-    idxs = np.arange(G.order)
-    central = np.ones(G.order, dtype=bool)
-    for t in G.generator_indices:
-        central &= G.mul_many(idxs, t) == G.lmul_many(t, idxs)
-    centralizer_size = int(np.count_nonzero(G.mul_many(idxs, i) == G.lmul_many(i, idxs)))
-    return tuple(int(z) for z in np.nonzero(central)[0]), centralizer_size
+    cc = conjugacy_classes(G)
+    sizes = np.array(cc.sizes)[cc.class_of]
+    return tuple(np.nonzero(sizes == 1)[0].tolist()), G.order // int(sizes[i])
 
 
 # ---------------------------------------------------------------------------

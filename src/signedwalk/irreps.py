@@ -95,8 +95,8 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         raise SizeCap(f"|G| = {n} exceeds the explicit-representation cap {REGULAR_SIZE_CAP}")
     cc = conjugacy_classes(G)
     sizes = np.array(cc.sizes, dtype=np.float64)
-    left_rows = np.array([G.left_row(g) for g in range(n)], dtype=np.int64)
-    left_inv_rows = left_rows[[G.inv(g) for g in range(n)]]
+    left_rows = G.dense_table()
+    left_inv_rows = left_rows[G._inv]
 
     rng = np.random.default_rng(seed)
 
@@ -228,14 +228,13 @@ def fourier_distribution(
     (1/|G|) sum_Phi dim(Phi) trace(prod_i (Phi(A_i)+Phi(A_i^{-1}))/2 * Phi(B^{-1}))."""
     _check_complete(G, irreps)
     idxs = [G.index_of(e) for e in seq.elements]
-    inv_all = np.array([G.inv(b) for b in range(G.order)], dtype=np.int64)
     acc = np.zeros(G.order, dtype=np.complex128)
     for rep in irreps:
         mats = rep.matrices
         prod = np.eye(rep.dim, dtype=np.complex128)
         for a in idxs:
             prod = prod @ ((mats[a] + mats[G.inv(a)]) / 2.0)
-        acc += rep.dim * np.einsum("ij,gji->g", prod, mats[inv_all])
+        acc += rep.dim * np.einsum("ij,gji->g", prod, mats[G._inv])
     acc /= G.order
     worst = float(np.max(np.abs(acc.imag)))
     if worst > imag_tol:

@@ -32,6 +32,7 @@ _MC_BATCH = 4096
 _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _CARRY_EVERY = 30
+_DUMP_CHUNK = 4096  # support elements encoded per write of the law dump
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +124,20 @@ class ExactDistribution:
         maximizers = tuple(i for i, c in enumerate(self.counts) if c == best)
         return RhoResult(best, self.denom_exp, maximizers)
 
-    def to_json(self, G: FiniteGroup) -> dict:
+    def write_json(self, G: FiniteGroup, fh) -> None:
+        """Write {"denom_exp", "entries": [{"count", "element"}, ...]} over the
+        support, byte for byte as json.dump(..., indent=2, sort_keys=True)
+        writes it, encoding `_DUMP_CHUNK` elements at a time."""
         support = self.support()
-        return {
-            "denom_exp": self.denom_exp,
-            "entries": [
-                {"element": h, "count": str(self.counts[i])}
-                for i, h in zip(support, G.hex_encodings(support))
-            ],
-        }
+        fh.write(f'{{\n  "denom_exp": {self.denom_exp},\n  "entries": [')
+        for start in range(0, len(support), _DUMP_CHUNK):
+            chunk = support[start : start + _DUMP_CHUNK]
+            entries = ",".join(
+                f'\n    {{\n      "count": "{self.counts[i]}",\n      "element": "{h}"\n    }}'
+                for i, h in zip(chunk, G.hex_encodings(chunk))
+            )
+            fh.write(("," if start else "") + entries)
+        fh.write("\n  ]\n}" if support else "]\n}")
 
 
 def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution:

@@ -6,7 +6,6 @@ unit modules share one enumeration.
 
 from __future__ import annotations
 
-import copy
 import itertools
 
 import numpy as np
@@ -23,7 +22,7 @@ from signedwalk.elements import (
 from signedwalk.errors import NotInGroup
 from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators, element_order
 from signedwalk.irreps import decompose_regular
-from signedwalk.walk import SignedSequence
+from signedwalk.walk import ExactDistribution, SignedSequence
 
 BENCH_NAMES = ["s3", "d4", "q8", "a4", "s4", "sl2_3", "sl2_5"]
 
@@ -121,7 +120,7 @@ def z6():
 
 @pytest.fixture(scope="session")
 def s7():
-    """S7 (|G| = 5040, above DENSE_TABLE_CAP) from (0 1) and (0 1 2 3 4 5 6)."""
+    """S7 (|G| = 5040) from (0 1) and (0 1 2 3 4 5 6)."""
     return close_generators(
         [PermutationElement((1, 0, 2, 3, 4, 5, 6)), PermutationElement((1, 2, 3, 4, 5, 6, 0))]
     )
@@ -169,15 +168,25 @@ def naive_exact_counts(G: FiniteGroup, seq: SignedSequence) -> list[int]:
 
 
 def naive_dense_table(G: FiniteGroup) -> np.ndarray:
-    """The per-column build: table[:, j] = mul_many(all, j) on a copy without a table,
-    so every column goes through the variant's own product and lookup."""
-    bare = copy.copy(G)
-    bare._table = None
+    """The per-column build: table[:, j] = mul_many(all, j), so every column goes
+    through the variant's own product and lookup."""
     idxs = np.arange(G.order)
     table = np.empty((G.order, G.order), dtype=np.int32)
     for j in range(G.order):
-        table[:, j] = bare.mul_many(idxs, j)
+        table[:, j] = G.mul_many(idxs, j)
     return table
+
+
+def distribution_json(dist: ExactDistribution, G: FiniteGroup) -> dict:
+    """The law dump as one dict: denom_exp and one entry per support element."""
+    support = dist.support()
+    return {
+        "denom_exp": dist.denom_exp,
+        "entries": [
+            {"element": h, "count": str(dist.counts[i])}
+            for i, h in zip(support, G.hex_encodings(support))
+        ],
+    }
 
 
 def naive_batch_inverse(mats: np.ndarray, p: int) -> np.ndarray:
@@ -295,7 +304,7 @@ def element_rows(elements) -> np.ndarray:
 
 def naive_conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     """Orbits under conjugation by the generators and their inverses, one BFS per
-    class, each step conjugating the frontier through `lmul_many` / `mul_many`."""
+    class, each step conjugating the frontier through two `mul_many` calls."""
     n = G.order
     class_of = np.full(n, -1, dtype=np.int64)
     gens = G.generator_indices
@@ -313,7 +322,7 @@ def naive_conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
         while frontier.size:
             new_parts = []
             for t in conjugators:
-                c = G.mul_many(G.lmul_many(t, frontier), G.inv(t))
+                c = G.mul_many(G.mul_many(np.full(len(frontier), t), frontier), G.inv(t))
                 fresh = np.unique(c[class_of[c] < 0])
                 class_of[fresh] = cid
                 new_parts.append(fresh)
@@ -357,7 +366,8 @@ def naive_class_powers(G: FiniteGroup, cc: ConjugacyClasses):
 
 def left_translation_rows(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """(rows[x, h] = index of x h, inv_rows[a, b] = index of a^{-1} b)."""
-    rows = np.array([G.left_row(g) for g in range(G.order)], dtype=np.int64)
+    idxs = np.arange(G.order)
+    rows = np.array([G.mul_many(np.full(G.order, g), idxs) for g in idxs], dtype=np.int64)
     return rows, rows[[G.inv(g) for g in range(G.order)]]
 
 

@@ -583,9 +583,13 @@ def test_flags_a_command_does_not_read_are_rejected(specs, capsys, argv):
         ["fourier-check", "--group", "{s3}", "--tol", "0"],
         ["fourier-check", "--group", "{s3}", "--count", "0"],
         ["mult-bounds", "--group", "{s3}", "--alpha", "1/0"],
+        ["svd-props", "--draws", "-1"],
+        ["svd-props", "--unitary-draws", "0"],
+        ["sweep", "--group", "{s3}", "--element", "[1,0,2]", "--n-max", "0"],
+        ["example2", "--k", "0"],
     ],
     ids=["threads-0", "samples-0", "cap-0", "seed-negative", "seed-2**64", "tol-0", "count-0",
-         "alpha-over-0"],
+         "alpha-over-0", "draws-negative", "unitary-draws-0", "n-max-0", "k-0"],
 )
 def test_out_of_range_values_are_rejected(specs, capsys, argv):
     err = run_rejected(capsys, *(arg.format(**specs) for arg in argv))

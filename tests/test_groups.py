@@ -1,4 +1,3 @@
-import copy
 import itertools
 import json
 
@@ -131,11 +130,12 @@ def test_conjugacy_class_counting_invariants(bench_groups):
         assert sum(cc.sizes) == G.order
         for size in cc.sizes:
             assert G.order % size == 0
-        # |class(g)| * |C_G(g)| = |G|, brute-force conjugation cross-check
+        # |class(g)| * |C_G(g)| = |G|, brute-force conjugation and commuting cross-checks
         for cid, rep in enumerate(cc.representatives):
             orbit = {G.mul(G.mul(x, rep), G.inv(x)) for x in range(G.order)}
             assert len(orbit) == cc.sizes[cid]
             _, cent = center_and_centralizer(G, rep)
+            assert cent == sum(G.mul(x, rep) == G.mul(rep, x) for x in range(G.order))
             assert cc.sizes[cid] * cent == G.order
 
 
@@ -194,7 +194,6 @@ def test_bfs_ordering_deterministic():
 
 def test_large_matrix_group_no_dense_table(sl2_49):
     assert sl2_49.order == 49 * (49 * 49 - 1)
-    assert sl2_49._table is None
     # spot-check index arithmetic on the searchsorted path
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -224,13 +223,14 @@ def test_hex_encodings_match_encoding(bench_groups):
 @pytest.mark.parametrize("name", ["s3", "d4", "q8", "sl2_5"])
 def test_dense_table_matches_per_column_build(bench_groups, name):
     G = bench_groups[name]
-    assert G._table.dtype == np.int32
-    assert np.array_equal(G._table, naive_dense_table(G))
+    table = G.dense_table()
+    assert table.dtype == np.int32
+    assert np.array_equal(table, naive_dense_table(G))
 
 
 def test_dense_table_s6_matches_per_column_build(s6):
     assert s6.order == 720
-    assert np.array_equal(s6._table, naive_dense_table(s6))
+    assert np.array_equal(s6.dense_table(), naive_dense_table(s6))
 
 
 def test_dense_table_with_self_inverse_generators():
@@ -239,7 +239,7 @@ def test_dense_table_with_self_inverse_generators():
         [PermutationElement((0, 5, 4, 3, 2, 1)), PermutationElement((1, 0, 5, 4, 3, 2))]
     )
     assert G.order == 12
-    assert np.array_equal(G._table, naive_dense_table(G))
+    assert np.array_equal(G.dense_table(), naive_dense_table(G))
 
 
 @pytest.mark.parametrize(
@@ -248,8 +248,8 @@ def test_dense_table_with_self_inverse_generators():
 def test_dense_table_of_trivial_group(ident):
     G = close_generators([ident])
     assert G.order == 1
-    assert np.array_equal(G._table, [[0]])
-    assert np.array_equal(G._table, naive_dense_table(G))
+    assert np.array_equal(G.dense_table(), [[0]])
+    assert np.array_equal(G.dense_table(), naive_dense_table(G))
 
 
 def _permutation_matrix(images, p):
@@ -260,11 +260,6 @@ def _permutation_matrix(images, p):
 @pytest.mark.parametrize("name", ["sl2_5", "z6", "s4", "s7", "sl2_49"])
 def test_mul_many_with_aligned_index_array(request, bench_groups, name):
     G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
-    variants = [G]
-    if G._table is not None and G.variant != "table":
-        bare = copy.copy(G)  # the variant's own product, not the dense table
-        bare._table = None
-        variants.append(bare)
     rng = np.random.default_rng(3)
     idxs = rng.integers(0, G.order, size=300)
     js = rng.integers(0, G.order, size=300)
@@ -272,11 +267,10 @@ def test_mul_many_with_aligned_index_array(request, bench_groups, name):
     for k in range(20):
         i, j = int(idxs[k]), int(js[k])
         assert G.element(pairwise[k]) == G.element(i).mul(G.element(j))
-    for H in variants:
-        assert H.mul_many(idxs, js).tolist() == pairwise
-        assert H.mul_many(idxs[:1], js[:1]).tolist() == pairwise[:1]
-        j0 = int(js[0])
-        assert H.mul_many(idxs, j0).tolist() == [G.mul(int(i), j0) for i in idxs]
+    assert G.mul_many(idxs, js).tolist() == pairwise
+    assert G.mul_many(idxs[:1], js[:1]).tolist() == pairwise[:1]
+    j0 = int(js[0])
+    assert G.mul_many(idxs, j0).tolist() == [G.mul(int(i), j0) for i in idxs]
 
 
 # name -> (|G|, generators)
@@ -335,7 +329,7 @@ def test_conjugacy_classes_match_naive_bfs(class_case, name):
 def test_conjugacy_classes_of_a_long_conjugation_cycle():
     # D_2503 as affine maps x -> +-x + b mod 2503: conjugating by the translation
     # moves the 2503 reflections along one cycle, so the labels must cross it in
-    # a few rounds (|G| = 5006, above DENSE_TABLE_CAP)
+    # a few rounds (|G| = 5006)
     p = 2503
     G = close_generators(
         [MatrixElement.from_rows([[1, 1], [0, 1]], p), MatrixElement.from_rows([[p - 1, 0], [0, 1]], p)]
@@ -349,9 +343,6 @@ def test_conjugacy_classes_of_a_long_conjugation_cycle():
 @pytest.mark.parametrize("name", CLASS_CASES)
 def test_generator_tree_composes_to_columns(class_case, name):
     G, _ = class_case(name)
-    bare = copy.copy(G)  # products from the variant itself, not the dense table
-    if G.variant != "table":
-        bare._table = None
     tree = G.generator_tree()
     n = G.order
     idxs = np.arange(n)
@@ -359,12 +350,12 @@ def test_generator_tree_composes_to_columns(class_case, name):
     assert set(tree.mults) == gens | {G.inv(t) for t in gens}
     assert tree.cols.dtype == np.int32
     for k, t in enumerate(tree.mults):
-        assert np.array_equal(tree.cols[k], bare.mul_many(idxs, t))
+        assert np.array_equal(tree.cols[k], G.mul_many(idxs, t))
     assert np.all(tree.parent[1:] < idxs[1:])
     assert np.array_equal(tree.cols[tree.via[1:], tree.parent[1:]], idxs[1:])
     rng = np.random.default_rng(11)
     for x in [0, n - 1] + rng.integers(0, n, size=6).tolist():
-        assert np.array_equal(tree.column(x), bare.mul_many(idxs, x))
+        assert np.array_equal(G.right_column(x), G.mul_many(idxs, x))
 
 
 def _dihedral_2503():

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -6,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedwalk import catalog
+from signedwalk import catalog, walk
 from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.errors import CapExceeded, ElementNotInGroup, NotNonTrivial
 from signedwalk.groups import close_generators
 from signedwalk.walk import (
+    ExactDistribution,
     SignedSequence,
     central_binomial_bound,
     exact_distribution,
@@ -18,7 +21,12 @@ from signedwalk.walk import (
     sequence_from_spec,
 )
 
-from conftest import brute_force_distribution, naive_exact_counts, random_sequence
+from conftest import (
+    brute_force_distribution,
+    distribution_json,
+    naive_exact_counts,
+    random_sequence,
+)
 
 
 def cyclic(k):
@@ -132,7 +140,8 @@ def test_conjugating_entries_conjugates_law(bench_groups, seed):
     law = exact_distribution(G, seq).counts
     law_conj = exact_distribution(G, conj).counts
     gi = G.index_of(g)
-    image = G.mul_many(G.lmul_many(gi, np.arange(G.order)), G.inv(gi))  # h -> g h g^{-1}
+    left = G.mul_many(np.full(G.order, gi), np.arange(G.order))
+    image = G.mul_many(left, G.inv(gi))  # h -> g h g^{-1}
     assert all(law_conj[int(image[h])] == law[h] for h in range(G.order))
 
 
@@ -277,9 +286,25 @@ def test_monte_carlo_permutation_and_table_paths():
 def test_distribution_json_dump():
     G = cyclic(5)
     d = exact_distribution(G, SignedSequence.constant(G.element(1), 2))
-    payload = d.to_json(G)
+    fh = io.StringIO()
+    d.write_json(G, fh)
+    payload = json.loads(fh.getvalue())
     assert payload["denom_exp"] == 2
     assert sum(int(e["count"]) for e in payload["entries"]) == 4
+    empty = io.StringIO()
+    ExactDistribution([0] * G.order, 0).write_json(G, empty)
+    assert empty.getvalue() == json.dumps({"denom_exp": 0, "entries": []}, indent=2)
+
+
+@pytest.mark.parametrize(("name", "n"), [("s4", 1), ("s4", 5), ("sl2_5", 7), ("sl2_5", 70)])
+def test_write_json_matches_json_dump_across_chunks(monkeypatch, bench_groups, name, n):
+    monkeypatch.setattr(walk, "_DUMP_CHUNK", 3)  # the support spans several chunks
+    G = bench_groups[name]
+    d = exact_distribution(G, random_sequence(G, n, np.random.default_rng(n)))
+    fh = io.StringIO()
+    d.write_json(G, fh)
+    assert fh.getvalue() == json.dumps(distribution_json(d, G), indent=2, sort_keys=True)
+    assert len(d.support()) > 3 or n == 1
 
 
 def test_sequence_from_spec_indices_and_inline():
