@@ -102,31 +102,14 @@ def sl2_prime_squared_generators(p: int) -> list[MatrixElement]:
 
 def nonsplit_torus_generator(p: int) -> MatrixElement:
     """An element of SL_2(p) of order exactly p + 1 (deterministic scan)."""
-    from .primes import factorize
-
     v = least_nonsquare(p)
-    target = p + 1
-    checks = [target // q for q in factorize(target)]
-
-    def mat_pow(g: MatrixElement, e: int) -> MatrixElement:
-        acc = MatrixElement.identity(p, 2)
-        base = g
-        while e:
-            if e & 1:
-                acc = acc.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return acc
-
     for b in range(1, p):
         rhs = (1 + v * b * b) % p
         for a in range(p):
             if a * a % p != rhs:
                 continue
             g = MatrixElement(p, 2, (a, v * b % p, b % p, a))
-            if not mat_pow(g, target).is_identity():
-                continue
-            if all(not mat_pow(g, c).is_identity() for c in checks):
+            if g.order() == p + 1:
                 return g
     raise ConsistencyFailure(f"no order-{p + 1} torus element found in SL_2({p})")
 

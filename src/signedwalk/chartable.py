@@ -68,14 +68,8 @@ class CharacterTable:
     def num_classes(self) -> int:
         return self.classes.count
 
-    def is_central_class(self, c: int) -> bool:
-        return self.classes.sizes[c] == 1
-
-    def central_classes(self) -> list[int]:
-        return [c for c in range(self.num_classes) if self.is_central_class(c)]
-
     def noncentral_classes(self) -> list[int]:
-        return [c for c in range(self.num_classes) if not self.is_central_class(c)]
+        return [c for c, size in enumerate(self.classes.sizes) if size > 1]
 
     def nonlinear_characters(self) -> list[int]:
         return [i for i, d in enumerate(self.degrees) if d > 1]
@@ -352,20 +346,22 @@ class MultiplicityReport:
         return sum(1 for e in self.entries if e.status == status)
 
 
+def _character_ratios(table: CharacterTable) -> tuple[list[int], list[int], np.ndarray]:
+    """(nonlinear characters, noncentral classes, |chi(x)| / chi(1) over them)."""
+    chars, classes = table.nonlinear_characters(), table.noncentral_classes()
+    degrees = np.array(table.degrees, dtype=np.float64)[chars]
+    values = table.values[np.ix_(chars, classes)]
+    return chars, classes, np.abs(values) / degrees[:, None]
+
+
 def max_character_ratio(table: CharacterTable):
-    """max |chi(x)| / chi(1) over nonlinear chi and noncentral x, or None if
-    every character is linear."""
-    best = None
-    where = (None, None)
-    for i in table.nonlinear_characters():
-        d = table.degrees[i]
-        for c in table.noncentral_classes():
-            ratio = abs(table.values[i, c]) / d
-            if best is None or ratio > best:
-                best, where = ratio, (i, c)
-    if best is None:
+    """max |chi(x)| / chi(1) over nonlinear chi and noncentral x, with the first
+    (chi, x) attaining it, or None if every character is linear."""
+    chars, classes, ratios = _character_ratios(table)
+    if ratios.size == 0:
         return None
-    return float(best), where[0], where[1]
+    i, c = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return float(ratios[i, c]), chars[i], classes[c]
 
 
 def check_multiplicity_bounds(table: CharacterTable, alpha) -> MultiplicityReport:
@@ -381,11 +377,10 @@ def check_multiplicity_bounds(table: CharacterTable, alpha) -> MultiplicityRepor
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     entries: list[MultiplicityCheck] = []
-    noncentral = table.noncentral_classes()
-    for i in table.nonlinear_characters():
+    chars, noncentral, ratios = _character_ratios(table)
+    for i, row in zip(chars, ratios):
         d = table.degrees[i]
-        ratio_max = max(abs(table.values[i, c]) / d for c in noncentral) if noncentral else 0.0
-        hypothesis_ok = ratio_max <= float(alpha) + 1e-9
+        hypothesis_ok = row.max(initial=0.0) <= float(alpha) + 1e-9
         for c in noncentral:
             k1 = table.central_order(c)
             if not hypothesis_ok:
@@ -396,8 +391,10 @@ def check_multiplicity_bounds(table: CharacterTable, alpha) -> MultiplicityRepor
             prof = eigenvalue_multiplicities(table, i, c)
             lower = (Fraction(1, k1) - alpha) * d
             upper = (Fraction(1, k1) + alpha) * d
-            vacuous = lower < 0 and upper > d
-            ok = all(lower < m < upper for m in prof.multiplicities if m > 0)
+            # an integer lies in (lower, upper) exactly when it lies in (lo, hi)
+            lo, hi = math.floor(lower), math.ceil(upper)
+            vacuous = lo < 0 and hi > d
+            ok = all(lo < m < hi for m in prof.multiplicities if m > 0)
             entries.append(
                 MultiplicityCheck(
                     i,

@@ -509,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("example2", cmd_example2, "seed out", "signed integer sum lower-bound check")
     p.add_argument("--a", default=None, help="comma-separated terms")
     p.add_argument("--k", type=_AT_LEAST_ONE, default=None)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_AT_LEAST_ONE, default=100)
 
     p = command("sweep", cmd_sweep, "group cap out format", "rho vs n curve for a constant sequence")
     p.add_argument("--element", required=True, help="inline element spec (JSON)")

@@ -14,8 +14,22 @@ from math import gcd
 from .errors import MixedVariants, NotInvertible, PowerCapExceeded
 
 
+_ORDER_CAP = 10**7  # products `_power_order` may take before PowerCapExceeded
+
+
 def _byte_width(max_value: int) -> int:
     return max(1, (max_value.bit_length() + 7) // 8)
+
+
+def _power_order(g: MatrixElement | TableElement) -> int:
+    """Smallest k >= 1 with g^k = identity, by repeated multiplication by g."""
+    k, cur = 1, g
+    while not cur.is_identity():
+        cur = cur.mul(g)
+        k += 1
+        if k > _ORDER_CAP:
+            raise PowerCapExceeded("order loop exceeded cap")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +156,8 @@ class MatrixElement:
             for j in range(m)
         )
 
-    def order(self, cap: int = 10**7) -> int:
-        k, cur = 1, self
-        while not cur.is_identity():
-            cur = cur.mul(self)
-            k += 1
-            if k > cap:
-                raise PowerCapExceeded("order loop exceeded cap")
-        return k
+    def order(self) -> int:
+        return _power_order(self)
 
     def encode(self) -> bytes:
         w = _byte_width(self.p - 1)
@@ -209,7 +217,7 @@ class PermutationElement:
     def is_identity(self) -> bool:
         return all(i == img for i, img in enumerate(self.images))
 
-    def order(self, cap: int = 10**7) -> int:
+    def order(self) -> int:
         seen = [False] * self.degree
         k = 1
         for start in range(self.degree):
@@ -308,14 +316,8 @@ class TableElement:
     def is_identity(self) -> bool:
         return self.index == self.table.identity_index
 
-    def order(self, cap: int = 10**7) -> int:
-        k, cur = 1, self.index
-        while cur != self.table.identity_index:
-            cur = self.table.mul(cur, self.index)
-            k += 1
-            if k > cap:
-                raise PowerCapExceeded("order loop exceeded cap")
-        return k
+    def order(self) -> int:
+        return _power_order(self)
 
     def encode(self) -> bytes:
         return self.index.to_bytes(4, "big")

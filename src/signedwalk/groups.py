@@ -349,15 +349,11 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 
 def element_order(G: FiniteGroup, g: GroupElement | int) -> int:
-    """Smallest k >= 1 with g^k = identity."""
-    i = g if isinstance(g, int) else G.index_of(g)
-    if not (0 <= i < G.order):
-        raise NotInGroup(f"index {i} out of range")
-    k, cur = 1, i
-    while cur != 0:
-        cur = G.mul(cur, i)
-        k += 1
-    return k
+    """Smallest k >= 1 with g^k = identity, for an index or a member of G."""
+    if isinstance(g, int):
+        return G.element(g).order()
+    G.index_of(g)  # NotInGroup unless g is a member
+    return g.order()
 
 
 @dataclass(frozen=True)

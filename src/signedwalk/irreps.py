@@ -104,8 +104,9 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return (X + X.conj().T) / 2.0
 
-    def split(V: np.ndarray, depth: int) -> list[np.ndarray]:
-        """Split span(V) (orthonormal columns, invariant) into irreducible pieces."""
+    def split(V: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Split span(V) (orthonormal columns, invariant) into irreducible pieces,
+        each with its character on the classes."""
         d = V.shape[1]
         chi = np.empty(cc.count, dtype=np.complex128)
         for k, rep in enumerate(cc.representatives):
@@ -114,7 +115,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         if abs(norm.imag) > tol or abs(norm.real - round(norm.real)) > tol:
             raise SplitFailure("character self-inner-product is not close to an integer")
         if round(norm.real) == 1:
-            return [V]
+            return [(V, chi)]
         if depth > 256:
             raise SplitFailure("splitting recursion exceeded depth budget")
         for attempt in range(_MAX_RETRIES):
@@ -123,7 +124,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
             evals, evecs = np.linalg.eigh(acc)
             clusters = _cluster(evals)
             if len(clusters) > 1:
-                out: list[np.ndarray] = []
+                out: list[tuple[np.ndarray, np.ndarray]] = []
                 for sel in clusters:
                     out.extend(split(_orthonormal(V @ evecs[:, sel]), depth + 1))
                 return out
@@ -136,7 +137,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         evals, evecs = np.linalg.eigh(Ht)
         clusters = _cluster(evals)
         try:
-            blocks: list[np.ndarray] = []
+            blocks: list[tuple[np.ndarray, np.ndarray]] = []
             for sel in clusters:
                 blocks.extend(split(_orthonormal(evecs[:, sel]), 0))
             break
@@ -144,12 +145,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
             if attempt == _MAX_RETRIES - 1:
                 raise
     # group blocks into isomorphism classes by character inner products
-    chars = []
-    for V in blocks:
-        chi = np.empty(cc.count, dtype=np.complex128)
-        for k, rep in enumerate(cc.representatives):
-            chi[k] = np.einsum("aj,aj->", V.conj(), V[left_inv_rows[rep]])
-        chars.append(chi)
+    chars = [chi for _, chi in blocks]
     reps_of_class: list[int] = []
     members_count: list[int] = []
     assigned = [-1] * len(blocks)
@@ -170,7 +166,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
 
     irreps: list[UnitaryIrrep] = []
     for ci, b in enumerate(reps_of_class):
-        V = blocks[b]
+        V = blocks[b][0]
         d = V.shape[1]
         if members_count[ci] != d:
             raise SplitFailure(

@@ -31,20 +31,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
     return prod.astype(np.int64)
 
 
-def nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
-    """Basis of the right kernel as columns of an (n x k) array."""
-    m, n = a.shape
-    M = a.copy().astype(np.int64) % ell
+def _row_reduce(M: np.ndarray, ncols: int, ell: int) -> list[int]:
+    """Gauss-Jordan elimination of M (reduced mod ell) in place over its first
+    ncols columns; returns the pivot columns, pivot r sitting in row r."""
+    m = M.shape[0]
     pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if M[r, col]:
-                piv = r
-                break
-        if piv is None:
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        nz = np.flatnonzero(M[row:, col])
+        if nz.size == 0:
             continue
+        piv = row + int(nz[0])
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
         M[row] = M[row] * inv_mod(int(M[row, col]), ell) % ell
@@ -52,9 +51,14 @@ def nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
             if r != row and M[r, col]:
                 M[r] = (M[r] - M[r, col] * M[row]) % ell
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
+    return pivots
+
+
+def nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
+    """Basis of the right kernel as columns of an (n x k) array."""
+    n = a.shape[1]
+    M = a.copy().astype(np.int64) % ell
+    pivots = _row_reduce(M, n, ell)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((n, len(free)), dtype=np.int64)
     for j, fc in enumerate(free):
@@ -66,24 +70,10 @@ def nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
 
 def solve_in_span(W: np.ndarray, X: np.ndarray, ell: int) -> np.ndarray:
     """Solve W @ A = X (mod ell) for A, with W of full column rank."""
-    N, d = W.shape
+    d = W.shape[1]
     aug = np.concatenate([W, X], axis=1).astype(np.int64) % ell
-    row = 0
-    for col in range(d):
-        piv = None
-        for r in range(row, N):
-            if aug[r, col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("basis matrix is column-rank deficient")
-        if piv != row:
-            aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = aug[row] * inv_mod(int(aug[row, col]), ell) % ell
-        for r in range(N):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % ell
-        row += 1
+    if len(_row_reduce(aug, d, ell)) < d:
+        raise ValueError("basis matrix is column-rank deficient")
     if np.any(aug[d:, d:]):
         raise ValueError("right-hand side leaves the span")
     return aug[:d, d:]
@@ -194,20 +184,14 @@ def poly_pow_mod(base: np.ndarray, e: int, mod: np.ndarray, ell: int) -> np.ndar
     return result
 
 
-def poly_eval(a: np.ndarray, x: int, ell: int) -> int:
-    acc = 0
-    for c in reversed(poly_trim(a)):
-        acc = (acc * x + int(c)) % ell
-    return acc
-
-
 def roots_mod(f: np.ndarray, ell: int) -> list[int]:
-    """Distinct roots of f in F_ell, sorted ascending."""
+    """Distinct roots of f in F_ell, ell an odd prime, sorted ascending:
+    gcd(f, x^ell - x), split by Cantor-Zassenhaus with shifts x + 0, 1, ..."""
+    if ell == 2:
+        raise ValueError("roots_mod needs an odd prime")
     f = poly_trim(np.asarray(f, dtype=np.int64) % ell)
     if poly_deg(f) < 1:
         return []
-    if ell <= 4096:
-        return [x for x in range(ell) if poly_eval(f, x, ell) == 0]
     x_poly = np.array([0, 1], dtype=np.int64)
     xq = poly_pow_mod(x_poly, ell, f, ell)
     diff = xq.copy()

@@ -70,7 +70,9 @@ class SignedSequence:
         return len(self.elements)
 
     def orders(self) -> tuple[int, ...]:
-        return tuple(e.order() for e in self.elements)
+        """Order of each entry, computed once per distinct entry."""
+        by_entry = {e: e.order() for e in dict.fromkeys(self.elements)}
+        return tuple(by_entry[e] for e in self.elements)
 
     @property
     def min_order(self) -> int:

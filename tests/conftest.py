@@ -20,7 +20,7 @@ from signedwalk.elements import (
     _inv_entries,
 )
 from signedwalk.errors import NotInGroup
-from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators, element_order
+from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators
 from signedwalk.irreps import decompose_regular
 from signedwalk.walk import ExactDistribution, SignedSequence
 
@@ -343,13 +343,35 @@ def naive_class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -
     return M % ell
 
 
+def naive_element_order(G: FiniteGroup, i: int) -> int:
+    """Smallest k >= 1 with g_i^k = identity, by a scalar `G.mul` power walk."""
+    k, cur = 1, i
+    while cur != 0:
+        cur = G.mul(cur, i)
+        k += 1
+    return k
+
+
+def brute_force_roots(f, ell: int) -> list[int]:
+    """Roots of f in F_ell, by Horner evaluation at every residue."""
+    coeffs = [int(c) for c in reversed(f)]
+
+    def value(x: int) -> int:
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % ell
+        return acc
+
+    return [x for x in range(ell) if value(x) == 0]
+
+
 def naive_class_powers(G: FiniteGroup, cc: ConjugacyClasses):
     """(orders, central orders, power classes per class) from scalar `G.mul` loops:
-    `element_order`, the power-class loop and the central-order while-loop."""
+    `naive_element_order`, the power-class loop and the central-order while-loop."""
     singleton = [size == 1 for size in cc.sizes]
     orders, central, powers = [], [], []
     for g in cc.representatives:
-        k = element_order(G, g)
+        k = naive_element_order(G, g)
         out, cur = [0], g
         for _ in range(k - 1):
             out.append(int(cc.class_of[cur]))

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from signedwalk import catalog, chartable, embed, primes
+from signedwalk import catalog, chartable, elements, embed, primes
 from signedwalk.cli import main
-from signedwalk.elements import MatrixElement, PermutationElement, TableElement
+from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.errors import ConsistencyFailure
 
 from conftest import naive_class_powers
@@ -349,7 +349,7 @@ def test_repeat_below_one_is_an_input_error_on_both_paths(specs, capsys, tmp_pat
 
 def test_matrix_order_cap_exits_3(specs, capsys, tmp_path, monkeypatch):
     # the walk bounds need every element order; a budget of 2 products stops at order 5
-    monkeypatch.setattr(MatrixElement.order, "__defaults__", (2,))
+    monkeypatch.setattr(elements, "_ORDER_CAP", 2)
     seq = tmp_path / "inline_seq.json"
     seq.write_text(json.dumps({"elements": [[[1, 1], [0, 1]]]}))
     argv = ["rho", "--group", specs["sl2_5"], "--seq", str(seq), "--cap", "10", "--samples", "100"]
@@ -359,7 +359,7 @@ def test_matrix_order_cap_exits_3(specs, capsys, tmp_path, monkeypatch):
 
 
 def test_table_order_cap_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(TableElement.order, "__defaults__", (1,))
+    monkeypatch.setattr(elements, "_ORDER_CAP", 1)
     group = tmp_path / "z6.json"
     group.write_text(
         json.dumps(
@@ -587,9 +587,10 @@ def test_flags_a_command_does_not_read_are_rejected(specs, capsys, argv):
         ["svd-props", "--unitary-draws", "0"],
         ["sweep", "--group", "{s3}", "--element", "[1,0,2]", "--n-max", "0"],
         ["example2", "--k", "0"],
+        ["example2", "--n", "-1"],
     ],
     ids=["threads-0", "samples-0", "cap-0", "seed-negative", "seed-2**64", "tol-0", "count-0",
-         "alpha-over-0", "draws-negative", "unitary-draws-0", "n-max-0", "k-0"],
+         "alpha-over-0", "draws-negative", "unitary-draws-0", "n-max-0", "k-0", "n-negative"],
 )
 def test_out_of_range_values_are_rejected(specs, capsys, argv):
     err = run_rejected(capsys, *(arg.format(**specs) for arg in argv))

@@ -26,6 +26,7 @@ from conftest import (
     naive_close_matrix,
     naive_conjugacy_classes,
     naive_dense_table,
+    naive_element_order,
 )
 
 
@@ -90,6 +91,20 @@ def test_element_order_examples(bench_groups):
 def test_element_order_not_in_group(bench_groups):
     with pytest.raises(NotInGroup):
         element_order(bench_groups["s3"], PermutationElement((1, 0, 2, 3)))
+    with pytest.raises(NotInGroup):
+        element_order(bench_groups["s3"], 6)
+
+
+# every variant; SL2(49) (117,600 elements) would make the scalar walk take minutes
+@pytest.mark.parametrize(
+    "name", [*BENCH_NAMES, "trivial", "d6_reflections", "sl2_7", "z6", "s6", "s7"]
+)
+def test_element_order_matches_power_walk(request, bench_groups, name):
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    for i in range(G.order):
+        want = naive_element_order(G, i)
+        assert element_order(G, i) == want
+        assert element_order(G, G.element(i)) == want
 
 
 @settings(max_examples=30, deadline=None)

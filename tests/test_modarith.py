@@ -18,6 +18,8 @@ from signedwalk.modarith import (
     sqrt_mod,
 )
 
+from conftest import brute_force_roots
+
 
 def charpoly_exact_oracle(A: np.ndarray, ell: int) -> np.ndarray:
     """Faddeev-LeVerrier over exact rationals, reduced mod ell at the end."""
@@ -81,6 +83,26 @@ def test_roots_with_planted_values():
         for r in roots_true:
             f = np.convolve(f, np.array([(-r) % ell, 1])) % ell
         assert roots_mod(f, ell) == roots_true
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 151, 4093])
+def test_roots_match_brute_force(ell):
+    # planted roots (one doubled) times x^2 - v, v a non-residue
+    v = next(v for v in range(2, ell) if pow(v, (ell - 1) // 2, ell) == ell - 1)
+    rng = np.random.default_rng(ell)
+    for size in range(1, 7):
+        planted = sorted({int(r) for r in rng.integers(0, ell, size=size)})
+        f = np.array([(-v) % ell, 0, 1], dtype=np.int64)
+        for r in planted + planted[:1]:
+            f = np.convolve(f, np.array([(-r) % ell, 1])) % ell
+        assert roots_mod(f, ell) == brute_force_roots(f, ell) == planted
+    assert roots_mod(np.array([(-v) % ell, 0, 1]), ell) == []
+
+
+def test_roots_refuses_ell_2():
+    # x(x + 1) over F_2: the Cantor-Zassenhaus split needs an odd field size
+    with pytest.raises(ValueError, match="odd prime"):
+        roots_mod(np.array([0, 1, 1]), 2)
 
 
 def test_roots_with_irreducible_factor():

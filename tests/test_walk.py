@@ -33,6 +33,23 @@ def cyclic(k):
     return close_generators(catalog.cyclic_generators(k))
 
 
+def test_orders_computes_each_distinct_entry_once(monkeypatch):
+    calls = []
+    order = MatrixElement.order
+
+    def counted(self):
+        calls.append(self)
+        return order(self)
+
+    monkeypatch.setattr(MatrixElement, "order", counted)
+    # equal entries built separately still count as one
+    u, w = ([[1, 1], [0, 1]], [[0, 1], [4, 0]])
+    entries = [MatrixElement.from_rows(rows, 5) for rows in (u, w, u, u, w, u)]
+    seq = SignedSequence(tuple(entries))
+    assert seq.orders() == (5, 4, 5, 5, 4, 5)
+    assert sorted(e.entries for e in calls) == sorted(e.entries for e in entries[:2])
+
+
 def test_sequence_rejects_identity():
     G = cyclic(5)
     with pytest.raises(NotNonTrivial):
