@@ -163,16 +163,6 @@ class MatrixElement:
         w = _byte_width(self.p - 1)
         return b"".join(e.to_bytes(w, "big") for e in self.entries)
 
-    @classmethod
-    def decode(cls, data: bytes, p: int, m: int) -> "MatrixElement":
-        w = _byte_width(p - 1)
-        if len(data) != w * m * m:
-            raise ValueError("encoded length does not match matrix parameters")
-        entries = tuple(
-            int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(m * m)
-        )
-        return cls(p, m, entries)
-
 
 # ---------------------------------------------------------------------------
 # permutations of {0, ..., degree-1}
@@ -234,14 +224,6 @@ class PermutationElement:
     def encode(self) -> bytes:
         w = _byte_width(self.degree - 1) if self.degree > 1 else 1
         return b"".join(i.to_bytes(w, "big") for i in self.images)
-
-    @classmethod
-    def decode(cls, data: bytes, degree: int) -> "PermutationElement":
-        w = _byte_width(degree - 1) if degree > 1 else 1
-        images = tuple(
-            int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(degree)
-        )
-        return cls(images)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +303,6 @@ class TableElement:
 
     def encode(self) -> bytes:
         return self.index.to_bytes(4, "big")
-
-    @classmethod
-    def decode(cls, data: bytes, table: MulTable) -> "TableElement":
-        return cls(table, int.from_bytes(data, "big"))
 
 
 GroupElement = MatrixElement | PermutationElement | TableElement

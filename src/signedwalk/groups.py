@@ -7,35 +7,33 @@ compose two row arrays (matmul mod p, `take_along_axis`, or a lookup in the
 multiplication table), the big-endian byte encoder behind `encode()`, and a
 sortable key per row in `encode()` order.  The key is the base-p (matrices),
 base-degree (permutations) or plain (tables) int64 code of the row when every
-code fits below 2^63, and the `np.void` view of the encoded bytes otherwise.
-The closure, `index_of`, `mul_many`, `hex_encodings` and the Monte-Carlo walk
-all go through it, so no group method branches on the variant.
+code fits below 2^63, and the `np.void` view of the encoded bytes otherwise;
+either form decodes back to its row.  A group stores only the keys of its
+elements (in index order, and sorted for `searchsorted` lookups) and decodes
+rows on demand, so no group method branches on the variant.
 
 `close_generators` numbers the elements in breadth-first order (identity at
 index 0); within a BFS layer the new elements are sorted by key, so indices
 are reproducible across runs.  The multipliers (the generators and their
 inverses) are closed under inversion, so the Cayley graph is undirected and
 every product of layer k lies in layer k-1, k or k+1: each layer's products are
-tested against the keys of layers k-1 and k only.  Each layer computes just the
-keys of its products, rebuilds the rows of the new ones and carries their
-inverses along the tree as t^-1 * g^-1, so no inversion runs after closure.  A
-group holds one row array and its keys sorted for `searchsorted` lookups.
+tested against the keys of layers k-1 and k only.  A product's index is then
+its layer's start plus its position among that layer's sorted keys, so the
+same pass writes the generator tree: the right-multiplication columns of the
+multipliers and, for every h >= 1, the first product g * t that found h, with
+g < h its parent.  Each layer rebuilds the rows of its new elements from that
+product and carries their inverses along the tree as t^-1 * g^-1, so no
+inversion runs after closure.  A group never changes after construction.
 `mul_many` takes one right factor or an index array aligned with the left
 factors, so a batch of unrelated products (e.g. the next power of every class
 representative) is one call.
 
-The generator tree (`generator_tree`, built on first use and cached) holds
-the right-multiplication columns of the generators and their inverses and,
-for every h >= 1, a parent g < h and a multiplier t with h = g * t (the BFS
-numbering always provides one).  Only the generator columns are products the
-variant computes; each inverse column is the inverse permutation of its
-generator's column.  Everything else that needs whole-group arithmetic is
-index gathers along this tree: the column of any element (`right_column`: its
-tree word composed), the conjugacy classes (connected components of the
-conjugation permutations h -> t h t^-1, found by min-label hooking with
-pointer jumping) and, on demand for the regular representation, the dense
-multiplication table (`dense_table`: column h is column g gathered through the
-column of t).
+Everything else that needs whole-group arithmetic is index gathers along the
+tree: the column of any element (`right_column`: its tree word composed), the
+conjugacy classes (connected components of the conjugation permutations
+h -> t h t^-1, found by min-label hooking with pointer jumping) and, on demand
+for the regular representation, the dense multiplication table (`dense_table`:
+column h is column parent[h] gathered through the column of its multiplier).
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .elements import (
 from .errors import CapExceeded, NotInGroup, SizeCap
 
 DEFAULT_CLOSURE_CAP = 4_000_000
-_COLUMN_SLICE = 1 << 14  # products per `mul_many` call when tabulating a generator column
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +87,7 @@ class RowArith:
         byte_width = _byte_width(top)
         self.row_bytes = width * byte_width
         self._shifts = 8 * np.arange(byte_width - 1, -1, -1, dtype=np.int64)
-        self._powers = None
+        self._base, self._powers = base, None
         if base**width < 2**63:
             self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
         self.identity = self.rows([ident])
@@ -141,11 +138,33 @@ class RowArith:
             return self.byte_keys(rows)
         return rows @ self._powers
 
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The (len, width) int64 rows whose `keys` these are."""
+        if self._powers is None:
+            w = self._shifts.size
+            data = keys.view(np.uint8).reshape(len(keys), self.row_bytes // w, w)
+            return (data.astype(np.int64) << self._shifts).sum(axis=2)
+        return keys[:, None] // self._powers % self._base
+
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position of each key in the nonempty sorted_keys, whether it is there)."""
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
     return pos, sorted_keys[pos] == keys
+
+
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_index=True, return_inverse=True)` with an int32
+    inverse, computed from one stable argsort; the caller's `keys` is freed
+    early if it holds no other reference."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    head[1:] = keys[1:] != keys[:-1]  # np.void has no `not_equal` loop, only `!=`
+    inverse = np.empty(keys.size, dtype=np.int32)
+    inverse[order] = np.cumsum(head, dtype=np.int32) - 1
+    return keys[head], order[head], inverse
 
 
 @dataclass(frozen=True)
@@ -168,42 +187,42 @@ class GeneratorTree:
 class FiniteGroup:
     """Finite group enumerated from generators; all queries are index-based.
 
-    Element i is row `_rows[i]` of the group's `RowArith`.  Immutable after
-    construction, apart from the generator tree, cached on first use with a
-    value that does not depend on who fills it; safe to share across threads.
+    Element i has key `_keys[i]` under the group's `RowArith`; its row is
+    decoded from the key when needed.  Built complete by `close_generators`
+    (keys, inverses, generator indices and generator tree) and never changed
+    afterwards, so it is safe to share across threads.
     """
 
-    def __init__(self, arith: RowArith, rows: np.ndarray, keys: np.ndarray) -> None:
+    def __init__(self, arith: RowArith, keys, inv, tree: GeneratorTree, generator_rows) -> None:
         self._arith = arith
         self.variant, self.p, self.m, self.degree = arith.variant, arith.p, arith.m, arith.degree
-        self.order = len(rows)
-        self._rows = rows
+        self.order = len(keys)
+        self._keys = keys
         self._key_perm = np.argsort(keys)
         self._sorted_keys = keys[self._key_perm]
-        self.generator_indices: tuple[int, ...] = ()  # set by close_generators
-        self._inv: np.ndarray | None = None
-        self._tree: GeneratorTree | None = None
+        self._inv = inv
+        self.tree = tree
+        self.generator_indices = tuple(self._lookup(arith.keys(generator_rows)).tolist())
 
     def __len__(self) -> int:
         return self.order
 
     # -- element access ------------------------------------------------
 
+    def _decode(self, idxs) -> np.ndarray:
+        return self._arith.decode(self._keys[np.reshape(idxs, -1)])
+
     def element(self, i: int) -> GroupElement:
         if not (0 <= i < self.order):
             raise NotInGroup(f"index {i} out of range")
-        return self._arith.element(self._rows[i])
+        return self._arith.element(self._decode(i)[0])
 
     def index_of(self, g: GroupElement) -> int:
         return int(self._lookup(self._arith.keys(self._arith.rows([g])))[0])
 
-    def encoding(self, i: int) -> bytes:
-        return self.element(i).encode()
-
     def hex_encodings(self, idxs) -> list[str]:
-        """`encoding(i).hex()` for every i in idxs, without building elements."""
-        rows = self._rows[np.asarray(idxs, dtype=np.int64)]
-        data = self._arith.encode(rows).tobytes().hex()
+        """`element(i).encode().hex()` for every i in idxs, without building elements."""
+        data = self._arith.encode(self._decode(np.asarray(idxs, dtype=np.int64))).tobytes().hex()
         k = 2 * self._arith.row_bytes
         return [data[i : i + k] for i in range(0, len(data), k)]
 
@@ -225,13 +244,12 @@ class FiniteGroup:
         """Indices of g_i * g_j for all i in idxs; j is one index, or an index
         array aligned with idxs (one product per pair)."""
         arith = self._arith
-        rows = arith.compose(self._rows[idxs], self._rows[np.reshape(j, -1)])
-        return self._lookup(arith.keys(rows))
+        return self._lookup(arith.keys(arith.compose(self._decode(idxs), self._decode(j))))
 
     def right_column(self, x: int) -> np.ndarray:
         """Column h -> index(g_h * g_x): the multiplier columns composed along
         the tree path from the identity to x, one gather per edge."""
-        tree = self.generator_tree()
+        tree = self.tree
         path = []
         while x:
             path.append(int(tree.via[x]))
@@ -241,46 +259,11 @@ class FiniteGroup:
             col = tree.cols[k][col]
         return col
 
-    # -- construction helpers ---------------------------------------------
-
-    def generator_tree(self) -> GeneratorTree:
-        """The cached generator tree (see the module docstring), built on first use.
-
-        Costs one product per element and distinct generator, taken
-        `_COLUMN_SLICE` elements per `mul_many`; each inverse column is its
-        generator's column inverted by one scatter.  For h >= 1 the parent is
-        the smallest h * t^-1 over the multipliers t, which lies in the
-        previous BFS layer, so parent[h] < h.
-        """
-        if self._tree is not None:
-            return self._tree
-        n = self.order
-        idxs = np.arange(n)
-        gens = list(dict.fromkeys(self.generator_indices))
-        mults = tuple(dict.fromkeys(gens + [int(self._inv[t]) for t in gens]))
-        pos = {t: k for k, t in enumerate(mults)}
-        inverse_of = np.array([pos[int(self._inv[t])] for t in mults], dtype=np.int64)
-        cols = np.empty((len(mults), n), dtype=np.int32)
-        for k, t in enumerate(mults):
-            if k < len(gens):  # sliced, so no product temporary spans the group
-                for s in range(0, n, _COLUMN_SLICE):
-                    cols[k, s : s + _COLUMN_SLICE] = self.mul_many(idxs[s : s + _COLUMN_SLICE], t)
-            else:  # t is the inverse of the generator at inverse_of[k]
-                cols[k, cols[inverse_of[k]]] = idxs
-        # the multipliers are closed under inversion, so cols[k, h] = h * t_k
-        # runs over every candidate parent h * t^-1, and t = t_k^-1
-        best = np.argmin(cols, axis=0)
-        parent = cols[best, idxs].astype(np.int64)
-        assert np.all(parent[1:] < idxs[1:]), "indices are not in BFS order"
-        self._tree = GeneratorTree(mults, cols, inverse_of[best], parent)
-        return self._tree
-
     def dense_table(self) -> np.ndarray:
         """The (|G|, |G|) int32 table[i, j] = index(g_i * g_j), filled column by
         column along the generator tree: column h is column parent[h] gathered
         through the column of its multiplier."""
-        n = self.order
-        tree = self.generator_tree()
+        n, tree = self.order, self.tree
         table = np.empty((n, n), dtype=np.int32)
         table[:, 0] = np.arange(n)
         for h in range(1, n):
@@ -312,35 +295,46 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     mults = both[keep]
     mult_invs = np.concatenate([gen_inv_rows, gen_rows])[keep]
 
-    # Each layer computes only the keys of its products; the new rows (sorted
-    # by key, so by canonical encoding) are then rebuilt as frontier * t, and
-    # their inverses carried along the tree as t^-1 * g^-1.  Layer 0 stands in
-    # for its own missing predecessor.
+    # Layer k holds indices [start, start + F).  Each of its unique product
+    # keys is numbered by its layer start plus its position in the sorted keys
+    # of layer k-1, k or (new) k+1, and each product by its unique key.  Layer
+    # 0 stands in for its own missing predecessor.
     frontier = frontier_inv = arith.identity
-    levels, inv_keys = [frontier], [arith.keys(frontier_inv)]
     layer_keys = [arith.keys(frontier)]
-    prev, total = layer_keys[0], 1
+    zero = np.zeros(1, dtype=np.int64)
+    cols, inv, via, parent = [], [zero], [zero], [zero]
+    prev, prev_start, start = layer_keys[0], 0, 0
     while len(frontier):
         F = len(frontier)
-        keys = np.concatenate([arith.keys(arith.compose(frontier, t[None])) for t in mults])
-        uniq, first = np.unique(keys, return_index=True)
-        fresh = ~(_find(prev, uniq)[1] | _find(layer_keys[-1], uniq)[1])
+        uniq, first, slot = _unique(
+            np.concatenate([arith.keys(arith.compose(frontier, t[None])) for t in mults])
+        )
+        pos_prev, in_prev = _find(prev, uniq)
+        pos_cur, in_cur = _find(layer_keys[-1], uniq)
+        fresh = ~(in_prev | in_cur)
         pick = first[fresh]
-        total += pick.size
-        if total > cap:
+        if start + F + pick.size > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
+        index = np.where(in_cur, start + pos_cur, prev_start + pos_prev).astype(np.int32)
+        index[fresh] = np.arange(start + F, start + F + pick.size)
+        cols.append(index[slot].reshape(len(mults), F))
         g, t = pick % F, pick // F
+        parent.append(start + g)
+        via.append(t)
         frontier = arith.compose(frontier[g], mults[t])
         frontier_inv = arith.compose(mult_invs[t], frontier_inv[g])
-        levels.append(frontier)
-        inv_keys.append(arith.keys(frontier_inv))
-        prev = layer_keys[-1]
+        prev, prev_start, start = layer_keys[-1], start, start + F
         layer_keys.append(uniq[fresh])
+        pos, found = _find(layer_keys[-1], arith.keys(frontier_inv))
+        if not np.all(found):  # in a group, an element and its inverse share a layer
+            raise NotInGroup("generators do not close to a group: an inverse left its layer")
+        inv.append(start + pos)
 
-    G = FiniteGroup(arith, np.concatenate(levels), np.concatenate(layer_keys))
-    G._inv = G._lookup(np.concatenate(inv_keys))
-    G.generator_indices = tuple(G._lookup(arith.keys(gen_rows)).tolist())
-    return G
+    cols = np.concatenate(cols, axis=1)
+    tree = GeneratorTree(
+        tuple(cols[:, 0].tolist()), cols, np.concatenate(via), np.concatenate(parent)
+    )
+    return FiniteGroup(arith, np.concatenate(layer_keys), np.concatenate(inv), tree, gen_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     follow the representatives in increasing order.
     """
     inv = G._inv
-    perms = [inv[R[inv[R]]] for R in G.generator_tree().cols]
+    perms = [inv[R[inv[R]]] for R in G.tree.cols]
     lab = np.arange(G.order)
     while True:
         before = lab.copy()

@@ -17,6 +17,7 @@ from signedwalk.elements import (
     MulTable,
     PermutationElement,
     TableElement,
+    _byte_width,
     _inv_entries,
 )
 from signedwalk.errors import NotInGroup
@@ -300,6 +301,34 @@ def element_rows(elements) -> np.ndarray:
         for e in elements
     ]
     return np.array(rows, dtype=np.int64)
+
+
+def group_rows(G: FiniteGroup) -> np.ndarray:
+    """Every element's row, in index order, decoded from the group's keys."""
+    return G._arith.decode(G._keys)
+
+
+def decode_matrix(data: bytes, p: int, m: int) -> MatrixElement:
+    """The matrix mod p whose `encode()` is data: m*m big-endian entries."""
+    w = _byte_width(p - 1)
+    if len(data) != w * m * m:
+        raise ValueError("encoded length does not match matrix parameters")
+    return MatrixElement(
+        p, m, tuple(int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(m * m))
+    )
+
+
+def decode_permutation(data: bytes, degree: int) -> PermutationElement:
+    """The permutation whose `encode()` is data: `degree` big-endian images."""
+    w = _byte_width(degree - 1) if degree > 1 else 1
+    return PermutationElement(
+        tuple(int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(degree))
+    )
+
+
+def decode_table(data: bytes, table: MulTable) -> TableElement:
+    """The table element whose `encode()` is data: one 4-byte big-endian index."""
+    return TableElement(table, int.from_bytes(data, "big"))
 
 
 def naive_conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:

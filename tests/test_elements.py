@@ -12,11 +12,13 @@ from signedwalk.elements import (
 )
 from signedwalk.errors import MixedVariants, NotInvertible
 
+from conftest import decode_matrix, decode_permutation, decode_table
+
 
 def test_matrix_roundtrip_and_reduction():
     g = MatrixElement.from_rows([[1, -1], [0, 1]], 5)
     assert g.entries == (1, 4, 0, 1)
-    assert MatrixElement.decode(g.encode(), 5, 2) == g
+    assert decode_matrix(g.encode(), 5, 2) == g
 
 
 def test_matrix_singular_rejected():
@@ -66,7 +68,7 @@ def test_mixed_variants_rejected():
 @given(st.permutations(list(range(6))))
 def test_permutation_roundtrip_and_inverse(images):
     g = PermutationElement(tuple(images))
-    assert PermutationElement.decode(g.encode(), 6) == g
+    assert decode_permutation(g.encode(), 6) == g
     assert g.mul(g.inv()).is_identity()
     # order computed by cycle type equals order by iteration
     k, cur = 1, g
@@ -90,7 +92,7 @@ def test_table_identity_and_inverse():
     g = TableElement(t, 1)
     assert g.order() == 4
     assert g.mul(g.inv()).is_identity()
-    assert TableElement.decode(g.encode(), t) == g
+    assert decode_table(g.encode(), t) == g
 
 
 def test_table_rejects_non_latin():

@@ -23,9 +23,9 @@ def test_zero_outside_generated_subgroup(bench_groups, bench_irreps):
     rot = PermutationElement((1, 2, 3, 0))
     seq = SignedSequence.constant(G.element(G.index_of(rot)), 5)
     sub = close_generators([rot])
-    sub_encodings = {sub.encoding(i) for i in range(sub.order)}
+    sub_encodings = {sub.element(i).encode() for i in range(sub.order)}
     outside = next(
-        b for b in range(G.order) if G.encoding(b) not in sub_encodings
+        b for b in range(G.order) if G.element(b).encode() not in sub_encodings
     )
     p = fourier_distribution(G, bench_irreps["s4"], seq)[outside]
     assert abs(p) <= 1e-9

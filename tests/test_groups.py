@@ -10,6 +10,9 @@ from signedwalk import catalog
 from signedwalk.elements import MatrixElement, MulTable, PermutationElement, TableElement
 from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup, SizeCap
 from signedwalk.groups import (
+    GeneratorTree,
+    RowArith,
+    _unique,
     center_and_centralizer,
     close_generators,
     conjugacy_classes,
@@ -22,6 +25,7 @@ from conftest import (
     BENCH_NAMES,
     CLASS_CASES,
     element_rows,
+    group_rows,
     naive_close_generic,
     naive_close_matrix,
     naive_conjugacy_classes,
@@ -202,8 +206,8 @@ def test_unknown_spec_kind():
 def test_bfs_ordering_deterministic():
     a = close_generators(catalog.sl2_generators(5))
     b = close_generators(catalog.sl2_generators(5))
-    assert [a.encoding(i) for i in range(a.order)] == [
-        b.encoding(i) for i in range(b.order)
+    assert [a.element(i).encode() for i in range(a.order)] == [
+        b.element(i).encode() for i in range(b.order)
     ]
 
 
@@ -228,11 +232,11 @@ def test_hex_encodings_match_encoding(bench_groups):
         unipotent_257,  # entries up to 256: two bytes each
     ]
     for G in groups:
-        expected = [G.encoding(i).hex() for i in range(G.order)]
+        expected = [G.element(i).encode().hex() for i in range(G.order)]
         assert G.hex_encodings(range(G.order)) == expected
         assert G.hex_encodings([3, 0, 3]) == [expected[3], expected[0], expected[3]]
         assert G.hex_encodings(()) == []
-    assert len(unipotent_257.encoding(0)) == 8
+    assert len(unipotent_257.element(0).encode()) == 8
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8", "sl2_5"])
@@ -319,7 +323,7 @@ def test_matrix_closure_matches_naive_bfs(name):
     G = close_generators(gens)
     mats, inv = naive_close_matrix(gens)
     assert G.order == order
-    assert np.array_equal(G._rows.reshape(mats.shape), mats)
+    assert np.array_equal(group_rows(G).reshape(mats.shape), mats)
     assert np.array_equal(G._inv, inv)
 
 
@@ -327,7 +331,7 @@ def test_matrix_closure_matches_naive_bfs_on_benchmark_sl2_49(sl2_49_seed11_gene
     G = close_generators(sl2_49_seed11_generators)
     mats, inv = naive_close_matrix(sl2_49_seed11_generators)
     assert G.order == 117600
-    assert np.array_equal(G._rows.reshape(mats.shape), mats)
+    assert np.array_equal(group_rows(G).reshape(mats.shape), mats)
     assert np.array_equal(G._inv, inv)
 
 
@@ -353,24 +357,6 @@ def test_conjugacy_classes_of_a_long_conjugation_cycle():
     assert np.array_equal(cc.class_of, naive.class_of)
     assert cc.representatives == naive.representatives and cc.sizes == naive.sizes
     assert sorted(cc.sizes) == [1] + [2] * ((p - 1) // 2) + [p]
-
-
-@pytest.mark.parametrize("name", CLASS_CASES)
-def test_generator_tree_composes_to_columns(class_case, name):
-    G, _ = class_case(name)
-    tree = G.generator_tree()
-    n = G.order
-    idxs = np.arange(n)
-    gens = set(G.generator_indices)
-    assert set(tree.mults) == gens | {G.inv(t) for t in gens}
-    assert tree.cols.dtype == np.int32
-    for k, t in enumerate(tree.mults):
-        assert np.array_equal(tree.cols[k], G.mul_many(idxs, t))
-    assert np.all(tree.parent[1:] < idxs[1:])
-    assert np.array_equal(tree.cols[tree.via[1:], tree.parent[1:]], idxs[1:])
-    rng = np.random.default_rng(11)
-    for x in [0, n - 1] + rng.integers(0, n, size=6).tolist():
-        assert np.array_equal(G.right_column(x), G.mul_many(idxs, x))
 
 
 def _dihedral_2503():
@@ -436,9 +422,81 @@ def test_closure_matches_naive_generic_bfs(name):
     elements, inv = naive_close_generic(gens)
     assert G.order == order
     assert (G._sorted_keys.dtype.kind == "V") == byte_keys
-    assert np.array_equal(G._rows, element_rows(elements))
+    assert np.array_equal(group_rows(G), element_rows(elements))
     assert np.array_equal(G._inv, inv)
     assert G.generator_indices == tuple(elements.index(g) for g in gens)
+
+
+@pytest.mark.parametrize("name", CLASS_CASES + sorted(GENERIC_CLOSURE_CASES))
+def test_generator_tree_composes_to_columns(class_case, name):
+    if name in GENERIC_CLOSURE_CASES:
+        G = close_generators(GENERIC_CLOSURE_CASES[name][1]())
+    else:
+        G, _ = class_case(name)
+    tree = G.tree
+    n = G.order
+    idxs = np.arange(n)
+    gens = set(G.generator_indices)
+    assert set(tree.mults) == gens | {G.inv(t) for t in gens}
+    assert tree.cols.dtype == np.int32
+    for k, t in enumerate(tree.mults):
+        assert np.array_equal(tree.cols[k], G.mul_many(idxs, t))
+    assert np.all(tree.parent[1:] < idxs[1:])
+    assert np.array_equal(tree.cols[tree.via[1:], tree.parent[1:]], idxs[1:])
+    rng = np.random.default_rng(11)
+    for x in [0, n - 1] + rng.integers(0, n, size=6).tolist():
+        assert np.array_equal(G.right_column(x), G.mul_many(idxs, x))
+
+
+# name -> (generators, keys are encoded bytes)
+KEY_FORM_CASES = {
+    "matrix": (lambda: catalog.sl2_generators(7), False),
+    "wide_matrix": (lambda: [_wide_minus_identity(), _permutation_matrix([1, 0, 2, 3], 17)], True),
+    "perm": (_s8, False),
+    "wide_perm": (_dihedral_degree_300, True),
+    "table": (_s4_table, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_FORM_CASES))
+def test_row_arith_decode_inverts_keys(name):
+    make_generators, byte_keys = KEY_FORM_CASES[name]
+    gens = make_generators()
+    arith = RowArith(gens[0])
+    rows = element_rows(naive_close_generic(gens)[0])
+    keys = arith.keys(rows)
+    assert (keys.dtype.kind == "V") == byte_keys
+    decoded = arith.decode(keys)
+    assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, rows)
+    assert np.array_equal(arith.decode(keys[:0]), rows[:0])
+
+
+@pytest.mark.parametrize("name", ["matrix", "wide_perm"])
+def test_unique_matches_numpy(name):
+    gens = KEY_FORM_CASES[name][0]()
+    arith = RowArith(gens[0])
+    rows = element_rows(naive_close_generic(gens)[0])
+    keys = arith.keys(rows[np.random.default_rng(2).integers(0, len(rows), size=3 * len(rows))])
+    uniq, first, inverse = _unique(keys)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    assert np.array_equal(uniq, want[0]) and np.array_equal(first, want[1])
+    assert inverse.dtype == np.int32 and np.array_equal(inverse, want[2])
+
+
+def test_closure_returns_a_complete_group(s7):
+    G = close_generators(s7.element(i) for i in s7.generator_indices)
+    assert G.generator_indices == s7.generator_indices
+    assert isinstance(G.tree, GeneratorTree) and G.tree.cols.shape[1] == G.order
+    assert G._inv.shape == (G.order,)
+    assert np.array_equal(G.mul_many(np.arange(G.order), G._inv), np.zeros(G.order))
+    state = dict(vars(G))
+    G.right_column(G.order - 1)
+    G.mul_many(np.arange(10), 3)
+    G.hex_encodings([0, 1])
+    conjugacy_classes(G)
+    assert vars(G).keys() == state.keys()
+    assert all(vars(G)[key] is value for key, value in state.items())
 
 
 # every fixture group but the seed-11 SL2(49), whose element-by-element BFS
@@ -452,7 +510,7 @@ FIXTURE_CLOSURE_CASES = [
 def test_fixture_closure_matches_naive_generic_bfs(request, bench_groups, name):
     G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
     elements, inv = naive_close_generic([G.element(i) for i in G.generator_indices])
-    assert np.array_equal(G._rows, element_rows(elements))
+    assert np.array_equal(group_rows(G), element_rows(elements))
     assert np.array_equal(G._inv, inv)
 
 
@@ -469,6 +527,17 @@ def test_small_group_of_wide_matrices_closes():
         MatrixElement.identity(17, 4).encode().hex(), minus.encode().hex()
     ]
     assert G.index_of(minus) == 1 and G.inv(1) == 1
+
+
+def test_closure_refuses_a_non_associative_table():
+    # a latin square with identity 0 that is not associative (a loop of order 5):
+    # its BFS layers never close, so without the inverse check the closure runs
+    # on until the element cap
+    loop = MulTable(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    )
+    with pytest.raises(NotInGroup, match="do not close to a group"):
+        close_generators([TableElement(loop, 1), TableElement(loop, 2)])
 
 
 def _s4_table_without_transpositions():

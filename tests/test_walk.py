@@ -167,10 +167,10 @@ def test_support_inside_generated_subgroup(bench_groups):
     four_cycle = PermutationElement((1, 2, 3, 0))
     seq = SignedSequence.constant(G.element(G.index_of(four_cycle)), 6)
     sub = close_generators([four_cycle])
-    sub_encodings = {sub.encoding(i) for i in range(sub.order)}
+    sub_encodings = {sub.element(i).encode() for i in range(sub.order)}
     d = exact_distribution(G, seq)
     for i in d.support():
-        assert G.encoding(i) in sub_encodings
+        assert G.element(i).encode() in sub_encodings
 
 
 def test_reversal_symmetry(bench_groups):
