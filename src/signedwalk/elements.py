@@ -143,7 +143,15 @@ class MatrixElement:
                     kb = k * m
                     for j in range(m):
                         out[base + j] += aik * b[kb + j]
-        return MatrixElement(p, m, tuple(x % p for x in out))
+        return MatrixElement._product(p, m, tuple(x % p for x in out))
+
+    @classmethod
+    def _product(cls, p: int, m: int, entries: tuple[int, ...]) -> "MatrixElement":
+        """The reduced product of two valid matrices, built without `__post_init__`:
+        it is invertible with entries in [0, p) already, so nothing is checked."""
+        g = object.__new__(cls)
+        g.__dict__.update(p=p, m=m, entries=entries)
+        return g
 
     def inv(self) -> "MatrixElement":
         return MatrixElement(self.p, self.m, _inv_entries(self.entries, self.m, self.p))

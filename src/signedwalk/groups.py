@@ -1,16 +1,24 @@
 """Enumerated finite groups with index-based multiplication.
 
-Every element is one row of small non-negative ints: the row-major entries of
-a matrix mod p, the image list of a permutation, or the one-entry index of a
-table element.  A `RowArith` holds all that depends on the family: how to
-compose two row arrays (matmul mod p, `take_along_axis`, or a lookup in the
-multiplication table), the big-endian byte encoder behind `encode()`, and a
-sortable key per row in `encode()` order.  The key is the base-p (matrices),
-base-degree (permutations) or plain (tables) int64 code of the row when every
-code fits below 2^63, and the `np.void` view of the encoded bytes otherwise;
-either form decodes back to its row.  A group stores only the keys of its
-elements (in index order, and sorted for `searchsorted` lookups) and decodes
-rows on demand, so no group method branches on the variant.
+Every element is one row of small non-negative ints: a permutation's images, a
+table element's index, or an m x m matrix's m row codes (row i of the matrix
+read base p, in [0, p^m)).  A `RowArith` holds all that depends on the family:
+the product of aligned rows (matmul mod p, `take_along_axis`, or a table
+lookup), the product by fixed right factors (`right_mul`: a row code times a
+fixed matrix is a row code, so one gather through a p^m-entry table per
+factor), the byte encoder behind `encode()`, and a sortable key per row in
+`encode()` order.  Rows are row codes only for p^m <= ROW_TABLE_BOUND = 2^20
+(above it a row is the m*m entries).  The k * p^m table entries of k factors
+are built only when they fit that bound (4 MB) and the caller will ask for at
+least as many row products, since a table entry costs about a tenth of one
+composed row; other products compose on entries (`right_mul` decodes its rows
+once per call, however many factors it multiplies in turn).  The key is the
+int64 code of the row (for row codes, the same number as the base-p code of
+the entries) when every key fits below 2^63, else the `np.void` view of the
+row's values as big-endian unsigned ints; either decodes back to its row.
+A group stores only the keys of its elements (in index order, and sorted for
+`searchsorted` lookups) and decodes rows on demand, so no group method
+branches on the variant.
 
 `close_generators` numbers the elements in breadth-first order (identity at
 index 0); within a BFS layer the new elements are sorted by key, so indices
@@ -55,6 +63,7 @@ from .elements import (
 from .errors import CapExceeded, NotInGroup, SizeCap
 
 DEFAULT_CLOSURE_CAP = 4_000_000
+ROW_TABLE_BOUND = 2**20  # most row codes p^m, and most entries of one product table
 
 
 # ---------------------------------------------------------------------------
@@ -63,33 +72,40 @@ DEFAULT_CLOSURE_CAP = 4_000_000
 
 
 class RowArith:
-    """Rows, products, encodings and sort keys for the family of `template`."""
+    """Rows, products, encodings and sort keys for the family of `template`;
+    matrix rows are row codes while p^m <= ROW_TABLE_BOUND (module docstring)."""
 
     def __init__(self, template: GroupElement) -> None:
         self.family = template.family
         self.p = self.m = self.degree = self.table = None
+        self._digits = None  # p^(m-1), ..., p, 1 when matrix rows are row codes
         if isinstance(template, MatrixElement):
             p, m = template.p, template.m
             if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
                 raise SizeCap(f"products of {m}x{m} matrices mod p={p} overflow int64")
             self.variant, self.p, self.m = "matrix_mod_p", p, m
-            base, width, top = p, m * m, p - 1
+            base, width, entries, top = p, m * m, m * m, p - 1
+            if p**m <= ROW_TABLE_BOUND:
+                self._digits = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+                base, width = p**m, m
             ident = MatrixElement.identity(p, m)
         elif isinstance(template, PermutationElement):
             self.variant, self.degree = "permutation", template.degree
-            base = width = template.degree
+            base = width = entries = template.degree
             top, ident = base - 1, PermutationElement.identity(base)
         else:
             self.variant, self.table = "table", template.table
             self._table_rows = np.array(template.table.rows, dtype=np.int64)
-            base, width, top = template.table.size, 1, 2**32 - 1  # 4 bytes per index
+            base, width, entries, top = template.table.size, 1, 1, 2**32 - 1  # 4-byte index
             ident = TableElement(template.table, template.table.identity_index)
         byte_width = _byte_width(top)
-        self.row_bytes = width * byte_width
+        self.row_bytes = entries * byte_width
         self._shifts = 8 * np.arange(byte_width - 1, -1, -1, dtype=np.int64)
-        self._base, self._powers = base, None
+        self._base, self._width, self._powers = base, width, None
         if base**width < 2**63:
             self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        # byte keys: each row value as a big-endian unsigned int of 1, 2, 4 or 8 bytes
+        self._key_dtype = np.dtype(f">u{1 << (_byte_width(base - 1) - 1).bit_length()}")
         self.identity = self.rows([ident])
 
     def rows(self, elements) -> np.ndarray:
@@ -102,10 +118,28 @@ class RowArith:
                 out.append((g.index,))
             else:
                 out.append(g.entries if self.variant == "matrix_mod_p" else g.images)
-        return np.array(out, dtype=np.int64).reshape(len(out), -1)
+        return self._from_entries(np.array(out, dtype=np.int64).reshape(len(out), -1))
+
+    def entries(self, rows: np.ndarray) -> np.ndarray:
+        """(len, entries) int64: the matrix entries, images or index of each row."""
+        if self._digits is None:
+            return rows
+        p, m = self.p, self.m
+        out = np.empty((len(rows), m, m), dtype=np.int64)
+        for j in range(m - 1, -1, -1):  # last digit first: divisions by a scalar are fast
+            quot = rows // p
+            out[:, :, j] = rows - quot * p
+            rows = quot
+        return out.reshape(len(out), m * m)
+
+    def _from_entries(self, entries: np.ndarray) -> np.ndarray:
+        """The rows whose `entries` these are."""
+        if self._digits is None:
+            return entries
+        return entries.reshape(len(entries), self.m, self.m) @ self._digits
 
     def element(self, row: np.ndarray) -> GroupElement:
-        vals = tuple(row.tolist())
+        vals = tuple(self.entries(row[None])[0].tolist())
         if self.variant == "matrix_mod_p":
             return MatrixElement(self.p, self.m, vals)
         if self.variant == "permutation":
@@ -114,6 +148,10 @@ class RowArith:
 
     def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Rows of left[i] * right[i]; a one-row side broadcasts against the other."""
+        return self._from_entries(self._compose_entries(self.entries(left), self.entries(right)))
+
+    def _compose_entries(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """`compose` on entries (see `entries`) instead of rows."""
         if self.variant == "matrix_mod_p":
             m = self.m
             prod = np.matmul(left.reshape(-1, m, m), right.reshape(-1, m, m))
@@ -123,27 +161,68 @@ class RowArith:
             return np.take_along_axis(left, right, axis=1)
         return self._table_rows[left, right]
 
+    def right_mul(self, factors: np.ndarray, work: int):
+        """The product by the fixed (k, width) right factors, as a function
+        (rows, picks) -> rows of rows[s] * factors[picks[s, 0]] * factors[picks[s, 1]]
+        * ...; picks is one index, one index per row or one row of indices
+        per row.  With row codes, and k * p^m at most ROW_TABLE_BOUND and at
+        most `work` (the number of row products the caller will ask for), it
+        builds the (k, p^m) int32 table of every row code times every factor
+        here, once, and each product is one gather; otherwise the products
+        compose, on entries decoded once per call."""
+
+        def steps(picks) -> np.ndarray:  # (steps, rows or 1) factor indices
+            picks = np.asarray(picks, dtype=np.int64)
+            return (picks if picks.ndim == 2 else picks.reshape(-1, 1)).T
+
+        if self._digits is None or len(factors) * self._base > min(ROW_TABLE_BOUND, work):
+            factor_entries = self.entries(factors)
+
+            def composed(rows: np.ndarray, picks) -> np.ndarray:
+                cur = self.entries(rows)
+                for pick in steps(picks):
+                    cur = self._compose_entries(cur, factor_entries[pick])
+                return self._from_entries(cur)
+
+            return composed
+        p, m, base = self.p, self.m, self._base
+        tables = []
+        for t in self.entries(factors).reshape(-1, m, m):
+            terms = (np.arange(p)[:, None, None] * t % p).astype(np.int32)  # [r, i, j] = r t_ij
+            code = np.zeros(base, dtype=np.int32)  # int32: sums stay below m * p, codes below p^m
+            for j in range(m):  # digit j of (every row code) * t: an outer sum over rows i
+                digit = np.zeros(1, dtype=np.int32)
+                for i in range(m):
+                    digit = np.add.outer(digit, terms[:, i, j]).ravel()
+                code = code * p + digit % p
+            tables.append(code)
+        table = np.concatenate(tables)
+
+        def gathered(rows: np.ndarray, picks) -> np.ndarray:
+            for pick in steps(picks):
+                rows = table[rows + base * pick[:, None]]
+            return rows
+
+        return gathered
+
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """(len, row_bytes) uint8: each row's `encode()` bytes, entries big-endian."""
-        data = (rows[:, :, None] >> self._shifts) & 0xFF
+        entries = self.entries(rows)
+        data = (entries[:, :, None] >> self._shifts) & 0xFF
         return data.astype(np.uint8).reshape(len(rows), self.row_bytes)
 
-    def byte_keys(self, rows: np.ndarray) -> np.ndarray:
-        """The encoded rows as `np.void` scalars, which sort in `encode()` order."""
-        return self.encode(rows).view(np.dtype((np.void, self.row_bytes))).ravel()
-
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sortable keys in `encode()` order: int64 codes where they fit, else bytes."""
+        """Sortable keys in `encode()` order: the int64 base-`base` code of the row
+        where it fits, else the `np.void` view of its big-endian values."""
         if self._powers is None:
-            return self.byte_keys(rows)
+            data = rows.astype(self._key_dtype)
+            return data.view(np.dtype((np.void, data.shape[1] * data.itemsize))).ravel()
         return rows @ self._powers
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
         """The (len, width) int64 rows whose `keys` these are."""
         if self._powers is None:
-            w = self._shifts.size
-            data = keys.view(np.uint8).reshape(len(keys), self.row_bytes // w, w)
-            return (data.astype(np.int64) << self._shifts).sum(axis=2)
+            return keys.view(self._key_dtype).reshape(len(keys), self._width).astype(np.int64)
         return keys[:, None] // self._powers % self._base
 
 
@@ -306,8 +385,9 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     prev, prev_start, start = layer_keys[0], 0, 0
     while len(frontier):
         F = len(frontier)
+        times = arith.right_mul(mults, F * len(mults))  # tables once a layer has p^m rows
         uniq, first, slot = _unique(
-            np.concatenate([arith.keys(arith.compose(frontier, t[None])) for t in mults])
+            np.concatenate([arith.keys(times(frontier, k)) for k in range(len(mults))])
         )
         pos_prev, in_prev = _find(prev, uniq)
         pos_cur, in_cur = _find(layer_keys[-1], uniq)
@@ -321,7 +401,7 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         g, t = pick % F, pick // F
         parent.append(start + g)
         via.append(t)
-        frontier = arith.compose(frontier[g], mults[t])
+        frontier = times(frontier[g], t)
         frontier_inv = arith.compose(mult_invs[t], frontier_inv[g])
         prev, prev_start, start = layer_keys[-1], start, start + F
         layer_keys.append(uniq[fresh])

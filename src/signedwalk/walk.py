@@ -4,13 +4,15 @@ All probabilities of the walk are dyadic rationals; the exact engine therefore
 keeps integer counts with denominator 2^n and never rounds.  Each convolution
 step is a vectorized gather over an int64 array of base-2^32 limbs, carried
 often enough that no limb overflows; the counts come back as exact Python
-ints.  The Monte-Carlo estimator needs no enumeration: it multiplies the rows
-of the sequence with the family's `RowArith.compose` (the same products the
-closure uses) and counts the products by their encoded bytes, so the modal
-product's encoding is its key.  It is deterministic for a fixed (seed,
-samples) pair regardless of worker count: samples are processed in fixed-size
-batches whose bit streams come from a counter-based generator keyed by (seed,
-batch index).
+ints.  The Monte-Carlo estimator needs no enumeration: one `RowArith.right_mul`
+over the distinct entries and their inverses multiplies every sample's row by
+A_i or A_i^-1 at each step, picked by entry and sign bit (a table gather per
+step for matrix row codes when samples * n products pay for the tables, else
+a matmul on entries).  The products are counted by their keys, which sort in
+`encode()` order; only the modal key is turned back into `encode()` bytes.
+It is deterministic for a fixed (seed, samples) pair regardless of worker
+count: samples are processed in fixed-size batches whose bit streams come
+from a counter-based generator keyed by (seed, batch index).
 """
 
 from __future__ import annotations
@@ -233,15 +235,6 @@ class MonteCarloResult:
         }
 
 
-def _mc_batch_products(arith: RowArith, fwd: np.ndarray, bwd: np.ndarray, bits: np.ndarray):
-    """Encoded products of one batch as byte keys: sample s multiplies, left to
-    right, row fwd[i] where bits[s, i] is set and its inverse bwd[i] elsewhere."""
-    cur = np.repeat(arith.identity, bits.shape[0], axis=0)
-    for i in range(bits.shape[1]):
-        cur = arith.compose(cur, np.where(bits[:, i, None].astype(bool), fwd[i], bwd[i]))
-    return arith.byte_keys(cur)
-
-
 def rho_monte_carlo(
     seq: SignedSequence,
     samples: int,
@@ -261,14 +254,20 @@ def rho_monte_carlo(
     elements = seq.elements
     n = seq.n
     arith = RowArith(elements[0])
-    fwd, bwd = arith.rows(elements), arith.rows([e.inv() for e in elements])
+    # one product by every distinct entry's pair (A^-1, A): step i picks factor
+    # pair_of[i] + its sign bit, so A_i^-1 for bit 0 and A_i for bit 1
+    distinct = {e: 2 * k for k, e in enumerate(dict.fromkeys(elements))}
+    factors = arith.rows([x for e in distinct for x in (e.inv(), e)])
+    times = arith.right_mul(factors, samples * n)
+    pair_of = np.array([distinct[e] for e in elements], dtype=np.int64)
     n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
 
     def run_batch(b: int) -> dict:
         size = min(_MC_BATCH, samples - b * _MC_BATCH)
         gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, b]))
-        bits = gen.integers(0, 2, size=(size, n), dtype=np.uint8)
-        uniq, cnt = np.unique(_mc_batch_products(arith, fwd, bwd, bits), return_counts=True)
+        picks = gen.integers(0, 2, size=(size, n), dtype=np.uint8) + pair_of
+        cur = times(np.repeat(arith.identity, size, axis=0), picks)
+        uniq, cnt = np.unique(arith.keys(cur), return_counts=True)
         return dict(zip(uniq.tolist(), cnt.tolist()))
 
     merged: dict = {}
@@ -284,13 +283,14 @@ def rho_monte_carlo(
             raise CapExceeded(f"distinct products exceeded cap {distinct_cap}")
 
     best = max(merged.values())
-    top_key = min(k for k, c in merged.items() if c == best)  # bytes: encode() order
+    top_key = min(k for k, c in merged.items() if c == best)  # keys sort in encode() order
+    top_row = arith.decode(np.array([top_key], dtype=arith.keys(arith.identity).dtype))
     return MonteCarloResult(
         samples=samples,
         seed=seed,
         max_count=best,
         distinct_products=len(merged),
-        top_encoding=top_key.hex(),
+        top_encoding=arith.encode(top_row).tobytes().hex(),
     )
 
 

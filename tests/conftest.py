@@ -23,7 +23,7 @@ from signedwalk.elements import (
 from signedwalk.errors import NotInGroup
 from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators
 from signedwalk.irreps import decompose_regular
-from signedwalk.walk import ExactDistribution, SignedSequence
+from signedwalk.walk import _MC_BATCH, ExactDistribution, SignedSequence
 
 BENCH_NAMES = ["s3", "d4", "q8", "a4", "s4", "sl2_3", "sl2_5"]
 
@@ -304,8 +304,9 @@ def element_rows(elements) -> np.ndarray:
 
 
 def group_rows(G: FiniteGroup) -> np.ndarray:
-    """Every element's row, in index order, decoded from the group's keys."""
-    return G._arith.decode(G._keys)
+    """Every element's entries (as in `element_rows`), in index order, decoded
+    from the group's keys."""
+    return G._arith.entries(G._arith.decode(G._keys))
 
 
 def decode_matrix(data: bytes, p: int, m: int) -> MatrixElement:
@@ -450,6 +451,30 @@ def naive_signed_sum_counts(a_list) -> dict[int, int]:
             nxt[v - a] = nxt.get(v - a, 0) + c
         counts = nxt
     return counts
+
+
+def naive_mc(seq: SignedSequence, samples: int, seed: int) -> tuple[int, int, str]:
+    """(max count, distinct products, hex encoding of the modal product) of the
+    Monte-Carlo estimator, replayed element by element: batch b draws the same
+    Philox sign bits as `rho_monte_carlo`, each sample multiplies A_i or A_i^-1
+    left to right with scalar `mul` (each distinct (product, factor) pair is
+    multiplied once), and products are counted by `encode()`."""
+    inverses = [e.inv() for e in seq.elements]
+    ident = seq.elements[0].mul(inverses[0])
+    counts: dict[bytes, int] = {}
+    step: dict = {}
+    for b in range(-(-samples // _MC_BATCH)):
+        size = min(_MC_BATCH, samples - b * _MC_BATCH)
+        gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, b]))
+        for signs in gen.integers(0, 2, size=(size, seq.n), dtype=np.uint8).tolist():
+            cur = ident
+            for s, a, a_inv in zip(signs, seq.elements, inverses):
+                f = a if s else a_inv
+                cur = step.get((cur, f)) or step.setdefault((cur, f), cur.mul(f))
+            key = cur.encode()
+            counts[key] = counts.get(key, 0) + 1
+    best = max(counts.values())
+    return best, len(counts), min(k for k, c in counts.items() if c == best).hex()
 
 
 def random_sequence(G: FiniteGroup, n: int, rng: np.random.Generator) -> SignedSequence:

@@ -26,6 +26,36 @@ def test_matrix_singular_rejected():
         MatrixElement.from_rows([[1, 2], [2, 4]], 5)
 
 
+@pytest.mark.parametrize(
+    "p, m, entries, error",
+    [(5, 2, (1, 2, 2, 4), NotInvertible), (5, 2, (1, 5, 0, 1), ValueError),
+     (5, 2, (1, -1, 0, 1), ValueError), (5, 2, (1, 0, 0), ValueError)],
+)
+def test_public_construction_still_validates(p, m, entries, error):
+    with pytest.raises(error):
+        MatrixElement(p, m, entries)
+
+
+def test_product_skips_validation_and_equals_the_checked_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    mats = []
+    while len(mats) < 6:
+        try:
+            mats.append(MatrixElement.from_rows(rng.integers(0, 7, size=(3, 3)).tolist(), 7))
+        except NotInvertible:
+            pass
+    checked = []
+    monkeypatch.setattr(MatrixElement, "__post_init__", lambda self: checked.append(self))
+    for a in mats:
+        for b in mats:
+            prod = a.mul(b)
+            want = (np.array(a.rows()) @ np.array(b.rows()) % 7).ravel().tolist()
+            checked_prod = MatrixElement(7, 3, tuple(want))
+            assert prod.entries == tuple(want) and isinstance(prod.entries[0], int)
+            assert prod == checked_prod and hash(prod) == hash(checked_prod)
+    assert len(checked) == len(mats) ** 2  # one per explicit construction, none per product
+
+
 def test_matrix_inverse_small_and_large():
     for m, p in [(2, 7), (3, 5), (4, 7), (5, 11)]:
         rows = [[(i * m + j + 1) % p for j in range(m)] for i in range(m)]

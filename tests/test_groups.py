@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from signedwalk import catalog
 from signedwalk.elements import MatrixElement, MulTable, PermutationElement, TableElement
-from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup, SizeCap
+from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup, NotInvertible, SizeCap
 from signedwalk.groups import (
+    ROW_TABLE_BOUND,
     GeneratorTree,
     RowArith,
     _unique,
@@ -327,6 +328,81 @@ def test_matrix_closure_matches_naive_bfs(name):
     assert np.array_equal(G._inv, inv)
 
 
+def _random_invertible(rng, p, m, count):
+    out = []
+    while len(out) < count:
+        try:
+            out.append(MatrixElement.from_rows(rng.integers(0, p, size=(m, m)).tolist(), p))
+        except NotInvertible:
+            pass
+    return out
+
+
+# (p, m, factors); the last two always compose: 2x2 mod 1031 has p^m =
+# 1,062,961 > ROW_TABLE_BOUND, and 13 tables of 17^4 row codes exceed it in all
+PRODUCT_CASES = [(p, m, 3) for m in (2, 3, 4) for p in (2, 3, 5, 7, 17)]
+PRODUCT_CASES += [(1031, 2, 3), (17, 4, 13)]
+
+
+# work 0 always composes; work 2^40 builds the tables wherever they fit the bound
+@pytest.mark.parametrize("work", [0, 2**40])
+@pytest.mark.parametrize("p, m, count", PRODUCT_CASES)
+def test_right_mul_matches_matmul(p, m, count, work):
+    rng = np.random.default_rng(100 * p + m)
+    left, factors = _random_invertible(rng, p, m, 40), _random_invertible(rng, p, m, count)
+    arith = RowArith(left[0])
+    assert (arith._digits is not None) == (p**m <= ROW_TABLE_BOUND)
+    times = arith.right_mul(arith.rows(factors), work)
+    tables = arith._digits is not None and count * p**m <= min(ROW_TABLE_BOUND, work)
+    assert times.__name__ == ("gathered" if tables else "composed")
+    a = element_rows(left).reshape(-1, m, m)
+    b = element_rows(factors).reshape(-1, m, m)
+    pick = rng.integers(0, len(factors), size=len(left))
+    for k, want in [(k, a @ b[k] % p) for k in range(len(factors))] + [(pick, a @ b[pick] % p)]:
+        got = times(arith.rows(left), k)
+        assert np.array_equal(arith.entries(got), want.reshape(len(left), -1))
+        want_elements = [MatrixElement(p, m, tuple(w.ravel().tolist())) for w in want]
+        assert arith.encode(got).tobytes() == b"".join(g.encode() for g in want_elements)
+        assert np.array_equal(arith.keys(got), arith.keys(arith.rows(want_elements)))
+        if arith.keys(got).dtype.kind != "V":  # the base-p code of the entries
+            assert arith.keys(got).tolist() == [
+                sum(e * p ** (m * m - 1 - i) for i, e in enumerate(g.entries))
+                for g in want_elements
+            ]
+    word, want = rng.integers(0, len(factors), size=(len(left), 3)), a
+    for step in word.T:  # a row of picks per row: left * factors[w0] * factors[w1] * ...
+        want = want @ b[step] % p
+    assert np.array_equal(arith.entries(times(arith.rows(left), word)), want.reshape(len(left), -1))
+    aligned = arith.compose(arith.rows(left), arith.rows([factors[k] for k in pick]))
+    assert np.array_equal(arith.entries(aligned), (a @ b[pick] % p).reshape(len(left), -1))
+
+
+# <diag(a, a^-1), quarter turn> (+ identity block), a of order 5 mod 1031 (2 is
+# a primitive root) or 8 mod 17 (3 is): 20 or 16 elements, so no layer reaches
+# p^m rows and closure composes, on entries (p^m > ROW_TABLE_BOUND) or row codes
+@pytest.mark.parametrize("p, m, a, order", [(1031, 2, pow(2, 206, 1031), 20), (17, 4, 9, 16)])
+def test_small_closure_composes_and_matches_naive_bfs(p, m, a, order):
+    def block(top):
+        return MatrixElement.from_rows(
+            [[top[i][j] if i < 2 and j < 2 else int(i == j) for j in range(m)] for i in range(m)], p
+        )
+
+    gens = [block([[a, 0], [0, pow(a, -1, p)]]), block([[0, 1], [-1, 0]])]
+    G = close_generators(gens)
+    assert (G._arith._digits is None) == (p**m > ROW_TABLE_BOUND)
+    if p ** (m * m) < 2**63:
+        mats, inv = naive_close_matrix(gens)
+    else:  # byte keys; naive_close_matrix's int64 codes would wrap
+        elements, inv = naive_close_generic(gens)
+        mats = element_rows(elements).reshape(-1, m, m)
+    assert G.order == order
+    assert np.array_equal(group_rows(G).reshape(mats.shape), mats)
+    assert np.array_equal(G._inv, inv)
+    idxs = np.arange(G.order)
+    for j in range(G.order):
+        assert np.array_equal(G.mul_many(idxs, j), G.mul_many(idxs, np.full(G.order, j)))
+
+
 def test_matrix_closure_matches_naive_bfs_on_benchmark_sl2_49(sl2_49_seed11_generators):
     G = close_generators(sl2_49_seed11_generators)
     mats, inv = naive_close_matrix(sl2_49_seed11_generators)
@@ -463,9 +539,13 @@ def test_row_arith_decode_inverts_keys(name):
     make_generators, byte_keys = KEY_FORM_CASES[name]
     gens = make_generators()
     arith = RowArith(gens[0])
-    rows = element_rows(naive_close_generic(gens)[0])
+    elements = naive_close_generic(gens)[0]
+    rows = arith.rows(elements)
+    assert np.array_equal(arith.entries(rows), element_rows(elements))
     keys = arith.keys(rows)
     assert (keys.dtype.kind == "V") == byte_keys
+    by_encoding = sorted(range(len(elements)), key=lambda i: elements[i].encode())
+    assert np.argsort(keys, kind="stable").tolist() == by_encoding
     decoded = arith.decode(keys)
     assert decoded.dtype == np.int64
     assert np.array_equal(decoded, rows)
@@ -476,7 +556,7 @@ def test_row_arith_decode_inverts_keys(name):
 def test_unique_matches_numpy(name):
     gens = KEY_FORM_CASES[name][0]()
     arith = RowArith(gens[0])
-    rows = element_rows(naive_close_generic(gens)[0])
+    rows = arith.rows(naive_close_generic(gens)[0])
     keys = arith.keys(rows[np.random.default_rng(2).integers(0, len(rows), size=3 * len(rows))])
     uniq, first, inverse = _unique(keys)
     want = np.unique(keys, return_index=True, return_inverse=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from signedwalk import catalog, walk
 from signedwalk.elements import MatrixElement, PermutationElement
-from signedwalk.errors import CapExceeded, ElementNotInGroup, NotNonTrivial
+from signedwalk.errors import CapExceeded, ElementNotInGroup, NotInvertible, NotNonTrivial
 from signedwalk.groups import close_generators
 from signedwalk.walk import (
     ExactDistribution,
@@ -25,6 +25,7 @@ from conftest import (
     brute_force_distribution,
     distribution_json,
     naive_exact_counts,
+    naive_mc,
     random_sequence,
 )
 
@@ -269,6 +270,50 @@ def test_monte_carlo_within_five_stderr(bench_groups):
     exact = exact_distribution(G, seq).rho()
     rho = exact.value
     assert abs(mc.plugin_max_frequency - rho) <= 5 * math.sqrt(rho * (1 - rho) / 100_000)
+
+
+def _mc_sequence(name: str, bench_groups) -> SignedSequence:
+    rng = np.random.default_rng(29)
+    if name == "sl2_5":
+        return random_sequence(bench_groups["sl2_5"], 10, rng)
+    p, m = (1031, 2) if name == "mod1031" else (17, 4)
+    letters = []
+    while len(letters) < (7 if name == "mod17_seven" else 3):
+        try:
+            letters.append(MatrixElement.from_rows(rng.integers(0, p, size=(m, m)).tolist(), p))
+        except NotInvertible:
+            pass
+    if name == "mod17":
+        return SignedSequence((letters[0],) * 40)
+    if name == "mod17_seven":
+        return SignedSequence(tuple(letters))
+    a = pow(2, (p - 1) // 5, p)  # order 5, with the quarter turn: the closure test's group
+    letters[:2] = [MatrixElement.from_rows([[a, 0], [0, pow(a, -1, p)]], p),
+                   MatrixElement.from_rows([[0, 1], [-1, 0]], p)]
+    return SignedSequence(tuple(letters) * 3)
+
+
+# sl2_5: row-code tables, int64 keys.  mod17 (one 4x4 letter mod 17, n = 40):
+# 5,000 * 40 products pay for its 2 * 17^4 table entries, byte keys.
+# mod17_seven (7 distinct 4x4 letters mod 17): 14 * 17^4 entries exceed the
+# table bound, so row codes compose, byte keys.  mod1031 (2x2 mod 1031, p^m
+# above the bound): entries compose, int64 keys.
+MC_REPLAY_CASES = ["sl2_5", "mod17", "mod17_seven", "mod1031"]
+
+
+@pytest.fixture(scope="module")
+def mc_replay(bench_groups):
+    """name -> (sequence, `naive_mc` of it at 5,000 samples, seed 13), each computed once."""
+    cases = {name: _mc_sequence(name, bench_groups) for name in MC_REPLAY_CASES}
+    return {name: (seq, naive_mc(seq, 5_000, 13)) for name, seq in cases.items()}
+
+
+@pytest.mark.parametrize("name", MC_REPLAY_CASES)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_matches_scalar_replay(mc_replay, name, threads):
+    seq, want = mc_replay[name]
+    mc = rho_monte_carlo(seq, samples=5_000, seed=13, threads=threads)  # two batches
+    assert (mc.max_count, mc.distinct_products, mc.top_encoding) == want
 
 
 def test_monte_carlo_wide_permutation_bytes_path():
