@@ -42,6 +42,9 @@ from signedwalk.errors import NotInvertible  # noqa: E402
 
 BENCH_SEED = 11
 MINUS_I_MOD_17 = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
+# two non-associative 5-element loops with identity 0 (refused as tables)
+LOOP_L1 = [[0, 1, 2, 3, 4], [1, 2, 4, 0, 3], [2, 3, 0, 4, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
+LOOP_L2 = [[0, 1, 2, 3, 4], [1, 3, 4, 2, 0], [2, 0, 1, 4, 3], [3, 4, 0, 1, 2], [4, 2, 3, 0, 1]]
 
 
 def _random_invertible(rng: np.random.Generator, p: int, m: int) -> list[list[int]]:
@@ -75,6 +78,8 @@ def write_inputs(d: Path) -> None:
     put("wide_seq.json", {"kind": "matrix_mod_p", "p": 17, "elements": [MINUS_I_MOD_17]})
     images = [(i + 1) % 300 for i in range(300)]
     put("perm300_seq.json", {"elements": [images]})
+    put("loop_l1.json", {"kind": "table", "table": LOOP_L1, "generators": [4]})
+    put("loop_l2.json", {"kind": "table", "table": LOOP_L2, "generators": [2, 4]})
     (d / "bad.json").write_text("{not json", encoding="utf-8")
 
     rng = np.random.default_rng(17)
@@ -133,6 +138,13 @@ def commands() -> list[tuple[str, list[str]]]:
     for g in ("s3", "q8", "sl2_3"):
         add(f"fourier_{g}", "fourier-check", "--group", f"{g}.json", "--count", "4", "--seed", "1")
     add("mult_bounds_sl2_5", "mult-bounds", "--group", "sl2_5.json")
+    # window statuses: s3 at 1/10 all hypothesis_failed; q8 at 2/3 all vacuous;
+    # sl2_3 at 1/3 hypothesis_failed and ok; s4 at 9/10 hypothesis_failed and
+    # vacuous; sl2_5 at 2/3 all three
+    for g, alpha in (("s3", "1/10"), ("q8", "2/3"), ("sl2_3", "1/3"), ("s4", "9/10"),
+                     ("sl2_5", "2/3")):
+        add(f"mult_bounds_{g}_{alpha.replace('/', '_')}", "mult-bounds", "--group", f"{g}.json",
+            "--alpha", alpha)
     add("svd_props", "svd-props", "--draws", "50", "--unitary-draws", "5", "--seed", "3")
     add("diag_json", "diag", "--group", "sl2_5.json", "--seq", "seq.json", "--dim", "5")
     add("diag_csv", "diag", "--group", "sl2_5.json", "--seq", "seq.json", "--dim", "5",
@@ -147,6 +159,8 @@ def commands() -> list[tuple[str, list[str]]]:
         "--n-max", "6")
     add("bad_json", "rho", "--group", "bad.json", "--seq", "seq.json")
     add("bad_flag", "bounds", "--s", "3", "--n", "4", "--seed", "1")
+    add("closure_loop_l1", "closure", "--group", "loop_l1.json", "--cap", "1000")
+    add("closure_loop_l2", "closure", "--group", "loop_l2.json")
 
     add("bench_closure_sl2_49", "closure", "--group", "sl2_49.json")
     add("bench_rho_sl2_49", "rho", "--group", "sl2_49.json", "--seq", "sl2_49_seq.json",

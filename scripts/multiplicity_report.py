@@ -20,7 +20,7 @@ from signedwalk.chartable import (
     dixon_character_table,
     max_character_ratio,
 )
-from signedwalk.groups import close_generators, conjugacy_classes
+from signedwalk.groups import close_generators
 
 
 def main() -> int:
@@ -33,9 +33,8 @@ def main() -> int:
     t0 = time.time()
     G = close_generators(catalog.sl2_prime_squared_generators(args.p))
     print(f"|SL_2({q})| = {G.order}  (enumerated in {time.time() - t0:.1f}s)")
-    cc = conjugacy_classes(G)
-    print(f"conjugacy classes: {cc.count}")
-    table = dixon_character_table(G, cc)
+    table = dixon_character_table(G)
+    print(f"conjugacy classes: {table.num_classes}")
     print(f"character degrees: {table.degrees}")
     print(f"sum of squared degrees: {sum(d * d for d in table.degrees)}")
     ratio = max_character_ratio(table)

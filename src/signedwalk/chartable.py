@@ -6,7 +6,8 @@ simultaneously diagonalizable and their common eigenvectors are, up to scale,
 the rows of the character table reduced mod ell.  Splitting eigenspaces class
 by class, normalizing at the identity class, recovering degrees by modular
 square roots, and lifting each value through its eigenvalue multiplicities
-yields the complex table exactly.
+yields the complex table exactly.  The table keeps those integers (checked to
+sum to the degree), and the multiplicity windows read them from there.
 
 Each class-sum operator comes from one column (that of the inverse of the
 class representative, composed along the generator tree) and one `bincount`
@@ -47,6 +48,7 @@ from .primes import is_prime
 
 MAX_CLASSES = 512
 _PRIME_SEARCH_BOUND = 2**31
+_ORTHOGONALITY_TOL = 1e-8  # largest entry of the Gram matrix minus the identity
 
 
 @dataclass
@@ -61,6 +63,7 @@ class CharacterTable:
     inverse_class: tuple[int, ...]
     degrees: tuple[int, ...]
     values: np.ndarray  # (num_chars, num_classes) complex128
+    multiplicities: tuple[np.ndarray, ...]  # [c][i, j]: of eps^j, eps^ord(rep_c) = 1, in Phi_i
     exponent: int
     modulus: int  # prime field used for the eigenvector computation
 
@@ -157,20 +160,18 @@ def _class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.
     return M % ell
 
 
-def dixon_character_table(
-    G: FiniteGroup,
-    classes: ConjugacyClasses | None = None,
-    max_classes: int = MAX_CLASSES,
-) -> CharacterTable:
+def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     """Full complex character table of an enumerated group.
 
-    Raises TooManyClasses above `max_classes` and NoSuitablePrime if the
-    working-field search fails.  Deterministic: no randomness anywhere.
+    Raises TooManyClasses above `MAX_CLASSES` classes, NoSuitablePrime if the
+    working-field search fails and NonIntegralMultiplicity if a lifted
+    multiplicity row is not a partition of its degree.  Deterministic: no
+    randomness anywhere.
     """
-    cc = classes if classes is not None else conjugacy_classes(G)
+    cc = conjugacy_classes(G)
     r = cc.count
-    if r > max_classes:
-        raise TooManyClasses(f"{r} classes exceeds cap {max_classes}")
+    if r > MAX_CLASSES:
+        raise TooManyClasses(f"{r} classes exceeds cap {MAX_CLASSES}")
     class_orders, central_orders, power_map = _class_powers(G, cc)
     exponent = 1
     for k in class_orders:
@@ -229,18 +230,17 @@ def dixon_character_table(
     # lift values to C through eigenvalue multiplicities
     z = element_of_order(exponent, ell)
     values = np.zeros((r, r), dtype=np.complex128)
+    multiplicities = []
     for c in range(r):
         kg = class_orders[c]
-        pcl = power_map[:kg, c]
         zeta_inv = inv_mod(pow(z, exponent // kg, ell), ell)
-        zi_pows = np.array(
-            [pow(zeta_inv, j, ell) for j in range(kg)], dtype=np.int64
-        )
+        zi_pows = np.array([pow(zeta_inv, j, ell) for j in range(kg)], dtype=np.int64)
         T = zi_pows[np.outer(np.arange(kg), np.arange(kg)) % kg]
-        Vb = chibar[:, pcl]
-        mults = matmul_mod(Vb, T, ell) * inv_mod(kg, ell) % ell
-        if np.any(mults > degrees[:, None]):
-            raise NonIntegralMultiplicity("lifted multiplicity exceeds the degree")
+        mults = matmul_mod(chibar[:, power_map[:kg, c]], T, ell) * inv_mod(kg, ell) % ell
+        # residues are >= 0, so rows summing to the degrees bound every entry too
+        if np.any(mults.sum(axis=1) != degrees):
+            raise NonIntegralMultiplicity("lifted multiplicities do not sum to the degree")
+        multiplicities.append(mults)
         roots_of_unity = np.exp(2j * np.pi * np.arange(kg) / kg)
         values[:, c] = mults.astype(np.float64) @ roots_of_unity
 
@@ -260,6 +260,7 @@ def dixon_character_table(
         inverse_class=inverse_class,
         degrees=tuple(int(d) for d in degrees),
         values=values,
+        multiplicities=tuple(m[order_key] for m in multiplicities),
         exponent=exponent,
         modulus=ell,
     )
@@ -267,10 +268,10 @@ def dixon_character_table(
     return table
 
 
-def _check_orthogonality(table: CharacterTable, tol: float = 1e-8) -> None:
+def _check_orthogonality(table: CharacterTable) -> None:
     sizes = np.array(table.classes.sizes, dtype=np.float64)
     gram = (table.values * sizes) @ table.values.conj().T / table.group.order
-    if np.max(np.abs(gram - np.eye(table.num_classes))) > tol:
+    if np.max(np.abs(gram - np.eye(table.num_classes))) > _ORTHOGONALITY_TOL:
         raise ConsistencyFailure("character rows fail orthogonality")
 
 
@@ -282,7 +283,7 @@ def _check_orthogonality(table: CharacterTable, tol: float = 1e-8) -> None:
 @dataclass(frozen=True)
 class MultiplicityProfile:
     """Multiplicities of the eigenvalues eps^j (eps a primitive k-th root) of one
-    irreducible image of a group element, read off from character values."""
+    irreducible image of a group element, as the character-table lift found them."""
 
     element_index: int
     order: int  # k
@@ -292,28 +293,16 @@ class MultiplicityProfile:
 
 
 def eigenvalue_multiplicities(
-    table: CharacterTable, char_index: int, class_index: int, tol: float = 1e-6
+    table: CharacterTable, char_index: int, class_index: int
 ) -> MultiplicityProfile:
-    """Multiplicity of eps^j as an eigenvalue, via the cyclic-subgroup projection
-    m_j = (1/k) sum_u chi(g^u) eps^{-ju}."""
-    k = table.class_orders[class_index]
-    chi_pow = table.values[char_index, table.power_classes(class_index)]
-    j_u = np.outer(np.arange(k), np.arange(k))
-    dft = np.exp(-2j * np.pi * j_u / k)
-    raw = dft @ chi_pow / k
-    if np.max(np.abs(raw.imag)) > tol or np.max(np.abs(raw.real - np.round(raw.real))) > tol:
-        raise NonIntegralMultiplicity(
-            f"multiplicities not integral for char {char_index}, class {class_index}"
-        )
-    mults = tuple(int(x) for x in np.round(raw.real))
-    if any(m < 0 for m in mults) or sum(mults) != table.degrees[char_index]:
-        raise NonIntegralMultiplicity("multiplicities do not sum to the degree")
+    """The profile of Phi_char(g_class): row char_index of the lift's
+    `multiplicities` at class_index."""
     return MultiplicityProfile(
         element_index=table.classes.representatives[class_index],
-        order=k,
+        order=table.class_orders[class_index],
         central_order=table.central_order(class_index),
         degree=table.degrees[char_index],
-        multiplicities=mults,
+        multiplicities=tuple(table.multiplicities[class_index][char_index].tolist()),
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from .errors import MixedVariants, NotInvertible, PowerCapExceeded
 
 
@@ -239,42 +241,48 @@ class PermutationElement:
 # ---------------------------------------------------------------------------
 
 
-class MulTable:
-    """Immutable multiplication table on indices 0..size-1 (latin square + identity).
+def _check_associative(T: np.ndarray, identity: int) -> None:
+    """ValueError unless (x y) g = x (y g) for all x, y, g (Light's test).  The g
+    that pass are closed under products, so only a generating set is checked:
+    each generator is the smallest element that right multiplication by the
+    earlier ones does not reach from the identity."""
+    reached = np.zeros(len(T), dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            products = T[frontier][:, gens].ravel()
+            frontier = np.unique(products[~reached[products]])
+            reached[frontier] = True
+    for g in gens:
+        col = T[:, g]
+        if not np.array_equal(col[T], T[:, col]):
+            raise ValueError(f"table is not associative: (x y) {g} != x (y {g}) for some x, y")
 
-    Associativity is not verified here; it is property-tested on enumerated
-    groups.  Compared and hashed by object identity, so elements of distinct
-    tables never mix.
-    """
+
+class MulTable:
+    """Immutable multiplication table of a group on indices 0..size-1: a latin
+    square with a two-sided identity, checked to be associative.  Compared and
+    hashed by object identity, so elements of distinct tables never mix."""
 
     def __init__(self, rows) -> None:
         if not is_square(rows):
             raise ValueError("table must be a square list of int lists")
-        size = len(rows)
-        table = tuple(tuple(row) for row in rows)
-        full = frozenset(range(size))
-        for row in table:
-            if frozenset(row) != full:
-                raise ValueError("table rows must be permutations")
-        for j in range(size):
-            if frozenset(row[j] for row in table) != full:
-                raise ValueError("table columns must be permutations")
-        ident = None
-        for e in range(size):
-            if all(table[e][x] == x for x in range(size)) and all(
-                table[x][e] == x for x in range(size)
-            ):
-                ident = e
-                break
-        if ident is None:
+        size, full = len(rows), frozenset(range(len(rows)))
+        if any(frozenset(row) != full for row in rows):
+            raise ValueError("table rows must be permutations")
+        T, ar = np.array(rows, dtype=np.int64), np.arange(size)
+        if np.any(np.sort(T, axis=0) != ar[:, None]):
+            raise ValueError("table columns must be permutations")
+        idents = np.flatnonzero(np.all(T == ar, axis=1) & np.all(T.T == ar, axis=1))
+        if idents.size == 0:
             raise ValueError("table has no two-sided identity")
-        inv = [0] * size
-        for i in range(size):
-            inv[i] = table[i].index(ident)
-        self.size = size
-        self.rows = table
-        self.identity_index = ident
-        self.inverse = tuple(inv)
+        ident = int(idents[0])
+        _check_associative(T, ident)
+        self.size, self.rows, self.identity_index = size, tuple(tuple(row) for row in rows), ident
+        self.inverse = tuple(np.argmax(T == ident, axis=1).tolist())
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]

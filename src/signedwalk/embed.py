@@ -28,8 +28,7 @@ from .errors import (
 )
 from .primes import factorize, next_prime_outside
 
-DEFAULT_POWER_CAP = 10**6
-PRIME_SEARCH_BOUND = 10**9
+POWER_CAP = 10**6  # matrix products one order computation may take
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,13 @@ class RationalMatrix:
 
 
 class _MulBudget:
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
+    def __init__(self) -> None:
         self.used = 0
 
-    def spend(self, k: int = 1) -> None:
-        self.used += k
-        if self.used > self.cap:
-            raise PowerCapExceeded(f"power computation exceeded {self.cap} multiplications")
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > POWER_CAP:
+            raise PowerCapExceeded(f"power computation exceeded {POWER_CAP} multiplications")
 
 
 def _finite_order_exponent(m: int) -> int:
@@ -137,9 +135,10 @@ def _mat_pow(A: RationalMatrix, e: int, budget: _MulBudget) -> RationalMatrix:
     return acc
 
 
-def rational_order(A: RationalMatrix, power_cap: int = DEFAULT_POWER_CAP) -> int | None:
-    """Exact order of A over Q, or None when the order is infinite."""
-    budget = _MulBudget(power_cap)
+def rational_order(A: RationalMatrix) -> int | None:
+    """Exact order of A over Q, or None when the order is infinite.  Raises
+    PowerCapExceeded after POWER_CAP matrix products."""
+    budget = _MulBudget()
     L = _finite_order_exponent(A.m)
     if not _mat_pow(A, L, budget).is_identity():
         return None
@@ -161,9 +160,7 @@ class BadPrimeReport:
         self.reasons.setdefault(p, []).append(reason)
 
 
-def bad_prime_set(
-    matrices: list[RationalMatrix], n: int, power_cap: int = DEFAULT_POWER_CAP
-) -> BadPrimeReport:
+def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
     """Primes that any order-preserving reduction must avoid, with reasons.
 
     For inputs of finite order k the exponent range runs to k - 1 (so the
@@ -183,7 +180,7 @@ def bad_prime_set(
         for q in factorize(abs(det.numerator)):
             report.add(q, f"determinant numerator of matrix {i}")
         try:
-            order = rational_order(A, power_cap)
+            order = rational_order(A)
         except PowerCapExceeded:
             order = None  # inconclusive: treated as infinite, exponents up to n - 1
         report.orders.append(order)
@@ -255,7 +252,6 @@ def embed_mod_p(
     matrices: list[RationalMatrix],
     n: int,
     p_min: int | None = None,
-    power_cap: int = DEFAULT_POWER_CAP,
 ) -> EmbeddingResult:
     """Reduction mod the smallest admissible prime, with orders re-verified.
 
@@ -270,8 +266,8 @@ def embed_mod_p(
         raise ValueError("matrices must share one size")
     if p_min is None:
         p_min = max(m + 1, 5)
-    report = bad_prime_set(matrices, n, power_cap)
-    p = next_prime_outside(p_min, report.primes, PRIME_SEARCH_BOUND)
+    report = bad_prime_set(matrices, n)
+    p = next_prime_outside(p_min, report.primes)
 
     images = [reduce_matrix_mod_p(A, p) for A in matrices]
     entries = []

@@ -30,6 +30,8 @@ from .walk import SignedSequence
 REGULAR_SIZE_CAP = 2048
 _MAX_RETRIES = 8
 _CLUSTER_GAP = 1e-8
+_INTEGRALITY_TOL = 1e-6  # character inner products must lie this close to integers
+_IMAG_TOL = 1e-9  # largest imaginary part a Fourier-inverted probability may keep
 
 
 @dataclass
@@ -81,14 +83,14 @@ def _char_inner(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, order: int) -> 
     return np.sum(sizes * a * b.conj()) / order
 
 
-def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> list[UnitaryIrrep]:
+def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
     """One unitary irreducible per isomorphism class, with full element tables.
 
     Deterministic for a fixed seed.  Degenerate random draws (merged
     eigenvalue clusters that refuse to split) are retried with derived seeds,
-    at most 8 times, then SplitFailure.  `tol` gates how close the character
-    inner products must sit to integers; anything farther means the numerics
-    broke, not that the answer is ambiguous.
+    at most 8 times, then SplitFailure.  `_INTEGRALITY_TOL` gates how close the
+    character inner products must sit to integers; anything farther means the
+    numerics broke, not that the answer is ambiguous.
     """
     n = G.order
     if n > REGULAR_SIZE_CAP:
@@ -112,7 +114,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         for k, rep in enumerate(cc.representatives):
             chi[k] = np.einsum("aj,aj->", V.conj(), V[left_inv_rows[rep]])
         norm = _char_inner(chi, chi, sizes, n)
-        if abs(norm.imag) > tol or abs(norm.real - round(norm.real)) > tol:
+        if abs(norm - round(norm.real)) > _INTEGRALITY_TOL:
             raise SplitFailure("character self-inner-product is not close to an integer")
         if round(norm.real) == 1:
             return [(V, chi)]
@@ -153,7 +155,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
         for ci, r in enumerate(reps_of_class):
             ip = _char_inner(chi, chars[r], sizes, n)
             rounded = round(ip.real)
-            if abs(ip - rounded) > tol:
+            if abs(ip - rounded) > _INTEGRALITY_TOL:
                 raise SplitFailure("isomorphism-class inner product not close to an integer")
             if rounded == 1:
                 assigned[b] = ci
@@ -178,7 +180,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024, tol: float = 1e-6) -> li
     if sum(r.dim * r.dim for r in irreps) != n:
         raise SplitFailure("squared dimensions of the classes do not sum to |G|")
     irreps.sort(key=lambda r: (r.dim, tuple(np.round(r.character.real, 6))))
-    _validate_unitary(irreps, tol)
+    _validate_unitary(irreps)
     return irreps
 
 
@@ -198,7 +200,7 @@ def _orthonormal(V: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _validate_unitary(irreps: list[UnitaryIrrep], tol: float) -> None:
+def _validate_unitary(irreps: list[UnitaryIrrep]) -> None:
     for rep in irreps:
         sample = rep.matrices[: min(len(rep.matrices), 64)]
         eye = np.eye(rep.dim)
@@ -217,9 +219,7 @@ def _check_complete(G: FiniteGroup, irreps) -> None:
         raise IncompleteIrreps("squared dimensions do not sum to |G|")
 
 
-def fourier_distribution(
-    G: FiniteGroup, irreps, seq: SignedSequence, imag_tol: float = 1e-9
-) -> np.ndarray:
+def fourier_distribution(G: FiniteGroup, irreps, seq: SignedSequence) -> np.ndarray:
     """P(product = B) for every B at once, via the representation-side formula
     (1/|G|) sum_Phi dim(Phi) trace(prod_i (Phi(A_i)+Phi(A_i^{-1}))/2 * Phi(B^{-1}))."""
     _check_complete(G, irreps)
@@ -233,6 +233,6 @@ def fourier_distribution(
         acc += rep.dim * np.einsum("ij,gji->g", prod, mats[G._inv])
     acc /= G.order
     worst = float(np.max(np.abs(acc.imag)))
-    if worst > imag_tol:
-        raise ImagTooLarge(f"imaginary residue {worst:.2e} exceeds {imag_tol:.1e}")
+    if worst > _IMAG_TOL:
+        raise ImagTooLarge(f"imaginary residue {worst:.2e} exceeds {_IMAG_TOL:.1e}")
     return acc.real

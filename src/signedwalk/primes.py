@@ -14,6 +14,8 @@ from .errors import ConsistencyFailure, PrimeSearchExhausted
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIME_BOUND = 1000
+_TRIAL_DIVISION_BOUND = 10**6  # trial divisors up to here, then Pollard rho
+PRIME_SEARCH_BOUND = 10**9  # largest prime `next_prime_outside` skips to
 _small_primes: list[int] = []
 
 
@@ -98,7 +100,7 @@ def _pollard_rho(n: int) -> int:
     raise ConsistencyFailure(f"rho factorization failed for {n}")
 
 
-def factorize(n: int, trial_bound: int = 10**6) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -109,7 +111,7 @@ def factorize(n: int, trial_bound: int = 10**6) -> dict[int, int]:
             n //= p
     p = _SMALL_PRIME_BOUND
     p += 1 if p % 2 == 0 else 0
-    while p * p <= n and p <= trial_bound:
+    while p * p <= n and p <= _TRIAL_DIVISION_BOUND:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -128,13 +130,13 @@ def factorize(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     return out
 
 
-def next_prime_outside(start: int, excluded: set[int], bound: int = 10**9) -> int:
-    """Smallest prime >= start that is not in `excluded`.  Only skipping past an
-    excluded prime raises PrimeSearchExhausted when it leads above bound, so the
-    first prime from a start above bound is still returned when admissible."""
+def next_prime_outside(start: int, excluded: set[int]) -> int:
+    """Smallest prime >= start that is not in `excluded`.  Only a skip past an
+    excluded prime to above PRIME_SEARCH_BOUND raises PrimeSearchExhausted, so a
+    start above the bound still gets its first prime when that is admissible."""
     p = next_prime(start)
     while p in excluded:
         p = next_prime(p + 1)
-        if p > bound:
-            raise PrimeSearchExhausted(f"no admissible prime below {bound}")
+        if p > PRIME_SEARCH_BOUND:
+            raise PrimeSearchExhausted(f"no admissible prime below {PRIME_SEARCH_BOUND}")
     return p

@@ -22,6 +22,7 @@ from .irreps import UnitaryIrrep
 from .walk import SignedSequence
 
 SVD_SIZE_CAP = 2048
+_UNITARY_TOL = 1e-8  # largest entry of U U^* - I that `cos_spectrum` accepts
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,14 @@ def product_singular_bounds(M: np.ndarray, M2: np.ndarray, rel_slack: float = 1e
     )
 
 
-def cos_spectrum(U: np.ndarray, unitary_tol: float = 1e-8) -> tuple[list[float], list[float], float]:
+def cos_spectrum(U: np.ndarray) -> tuple[list[float], list[float], float]:
     """(|Re eigenvalues| sorted, singular values of (U + U^*)/2 sorted, max deviation).
 
     For unitary U the two lists agree; NotUnitary if U fails the unitarity check.
     """
     U = np.asarray(U, dtype=np.complex128)
     d = U.shape[0]
-    if np.max(np.abs(U @ U.conj().T - np.eye(d))) > unitary_tol:
+    if np.max(np.abs(U @ U.conj().T - np.eye(d))) > _UNITARY_TOL:
         raise NotUnitary("input fails the unitarity tolerance")
     re = sorted((abs(float(lam.real)) for lam in np.linalg.eigvals(U)), reverse=True)
     sv = list(singular_values((U + U.conj().T) / 2.0).values)

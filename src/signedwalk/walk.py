@@ -35,6 +35,7 @@ _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _CARRY_EVERY = 30
 _DUMP_CHUNK = 4096  # support elements encoded per write of the law dump
+_MC_DISTINCT_CAP = 1_000_000  # distinct Monte-Carlo products kept before CapExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +47,10 @@ _DUMP_CHUNK = 4096  # support elements encoded per write of the law dump
 class SignedSequence:
     """The tuple (A_1, ..., A_n) driving the walk; repetition allowed.
 
-    Every entry must be non-trivial.  `K` optionally records a declared bound
-    on the integer parameters of a unipotent construction; it is carried
-    through but not validated against the elements.
+    Every entry must be non-trivial.
     """
 
     elements: tuple[GroupElement, ...]
-    K: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.elements) < 1:
@@ -64,8 +62,8 @@ class SignedSequence:
             raise CapExceeded(f"walk length capped at {MAX_WALK_LENGTH}")
 
     @classmethod
-    def constant(cls, element: GroupElement, n: int, K: int | None = None) -> "SignedSequence":
-        return cls((element,) * n, K=K)
+    def constant(cls, element: GroupElement, n: int) -> "SignedSequence":
+        return cls((element,) * n)
 
     @property
     def n(self) -> int:
@@ -240,7 +238,6 @@ def rho_monte_carlo(
     samples: int,
     seed: int,
     threads: int = 1,
-    distinct_cap: int = 1_000_000,
 ) -> MonteCarloResult:
     """Seeded plug-in estimate of the maximum point probability.
 
@@ -279,8 +276,8 @@ def rho_monte_carlo(
     for counts in batch_results:
         for k, c in counts.items():
             merged[k] = merged.get(k, 0) + c
-        if len(merged) > distinct_cap:
-            raise CapExceeded(f"distinct products exceeded cap {distinct_cap}")
+        if len(merged) > _MC_DISTINCT_CAP:
+            raise CapExceeded(f"distinct products exceeded cap {_MC_DISTINCT_CAP}")
 
     best = max(merged.values())
     top_key = min(k for k, c in merged.items() if c == best)  # keys sort in encode() order
@@ -406,4 +403,4 @@ def sequence_from_spec(
     repeat = spec.get("repeat", 1)
     if not isinstance(repeat, int) or repeat < 1:
         raise ValueError("repeat must be >= 1")
-    return SignedSequence(tuple(elems) * repeat, K=spec.get("K"))
+    return SignedSequence(tuple(elems) * repeat)

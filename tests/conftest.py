@@ -119,6 +119,15 @@ def z6():
     return close_generators([TableElement(table, 1)])
 
 
+# two non-associative 5-element loops (latin squares with identity 0), each
+# with the generators that drove `closure` astray before tables were checked:
+# on L1 from [4] the layers never close; on L2 from [2, 4] it closed at order 5
+LOOP_GENERATORS = {
+    "L1": ([[0, 1, 2, 3, 4], [1, 2, 4, 0, 3], [2, 3, 0, 4, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]], [4]),
+    "L2": ([[0, 1, 2, 3, 4], [1, 3, 4, 2, 0], [2, 0, 1, 4, 3], [3, 4, 0, 1, 2], [4, 2, 3, 0, 1]], [2, 4]),
+}
+
+
 @pytest.fixture(scope="session")
 def s7():
     """S7 (|G| = 5040) from (0 1) and (0 1 2 3 4 5 6)."""
@@ -371,6 +380,20 @@ def naive_class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -
     for k, zk in enumerate(cc.representatives):
         M[k] = np.bincount(cc.class_of[G.mul_many(xinv, zk)], minlength=r)
     return M % ell
+
+
+def naive_multiplicities(table, i: int, c: int) -> tuple[int, ...]:
+    """Multiplicity of eps^j (eps = exp(2 pi i / k), k the order of the class
+    representative g) as an eigenvalue of Phi_i(g), by the cyclic-subgroup
+    projection m_j = (1/k) sum_u chi_i(g^u) eps^{-ju} on the float character
+    values, rounded after checking that it is within 1e-6 of an integer."""
+    k = table.class_orders[c]
+    chi_pow = table.values[i, table.power_classes(c)]
+    j_u = np.outer(np.arange(k), np.arange(k))
+    raw = np.exp(-2j * np.pi * j_u / k) @ chi_pow / k
+    assert np.max(np.abs(raw.imag)) <= 1e-6
+    assert np.max(np.abs(raw.real - np.round(raw.real))) <= 1e-6
+    return tuple(int(x) for x in np.round(raw.real))
 
 
 def naive_element_order(G: FiniteGroup, i: int) -> int:

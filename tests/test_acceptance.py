@@ -11,7 +11,7 @@ import numpy as np
 
 from signedwalk import catalog
 from signedwalk.chartable import check_multiplicity_bounds, dixon_character_table
-from signedwalk.groups import close_generators, conjugacy_classes
+from signedwalk.groups import close_generators
 from signedwalk.irreps import fourier_distribution
 from signedwalk.spectral import (
     cascade_diagnostics,
@@ -141,8 +141,7 @@ def test_criterion_5_order_length_bound_consistency():
 
 
 def test_criterion_6_multiplicity_windows_sl2_49(sl2_49):
-    cc = conjugacy_classes(sl2_49)
-    table = dixon_character_table(sl2_49, cc)
+    table = dixon_character_table(sl2_49)
     degree_sum = sum(d * d for d in table.degrees)
     report = check_multiplicity_bounds(table, Fraction(1, 6))
     ok = (

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signedwalk import catalog
+from signedwalk import catalog, chartable
 from signedwalk.chartable import (
     _class_matrix,
     _class_powers,
@@ -17,7 +17,13 @@ from signedwalk.chartable import (
 from signedwalk.errors import ConsistencyFailure, TooManyClasses
 from signedwalk.groups import close_generators, conjugacy_classes
 
-from conftest import CLASS_CASES, naive_class_matrix, naive_class_powers
+from conftest import (
+    BENCH_NAMES,
+    CLASS_CASES,
+    naive_class_matrix,
+    naive_class_powers,
+    naive_multiplicities,
+)
 
 
 def table_of(name):
@@ -67,9 +73,10 @@ def test_sl2_7_degree_squares():
     assert sum(d * d for d in t.degrees) == 7 * 48
 
 
-def test_class_count_cap(bench_groups):
+def test_class_count_cap(bench_groups, monkeypatch):
+    monkeypatch.setattr(chartable, "MAX_CLASSES", 2)
     with pytest.raises(TooManyClasses):
-        dixon_character_table(bench_groups["s3"], max_classes=2)
+        dixon_character_table(bench_groups["s3"])
 
 
 def test_multiplicities_identity_class():
@@ -97,6 +104,21 @@ def test_multiplicities_linear_character():
     prof = eigenvalue_multiplicities(t, sign, cls)
     assert sum(prof.multiplicities) == 1
     assert prof.multiplicities[1] == 1  # eigenvalue -1 for the sign character
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES + ["sl2_7", "s6", "sl2_49"])
+def test_multiplicities_match_the_dft_of_the_values(bench_groups, request, name):
+    """The lift's integer multiplicities equal the projection of the float
+    character values onto each eigenvalue, on every (character, class) pair."""
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    t = dixon_character_table(G)
+    for c in range(t.num_classes):
+        assert t.multiplicities[c].shape == (t.num_classes, t.class_orders[c])
+        for i in range(t.num_classes):
+            prof = eigenvalue_multiplicities(t, i, c)
+            assert prof.multiplicities == naive_multiplicities(t, i, c)
+            assert all(type(m) is int for m in prof.multiplicities)
+            assert sum(prof.multiplicities) == prof.degree == t.degrees[i]
 
 
 def test_multiplicities_match_explicit_matrices(bench_groups, bench_irreps):

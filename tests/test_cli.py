@@ -8,7 +8,7 @@ from signedwalk.cli import main
 from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.errors import ConsistencyFailure
 
-from conftest import naive_class_powers
+from conftest import LOOP_GENERATORS, naive_class_powers
 
 
 @pytest.fixture()
@@ -511,6 +511,15 @@ RAW_MATRIX_SEQ = {"elements": [[[1, 1], [0, 1]]]}  # no "kind": read as permutat
         pytest.param(
             ["closure", "--group", "{group}"], {"group": {"kind": "table", "table": 6}}, "square",
             id="table-not-a-table",
+        ),
+        *(
+            pytest.param(  # the cap ends a closure that would run on without the check
+                ["closure", "--group", "{group}", "--cap", "1000"],
+                {"group": {"kind": "table", "table": rows, "generators": gens}},
+                "not associative",
+                id=f"table-not-associative-{name}",
+            )
+            for name, (rows, gens) in sorted(LOOP_GENERATORS.items())
         ),
         pytest.param(
             ["diag", "--group", "{sl2_5}", "--seq", "{seq}", "--target", "999"], {}, "out of range",

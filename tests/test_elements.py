@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,13 @@ from signedwalk.elements import (
 )
 from signedwalk.errors import MixedVariants, NotInvertible
 
-from conftest import decode_matrix, decode_permutation, decode_table
+from conftest import (
+    BENCH_NAMES,
+    LOOP_GENERATORS,
+    decode_matrix,
+    decode_permutation,
+    decode_table,
+)
 
 
 def test_matrix_roundtrip_and_reduction():
@@ -123,6 +131,37 @@ def test_table_identity_and_inverse():
     assert g.order() == 4
     assert g.mul(g.inv()).is_identity()
     assert decode_table(g.encode(), t) == g
+
+
+def _z2_times(loop):
+    """Z/2 x loop, (a, l) at index a + 2 l: its first greedy generator (1, e)
+    is associative with everything, so only a later generator fails."""
+    return [
+        [(a ^ b) + 2 * loop[l][m] for m in range(len(loop)) for b in range(2)]
+        for l in range(len(loop))
+        for a in range(2)
+    ]
+
+
+@pytest.mark.parametrize("name", [*sorted(LOOP_GENERATORS), "Z2xL1"])
+def test_table_rejects_non_associative_loops(name):
+    rows = _z2_times(LOOP_GENERATORS["L1"][0]) if name == "Z2xL1" else LOOP_GENERATORS[name][0]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not associative"):
+        MulTable(rows)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_table_accepts_group_tables(bench_groups, s6):
+    # the multiplication table of every enumerated group, and its transpose
+    # (the opposite group), relabelled so that the identity is not index 0
+    for G in [*(bench_groups[name] for name in BENCH_NAMES), s6]:
+        table = G.dense_table()
+        shift = np.roll(np.arange(G.order), 1)  # index i -> i + 1 mod |G|
+        for T in (table, table.T):
+            relabelled = np.empty_like(T)
+            relabelled[np.ix_(shift, shift)] = shift[T]
+            assert MulTable(relabelled.tolist()).identity_index == shift[0]
 
 
 def test_table_rejects_non_latin():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from signedwalk import catalog
-from signedwalk.chartable import dixon_character_table, eigenvalue_multiplicities
+from signedwalk import catalog, chartable, walk
+from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import (
     CapExceeded,
     ImagTooLarge,
@@ -17,12 +17,13 @@ from signedwalk.walk import SignedSequence, rho_monte_carlo
 from conftest import random_sequence
 
 
-def test_monte_carlo_distinct_cap():
+def test_monte_carlo_distinct_cap(monkeypatch):
     G = close_generators(catalog.sl2_generators(5))
     rng = np.random.default_rng(2)
     seq = random_sequence(G, 12, rng)
+    monkeypatch.setattr(walk, "_MC_DISTINCT_CAP", 3)
     with pytest.raises(CapExceeded):
-        rho_monte_carlo(seq, samples=50_000, seed=1, distinct_cap=3)
+        rho_monte_carlo(seq, samples=50_000, seed=1)
 
 
 def test_fourier_rejects_broken_representation_set(bench_groups, bench_irreps):
@@ -40,12 +41,14 @@ def test_fourier_rejects_broken_representation_set(bench_groups, bench_irreps):
         fourier_distribution(G, irreps, seq)
 
 
-def test_non_integral_multiplicity_detected(bench_groups):
-    t = dixon_character_table(bench_groups["s3"])
-    t.values[t.degrees.index(2), 1] += 0.5  # corrupt one character value
-    klass = next(c for c in range(3) if t.class_orders[c] > 1)
-    with pytest.raises(NonIntegralMultiplicity):
-        eigenvalue_multiplicities(t, t.degrees.index(2), klass)
+def test_non_integral_multiplicity_detected(bench_groups, monkeypatch):
+    # the lift reads the multiplicities off powers of a primitive exponent-th
+    # root of unity mod ell; with the identity in its place they are not the
+    # multiplicities of any representation, and the lift must refuse them
+    monkeypatch.setattr(chartable, "element_of_order", lambda order, ell: 1)
+    for name in ("s3", "s4", "q8", "sl2_3", "sl2_5"):
+        with pytest.raises(NonIntegralMultiplicity):
+            dixon_character_table(bench_groups[name])
 
 
 def test_is_prime_and_next_prime():

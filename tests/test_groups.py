@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedwalk import catalog
+from signedwalk import catalog, elements
 from signedwalk.elements import MatrixElement, MulTable, PermutationElement, TableElement
 from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup, NotInvertible, SizeCap
 from signedwalk.groups import (
@@ -609,13 +609,15 @@ def test_small_group_of_wide_matrices_closes():
     assert G.index_of(minus) == 1 and G.inv(1) == 1
 
 
-def test_closure_refuses_a_non_associative_table():
-    # a latin square with identity 0 that is not associative (a loop of order 5):
-    # its BFS layers never close, so without the inverse check the closure runs
-    # on until the element cap
-    loop = MulTable(
-        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
-    )
+def test_closure_refuses_a_non_associative_table(monkeypatch):
+    # a latin square with identity 0 that is not associative (a loop of order 5)
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    with pytest.raises(ValueError, match="not associative"):
+        MulTable(rows)
+    # past the table's own check its BFS layers never close, so without the
+    # inverse check the closure runs on until the element cap
+    monkeypatch.setattr(elements, "_check_associative", lambda rows, identity: None)
+    loop = MulTable(rows)
     with pytest.raises(NotInGroup, match="do not close to a group"):
         close_generators([TableElement(loop, 1), TableElement(loop, 2)])
 
