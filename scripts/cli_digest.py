@@ -80,6 +80,16 @@ def write_inputs(d: Path) -> None:
     put("perm300_seq.json", {"elements": [images]})
     put("loop_l1.json", {"kind": "table", "table": LOOP_L1, "generators": [4]})
     put("loop_l2.json", {"kind": "table", "table": LOOP_L2, "generators": [2, 4]})
+    put("z6_table.json", {"kind": "table", "table": [[(i + j) % 6 for j in range(6)] for i in range(6)],
+                          "generators": [1]})
+    # elementary abelian groups with many classes: (Z/2)^6 and (Z/3)^4 on 12 points
+    for name, k, copies in (("z2_6", 2, 6), ("z3_4", 3, 4)):
+        put(f"{name}.json", {"kind": "permutation", "degree": k * copies, "generators": [
+            [b * k + (i + 1) % k if b == c else b * k + i for b in range(copies) for i in range(k)]
+            for c in range(copies)
+        ]})
+    put("singular_gen.json", {"kind": "matrix_mod_p", "p": 5, "m": 2,
+                              "generators": [[[1, 1], [0, 1]], [[1, 2], [2, 4]]]})
     (d / "bad.json").write_text("{not json", encoding="utf-8")
 
     rng = np.random.default_rng(17)
@@ -110,6 +120,13 @@ def commands() -> list[tuple[str, list[str]]]:
     small = ("s3", "q8", "s4", "sl2_3", "sl2_5")
     add("order_s3", "order", "--group", "s3.json", "--element", "[1,0,2]")
     add("order_sl2_5", "order", "--group", "sl2_5.json", "--element", "[[1,1],[0,1]]")
+    add("order_singular", "order", "--group", "sl2_5.json", "--element", "[[1,2],[2,4]]")
+    add("closure_singular_gen", "closure", "--group", "singular_gen.json")
+    add("closure_z6_table", "closure", "--group", "z6_table.json", "--elements")
+    add("chartab_z6_table", "chartab", "--group", "z6_table.json")
+    for g in ("z2_6", "z3_4"):
+        add(f"chartab_{g}", "chartab", "--group", f"{g}.json")
+        add(f"mult_bounds_{g}", "mult-bounds", "--group", f"{g}.json")
     for g in small:
         add(f"closure_{g}", "closure", "--group", f"{g}.json", "--elements")
         add(f"chartab_{g}", "chartab", "--group", f"{g}.json")

@@ -110,7 +110,7 @@ class CharacterTable:
 
 
 def _find_table_prime(exponent: int, group_order: int) -> int:
-    floor = 2 * math.isqrt(4 * group_order)  # ell with ell^2 > 4|G|
+    floor = math.isqrt(4 * group_order)  # ell^2 > 4|G| means ell > floor
     t = 1
     while exponent * t + 1 < _PRIME_SEARCH_BOUND:
         ell = exponent * t + 1
@@ -196,8 +196,6 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
             for lam in roots_mod(charpoly_mod(A, ell), ell):
                 shifted = (A - lam * np.eye(A.shape[0], dtype=np.int64)) % ell
                 K = nullspace_mod(shifted, ell)
-                if K.shape[1] == 0:
-                    continue
                 refined.append(matmul_mod(W, K, ell))
                 covered += K.shape[1]
             if covered != W.shape[1]:

@@ -43,27 +43,8 @@ def _mat_rows(entries: tuple[int, ...], m: int) -> list[list[int]]:
     return [list(entries[i * m : (i + 1) * m]) for i in range(m)]
 
 
-def _det_mod(entries: tuple[int, ...], m: int, p: int) -> int:
-    rows = _mat_rows(entries, m)
-    det = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det % p
-        det = det * rows[col][col] % p
-        inv = pow(rows[col][col], -1, p)
-        for r in range(col + 1, m):
-            f = rows[r][col] * inv % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
-
-
 def _inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
-    """Inverse mod p by Gauss-Jordan elimination on [A | I]."""
+    """Inverse mod p by Gauss-Jordan elimination on [A | I]; NotInvertible if singular."""
     rows = [
         list(entries[i * m : (i + 1) * m]) + [int(i == j) for j in range(m)]
         for i in range(m)
@@ -71,7 +52,7 @@ def _inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
     for col in range(m):
         pivot = next((r for r in range(col, m) if rows[r][col] % p), None)
         if pivot is None:
-            raise NotInvertible("singular matrix mod p")
+            raise NotInvertible("matrix is singular mod p")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         inv = pow(rows[col][col], -1, p)
         rows[col] = [x * inv % p for x in rows[col]]
@@ -111,8 +92,7 @@ class MatrixElement:
             raise ValueError("entry count does not match matrix size")
         if any(not (0 <= e < self.p) for e in self.entries):
             raise ValueError("entries must be residues in [0, p)")
-        if _det_mod(self.entries, self.m, self.p) == 0:
-            raise NotInvertible("matrix is singular mod p")
+        _inv_entries(self.entries, self.m, self.p)  # raises NotInvertible when singular
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "MatrixElement":
@@ -149,14 +129,14 @@ class MatrixElement:
 
     @classmethod
     def _product(cls, p: int, m: int, entries: tuple[int, ...]) -> "MatrixElement":
-        """The reduced product of two valid matrices, built without `__post_init__`:
-        it is invertible with entries in [0, p) already, so nothing is checked."""
+        """A product or inverse of valid matrices, built without `__post_init__`: it
+        is invertible with entries in [0, p) already, so nothing is checked."""
         g = object.__new__(cls)
         g.__dict__.update(p=p, m=m, entries=entries)
         return g
 
     def inv(self) -> "MatrixElement":
-        return MatrixElement(self.p, self.m, _inv_entries(self.entries, self.m, self.p))
+        return MatrixElement._product(self.p, self.m, _inv_entries(self.entries, self.m, self.p))
 
     def is_identity(self) -> bool:
         m = self.m
@@ -264,7 +244,8 @@ def _check_associative(T: np.ndarray, identity: int) -> None:
 
 class MulTable:
     """Immutable multiplication table of a group on indices 0..size-1: a latin
-    square with a two-sided identity, checked to be associative.  Compared and
+    square with a two-sided identity, checked to be associative.  `products` is
+    the read-only int64 array of the table, products[i, j] = i * j.  Compared and
     hashed by object identity, so elements of distinct tables never mix."""
 
     def __init__(self, rows) -> None:
@@ -281,11 +262,12 @@ class MulTable:
             raise ValueError("table has no two-sided identity")
         ident = int(idents[0])
         _check_associative(T, ident)
-        self.size, self.rows, self.identity_index = size, tuple(tuple(row) for row in rows), ident
+        T.flags.writeable = False
+        self.size, self.products, self.identity_index = size, T, ident
         self.inverse = tuple(np.argmax(T == ident, axis=1).tolist())
 
     def mul(self, i: int, j: int) -> int:
-        return self.rows[i][j]
+        return int(self.products[i, j])
 
 
 @dataclass(frozen=True)

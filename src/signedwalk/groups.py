@@ -95,7 +95,6 @@ class RowArith:
             top, ident = base - 1, PermutationElement.identity(base)
         else:
             self.variant, self.table = "table", template.table
-            self._table_rows = np.array(template.table.rows, dtype=np.int64)
             base, width, entries, top = template.table.size, 1, 1, 2**32 - 1  # 4-byte index
             ident = TableElement(template.table, template.table.identity_index)
         byte_width = _byte_width(top)
@@ -159,7 +158,7 @@ class RowArith:
             return prod.reshape(-1, m * m)
         if self.variant == "permutation":  # (l * r)(x) = l(r(x))
             return np.take_along_axis(left, right, axis=1)
-        return self._table_rows[left, right]
+        return self.table.products[left, right]
 
     def right_mul(self, factors: np.ndarray, work: int):
         """The product by the fixed (k, width) right factors, as a function

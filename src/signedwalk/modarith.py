@@ -3,7 +3,12 @@
 Everything here works on int64 numpy arrays with entries reduced mod ell.
 Sizes stay modest (matrices up to the class-count cap, ell well below 2^31),
 so schoolbook algorithms with explicit modular reductions are exact and fast
-enough.  Polynomials are coefficient arrays in ascending order.
+enough.
+
+A polynomial has one form, which every function here returns and relies on: an
+int64 array of residues in [0, ell), coefficients in ascending order, with no
+trailing zero, so its degree is len - 1 and the zero polynomial is the empty
+array.  Only `roots_mod` reduces its input to that form first.
 """
 
 from __future__ import annotations
@@ -127,99 +132,83 @@ def charpoly_mod(A: np.ndarray, ell: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def poly_trim(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=np.int64)
-
-
-def poly_deg(a: np.ndarray) -> int:
-    a = poly_trim(a)
-    return len(a) - 1 if np.any(a) else -1
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    if ell * ell * max(len(a), len(b)) >= 2**63:
-        raise ValueError("modulus too large for int64 convolution")
-    return poly_trim(np.convolve(a % ell, b % ell) % ell)
+def _trimmed(a: np.ndarray) -> np.ndarray:
+    """a without its trailing zeros (a view), where a reduction may leave some."""
+    k = len(a)
+    while k and not a[k - 1]:
+        k -= 1
+    return a[:k]
 
 
 def poly_divmod(a: np.ndarray, b: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    a = poly_trim(a % ell).copy()
-    b = poly_trim(b % ell)
-    db, da = poly_deg(b), poly_deg(a)
-    if db < 0:
+    """(q, r) with a = q b + r and len(r) < len(b)."""
+    if not len(b):
         raise ZeroDivisionError("polynomial division by zero")
-    if da < db:
-        return np.zeros(1, dtype=np.int64), a
+    db = len(b) - 1
+    if len(a) <= db:
+        return a[:0], a
     binv = inv_mod(int(b[db]), ell)
-    q = np.zeros(da - db + 1, dtype=np.int64)
-    r = a
-    for d in range(da, db - 1, -1):
+    q, r = np.zeros(len(a) - db, dtype=np.int64), a.copy()
+    for d in range(len(a) - 1, db - 1, -1):
         c = r[d] * binv % ell
         if c:
             q[d - db] = c
             r[d - db : d + 1] = (r[d - db : d + 1] - c * b) % ell
-    return poly_trim(q), poly_trim(r)
+    return q, _trimmed(r[:db])
 
 
 def poly_gcd(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    a, b = poly_trim(a % ell), poly_trim(b % ell)
-    while np.any(b):
+    """The monic gcd of a and b (the empty array when both are zero)."""
+    while len(b):
         a, b = b, poly_divmod(a, b, ell)[1]
-    d = poly_deg(a)
-    if d >= 0 and a[d] != 1:
-        a = a * inv_mod(int(a[d]), ell) % ell
-    return poly_trim(a)
+    return a * inv_mod(int(a[-1]), ell) % ell if len(a) else a
 
 
 def poly_pow_mod(base: np.ndarray, e: int, mod: np.ndarray, ell: int) -> np.ndarray:
-    result = np.array([1], dtype=np.int64)
-    cur = poly_divmod(np.asarray(base, dtype=np.int64), mod, ell)[1]
+    """base^e mod `mod`, for `mod` of degree >= 1."""
+    if ell * ell * len(mod) >= 2**63:
+        raise ValueError("modulus too large for int64 convolution")
+
+    def mul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # np.convolve refuses []
+        prod = np.convolve(a, b) % ell if len(a) and len(b) else a[:0]
+        return poly_divmod(prod, mod, ell)[1]
+
+    result, cur = np.array([1], dtype=np.int64), poly_divmod(base, mod, ell)[1]
     while e:
         if e & 1:
-            result = poly_divmod(poly_mul(result, cur, ell), mod, ell)[1]
-        cur = poly_divmod(poly_mul(cur, cur, ell), mod, ell)[1]
+            result = mul_mod(result, cur)
+        cur = mul_mod(cur, cur)
         e >>= 1
     return result
 
 
 def roots_mod(f: np.ndarray, ell: int) -> list[int]:
     """Distinct roots of f in F_ell, ell an odd prime, sorted ascending:
-    gcd(f, x^ell - x), split by Cantor-Zassenhaus with shifts x + 0, 1, ..."""
+    gcd(f, x^ell - x), split by Cantor-Zassenhaus with shifts x + 0, 1, ...
+    f is any integer coefficient array; it is reduced to the normal form first."""
     if ell == 2:
         raise ValueError("roots_mod needs an odd prime")
-    f = poly_trim(np.asarray(f, dtype=np.int64) % ell)
-    if poly_deg(f) < 1:
+    f = _trimmed(np.asarray(f, dtype=np.int64) % ell)
+    if len(f) < 2:
         return []
-    x_poly = np.array([0, 1], dtype=np.int64)
-    xq = poly_pow_mod(x_poly, ell, f, ell)
-    diff = xq.copy()
-    if len(diff) < 2:
-        diff = np.concatenate([diff, np.zeros(2 - len(diff), dtype=np.int64)])
+    xq = poly_pow_mod(np.array([0, 1], dtype=np.int64), ell, f, ell)
+    diff = np.zeros(max(len(xq), 2), dtype=np.int64)
+    diff[: len(xq)] = xq
     diff[1] = (diff[1] - 1) % ell
-    g = poly_gcd(diff, f, ell)
     roots: list[int] = []
-    stack = [g]
-    shift = 0
+    stack, shift = [poly_gcd(f, _trimmed(diff), ell)], 0
     while stack:
-        h = poly_trim(stack.pop())
-        d = poly_deg(h)
-        if d <= 0:
-            continue
-        if d == 1:
+        h = stack.pop()
+        if len(h) == 2:
             roots.append((-int(h[0]) * inv_mod(int(h[1]), ell)) % ell)
-            continue
-        while True:
-            a = shift
+        while len(h) > 2:  # until a shift splits h
+            x_plus = np.array([shift % ell, 1], dtype=np.int64)
             shift += 1
-            w = poly_pow_mod(np.array([a, 1], dtype=np.int64), (ell - 1) // 2, h, ell)
-            w = w.copy()
+            w = poly_pow_mod(x_plus, (ell - 1) // 2, h, ell)  # not 0: h is squarefree
             w[0] = (w[0] - 1) % ell
-            d1 = poly_gcd(w, h, ell)
-            if 0 < poly_deg(d1) < d:
-                stack.append(d1)
-                stack.append(poly_divmod(h, d1, ell)[0])
+            d1 = poly_gcd(h, _trimmed(w), ell)
+            if 1 < len(d1) < len(h):
+                stack += [d1, poly_divmod(h, d1, ell)[0]]
                 break
     return sorted(roots)
 

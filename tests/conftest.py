@@ -199,6 +199,26 @@ def distribution_json(dist: ExactDistribution, G: FiniteGroup) -> dict:
     }
 
 
+def naive_det_mod(entries: tuple[int, ...], m: int, p: int) -> int:
+    """Determinant mod p of a row-major m x m matrix, by forward elimination."""
+    rows = [list(entries[i * m : (i + 1) * m]) for i in range(m)]
+    det = 1
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det % p
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, m):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
+    return det % p
+
+
 def naive_batch_inverse(mats: np.ndarray, p: int) -> np.ndarray:
     """Inverses mod p of a stack of m x m matrices: adjugate over recursive
     cofactor determinants for m <= 4, per-element elimination above."""

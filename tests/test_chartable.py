@@ -1,11 +1,13 @@
 import cmath
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from signedwalk import catalog, chartable
+from signedwalk.cli import main
 from signedwalk.chartable import (
     _class_matrix,
     _class_powers,
@@ -14,8 +16,10 @@ from signedwalk.chartable import (
     eigenvalue_multiplicities,
     max_character_ratio,
 )
-from signedwalk.errors import ConsistencyFailure, TooManyClasses
+from signedwalk.elements import PermutationElement
+from signedwalk.errors import ConsistencyFailure, NoSuitablePrime, TooManyClasses
 from signedwalk.groups import close_generators, conjugacy_classes
+from signedwalk.irreps import REGULAR_SIZE_CAP, decompose_regular
 
 from conftest import (
     BENCH_NAMES,
@@ -77,6 +81,54 @@ def test_class_count_cap(bench_groups, monkeypatch):
     monkeypatch.setattr(chartable, "MAX_CLASSES", 2)
     with pytest.raises(TooManyClasses):
         dixon_character_table(bench_groups["s3"])
+
+
+def test_prime_search_failure_names_the_real_floor(bench_groups, monkeypatch, capsys, tmp_path):
+    # S3: exponent 6 and 4|G| = 24, so the working prime must exceed isqrt(24) = 4;
+    # the first candidate, 7, is not below a search bound of 7
+    monkeypatch.setattr(chartable, "_PRIME_SEARCH_BOUND", 7)
+    message = "no prime = 1 (mod 6) above 4 below 7"
+    with pytest.raises(NoSuitablePrime) as exc:
+        dixon_character_table(bench_groups["s3"])
+    assert str(exc.value) == message
+    spec = tmp_path / "s3.json"
+    spec.write_text(json.dumps(catalog.group_spec("s3")))
+    assert main(["chartab", "--group", str(spec)]) == 3
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
+
+
+def _cycles(lengths) -> list[PermutationElement]:
+    """One cycle per length, on disjoint blocks of consecutive points."""
+    gens, start, degree = [], 0, sum(lengths)
+    for k in lengths:
+        images = list(range(degree))
+        images[start : start + k] = [start + (i + 1) % k for i in range(k)]
+        gens.append(PermutationElement(tuple(images)))
+        start += k
+    return gens
+
+
+@pytest.mark.parametrize(
+    ("lengths", "ell"), [((64,), 193), ((2,) * 6, 17), ((3,) * 4, 19)], ids=["c64", "z2^6", "z3^4"]
+)
+def test_many_class_abelian_tables_match_regular_splitting(lengths, ell):
+    # 64 or 81 classes; over F_17 the 64 characters of (Z/2)^6 take 2 values per
+    # class, so the class operators repeat each eigenvalue many times
+    G = close_generators(_cycles(lengths))
+    assert G.order <= REGULAR_SIZE_CAP
+    t = dixon_character_table(G)
+    assert t.modulus == ell and t.num_classes == G.order
+    assert t.degrees == (1,) * G.order
+    orders = np.array(t.class_orders)
+    assert np.max(np.abs(t.values ** orders - 1)) < 1e-9
+    reps = t.classes.representatives
+    rows = list(t.values)
+    for rep in decompose_regular(G, seed=2024):
+        chi = np.array([rep.character[r] for r in reps])
+        matches = [i for i, row in enumerate(rows) if np.max(np.abs(row - chi)) <= 1e-6]
+        assert len(matches) == 1
+        rows.pop(matches[0])
+    assert rows == []
 
 
 def test_multiplicities_identity_class():

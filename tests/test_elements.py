@@ -20,6 +20,7 @@ from conftest import (
     decode_matrix,
     decode_permutation,
     decode_table,
+    naive_det_mod,
 )
 
 
@@ -62,6 +63,43 @@ def test_product_skips_validation_and_equals_the_checked_matrix(monkeypatch):
             assert prod.entries == tuple(want) and isinstance(prod.entries[0], int)
             assert prod == checked_prod and hash(prod) == hash(checked_prod)
     assert len(checked) == len(mats) ** 2  # one per explicit construction, none per product
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 257])
+def test_matrix_refused_exactly_when_the_determinant_is_zero(p):
+    rng = np.random.default_rng(p)
+    refused = 0
+    for _ in range(200):
+        m = int(rng.integers(1, 6))
+        # sparse draws, so that singular matrices turn up for large p too
+        entries = tuple((rng.integers(0, p, size=m * m) * (rng.random(m * m) < 0.6)).tolist())
+        singular = naive_det_mod(entries, m, p) == 0
+        try:
+            MatrixElement(p, m, entries)
+        except NotInvertible as exc:
+            assert singular and str(exc) == "matrix is singular mod p"
+            refused += 1
+        else:
+            assert not singular
+    assert 0 < refused < 200
+
+
+def test_inverse_skips_validation(monkeypatch):
+    rng = np.random.default_rng(5)
+    mats = []
+    while len(mats) < 6:
+        try:
+            mats.append(MatrixElement.from_rows(rng.integers(0, 7, size=(3, 3)).tolist(), 7))
+        except NotInvertible:
+            pass
+    checked = []
+    monkeypatch.setattr(MatrixElement, "__post_init__", lambda self: checked.append(self))
+    for g in mats:
+        inv = g.inv()
+        assert isinstance(inv.entries[0], int) and g.mul(inv).is_identity()
+        checked_inv = MatrixElement(7, 3, inv.entries)
+        assert inv == checked_inv and hash(inv) == hash(checked_inv)
+    assert len(checked) == len(mats)  # one per explicit construction, none per inverse
 
 
 def test_matrix_inverse_small_and_large():
@@ -131,6 +169,17 @@ def test_table_identity_and_inverse():
     assert g.order() == 4
     assert g.mul(g.inv()).is_identity()
     assert decode_table(g.encode(), t) == g
+
+
+def test_table_keeps_one_read_only_array():
+    rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    t = MulTable(rows)
+    assert t.products.dtype == np.int64 and t.products.tolist() == rows
+    with pytest.raises(ValueError):
+        t.products[0, 0] = 1
+    for i in range(5):
+        for j in range(5):
+            assert type(t.mul(i, j)) is int and t.mul(i, j) == rows[i][j]
 
 
 def _z2_times(loop):
