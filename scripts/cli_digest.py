@@ -152,6 +152,8 @@ def commands() -> list[tuple[str, list[str]]]:
             add(f"mc_{seq}_t{t}", "mc", "--seq", f"{seq}_seq.json", "--samples", samples,
                 "--seed", "3", "--threads", t, "--out", "OUT/mc.json")
     add("irreps_sl2_3", "irreps", "--group", "sl2_3.json", "--seed", "2024", "--dump-matrices")
+    # C11: five pairs of complex-conjugate characters share first-pass eigenspaces
+    add("irreps_c11", "irreps", "--group", "c11.json", "--seed", "1")
     for g in ("s3", "q8", "sl2_3"):
         add(f"fourier_{g}", "fourier-check", "--group", f"{g}.json", "--count", "4", "--seed", "1")
     add("mult_bounds_sl2_5", "mult-bounds", "--group", "sl2_5.json")

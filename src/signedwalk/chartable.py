@@ -7,7 +7,9 @@ the rows of the character table reduced mod ell.  Splitting eigenspaces class
 by class, normalizing at the identity class, recovering degrees by modular
 square roots, and lifting each value through its eigenvalue multiplicities
 yields the complex table exactly.  The table keeps those integers (checked to
-sum to the degree), and the multiplicity windows read them from there.
+sum to the degree), and the multiplicity windows read them from there.  An
+operator that is scalar on an eigenspace found so far cannot split it, so the
+space passes on without a characteristic polynomial.
 
 Each class-sum operator comes from one column (that of the inverse of the
 class representative, composed along the generator tree) and one `bincount`
@@ -160,6 +162,41 @@ def _class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.
     return M % ell
 
 
+def _eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int) -> list[np.ndarray]:
+    """The common eigenlines of the class-sum operators mod ell, one (r, 1) basis
+    each: the class-function space is split by one operator after another,
+    smallest classes first, until every space is a line.  An operator that is
+    scalar on a space has one eigenvalue there and cannot split it, so that space
+    passes through without a characteristic polynomial, roots or kernel."""
+    r = cc.count
+    spaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
+    for i in sorted(range(1, r), key=lambda i: (cc.sizes[i], i)):
+        if all(W.shape[1] == 1 for W in spaces):
+            break
+        Mi = _class_matrix(G, cc, i, ell)
+        refined: list[np.ndarray] = []
+        for W in spaces:
+            if W.shape[1] == 1:
+                refined.append(W)
+                continue
+            A = solve_in_span(W, matmul_mod(Mi, W, ell), ell)
+            if np.array_equal(A, A[0, 0] * np.eye(len(A), dtype=np.int64)):
+                refined.append(W)
+                continue
+            covered = 0
+            for lam in roots_mod(charpoly_mod(A, ell), ell):
+                shifted = (A - lam * np.eye(A.shape[0], dtype=np.int64)) % ell
+                K = nullspace_mod(shifted, ell)
+                refined.append(matmul_mod(W, K, ell))
+                covered += K.shape[1]
+            if covered != W.shape[1]:
+                raise ConsistencyFailure("class operator failed to split semisimply")
+        spaces = refined
+    if any(W.shape[1] != 1 for W in spaces):
+        raise ConsistencyFailure("class operators did not separate all characters")
+    return spaces
+
+
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     """Full complex character table of an enumerated group.
 
@@ -179,30 +216,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     ell = _find_table_prime(exponent, G.order)
     inverse_class = tuple(int(cc.class_of[G.inv(rep)]) for rep in cc.representatives)
 
-    # split the class-function space into common eigenlines
-    spaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
-    processing = sorted(range(1, r), key=lambda i: (cc.sizes[i], i))
-    for i in processing:
-        if all(W.shape[1] == 1 for W in spaces):
-            break
-        Mi = _class_matrix(G, cc, i, ell)
-        refined: list[np.ndarray] = []
-        for W in spaces:
-            if W.shape[1] == 1:
-                refined.append(W)
-                continue
-            A = solve_in_span(W, matmul_mod(Mi, W, ell), ell)
-            covered = 0
-            for lam in roots_mod(charpoly_mod(A, ell), ell):
-                shifted = (A - lam * np.eye(A.shape[0], dtype=np.int64)) % ell
-                K = nullspace_mod(shifted, ell)
-                refined.append(matmul_mod(W, K, ell))
-                covered += K.shape[1]
-            if covered != W.shape[1]:
-                raise ConsistencyFailure("class operator failed to split semisimply")
-        spaces = refined
-    if any(W.shape[1] != 1 for W in spaces):
-        raise ConsistencyFailure("class operators did not separate all characters")
+    spaces = _eigenlines(G, cc, ell)
 
     # normalize eigenvectors and recover degrees
     sizes = np.array(cc.sizes, dtype=np.int64)

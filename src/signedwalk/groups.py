@@ -28,13 +28,13 @@ every product of layer k lies in layer k-1, k or k+1: each layer's products are
 tested against the keys of layers k-1 and k only.  A product's index is then
 its layer's start plus its position among that layer's sorted keys, so the
 same pass writes the generator tree: the right-multiplication columns of the
-multipliers and, for every h >= 1, the first product g * t that found h, with
-g < h its parent.  Each layer rebuilds the rows of its new elements from that
-product and carries their inverses along the tree as t^-1 * g^-1, so no
-inversion runs after closure.  A group never changes after construction.
-`mul_many` takes one right factor or an index array aligned with the left
-factors, so a batch of unrelated products (e.g. the next power of every class
-representative) is one call.
+multipliers, the start of every layer and, for every h >= 1, the first product
+g * t that found h, with g < h its parent in the layer before.  Each layer
+rebuilds the rows of its new elements from that product and carries their
+inverses along the tree as t^-1 * g^-1, so no inversion runs after closure.
+A group never changes after construction.  `mul_many` takes one right factor
+or an index array aligned with the left factors, so a batch of unrelated
+products (e.g. the next power of every class representative) is one call.
 
 Everything else that needs whole-group arithmetic is index gathers along the
 tree: the column of any element (`right_column`: its tree word composed), the
@@ -249,12 +249,19 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class GeneratorTree:
     """Right-multiplication columns of the multipliers (the generators and their
     inverses) and a spanning tree of the Cayley graph: for every h >= 1,
-    h = parent[h] * mults[via[h]] with parent[h] < h (entries at 0 are unused)."""
+    h = parent[h] * mults[via[h]] with parent[h] < h (entries at 0 are unused).
+
+    The tree is the closure's BFS: layer k, the elements at distance k from the
+    identity, holds indices starts[k] .. starts[k + 1] - 1 (starts[0] = 0,
+    starts[-1] = |G|), and the parents of layer k >= 1 all lie in layer k - 1.
+    So a homomorphism, known on the multipliers, is filled in on all of G by
+    one batched step per layer, parents before children."""
 
     mults: tuple[int, ...]  # distinct multiplier indices, generators first
     cols: np.ndarray  # (k, |G|) int32, cols[k, h] = index of g_h * t_k
     via: np.ndarray
     parent: np.ndarray
+    starts: tuple[int, ...]  # first index of each BFS layer, then |G|
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +417,10 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         inv.append(start + pos)
 
     cols = np.concatenate(cols, axis=1)
+    starts = np.cumsum([0] + [len(k) for k in layer_keys[:-1]])  # the last layer is empty
     tree = GeneratorTree(
-        tuple(cols[:, 0].tolist()), cols, np.concatenate(via), np.concatenate(parent)
+        tuple(cols[:, 0].tolist()), cols, np.concatenate(via), np.concatenate(parent),
+        tuple(starts.tolist()),
     )
     return FiniteGroup(arith, np.concatenate(layer_keys), np.concatenate(inv), tree, gen_rows)
 

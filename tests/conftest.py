@@ -23,6 +23,7 @@ from signedwalk.elements import (
 from signedwalk.errors import NotInGroup
 from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators
 from signedwalk.irreps import decompose_regular
+from signedwalk.modarith import charpoly_mod, matmul_mod, nullspace_mod, roots_mod, solve_in_span
 from signedwalk.walk import _MC_BATCH, ExactDistribution, SignedSequence
 
 BENCH_NAMES = ["s3", "d4", "q8", "a4", "s4", "sl2_3", "sl2_5"]
@@ -474,6 +475,37 @@ def naive_average_hermitian(H: np.ndarray, left_inv_rows: np.ndarray) -> np.ndar
         pi = left_inv_rows[g]
         acc += H[np.ix_(pi, pi)]
     return acc / n
+
+
+def naive_tabulate(V: np.ndarray, left_inv_rows: np.ndarray) -> np.ndarray:
+    """rho(g) = V^* R(g) V for every g, one row gather of V per element:
+    (R(g) V)[a] = V[g^{-1} a]."""
+    Vh = V.conj().T
+    return np.array([Vh @ V[left_inv_rows[g]] for g in range(len(V))])
+
+
+def naive_eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int):
+    """(common eigenlines of the class-sum operators mod ell, number of times an
+    operator was scalar on a space): Dixon's splitting loop, class operators from
+    `naive_class_matrix`, with every space of dimension > 1 split through its
+    characteristic polynomial, the roots and one kernel per root, scalar or not."""
+    spaces, scalar = [np.eye(cc.count, dtype=np.int64)], 0
+    for i in sorted(range(1, cc.count), key=lambda i: (cc.sizes[i], i)):
+        if all(W.shape[1] == 1 for W in spaces):
+            break
+        M = naive_class_matrix(G, cc, i, ell)
+        refined = []
+        for W in spaces:
+            if W.shape[1] == 1:
+                refined.append(W)
+                continue
+            A = solve_in_span(W, matmul_mod(M, W, ell), ell)
+            scalar += int(np.array_equal(A, A[0, 0] * np.eye(len(A), dtype=np.int64)))
+            for lam in roots_mod(charpoly_mod(A, ell), ell):
+                K = nullspace_mod((A - lam * np.eye(len(A), dtype=np.int64)) % ell, ell)
+                refined.append(matmul_mod(W, K, ell))
+        spaces = refined
+    return spaces, scalar
 
 
 def pascal_central_binomial(n: int) -> int:

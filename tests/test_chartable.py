@@ -11,6 +11,7 @@ from signedwalk.cli import main
 from signedwalk.chartable import (
     _class_matrix,
     _class_powers,
+    _eigenlines,
     check_multiplicity_bounds,
     dixon_character_table,
     eigenvalue_multiplicities,
@@ -26,6 +27,7 @@ from conftest import (
     CLASS_CASES,
     naive_class_matrix,
     naive_class_powers,
+    naive_eigenlines,
     naive_multiplicities,
 )
 
@@ -129,6 +131,24 @@ def test_many_class_abelian_tables_match_regular_splitting(lengths, ell):
         assert len(matches) == 1
         rows.pop(matches[0])
     assert rows == []
+
+
+def test_scalar_operators_pass_spaces_through(bench_groups, sl2_7):
+    """Skipping an operator that is scalar on a space leaves the same eigenlines,
+    in the same order, as splitting it through the characteristic polynomial:
+    one root, whose kernel is the whole space.  So the table is the same.  On
+    S4, SL2(5) and C64 no operator is scalar on a space it meets; on SL2(7)
+    three are."""
+    groups = [bench_groups["s4"], bench_groups["sl2_5"], close_generators(_cycles((64,))), sl2_7]
+    skipped = []
+    for G in groups:
+        t = dixon_character_table(G)
+        want, scalar = naive_eigenlines(G, t.classes, t.modulus)
+        got = _eigenlines(G, t.classes, t.modulus)
+        assert len(got) == len(want) == t.num_classes
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        skipped.append(scalar)
+    assert skipped == [0, 0, 0, 3]
 
 
 def test_multiplicities_identity_class():

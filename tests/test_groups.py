@@ -519,6 +519,11 @@ def test_generator_tree_composes_to_columns(class_case, name):
         assert np.array_equal(tree.cols[k], G.mul_many(idxs, t))
     assert np.all(tree.parent[1:] < idxs[1:])
     assert np.array_equal(tree.cols[tree.via[1:], tree.parent[1:]], idxs[1:])
+    # layer k >= 1 is [starts[k], starts[k + 1]), its parents all in layer k - 1
+    starts = np.array(tree.starts)
+    assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
+    layer = np.searchsorted(starts, idxs, side="right") - 1
+    assert np.array_equal(layer[tree.parent[1:]], layer[1:] - 1)
     rng = np.random.default_rng(11)
     for x in [0, n - 1] + rng.integers(0, n, size=6).tolist():
         assert np.array_equal(G.right_column(x), G.mul_many(idxs, x))

@@ -5,9 +5,14 @@ from signedwalk import catalog
 from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import SizeCap
 from signedwalk.groups import close_generators
-from signedwalk.irreps import _average_hermitian, _restricted_average, decompose_regular
+from signedwalk.irreps import (
+    _average_hermitian,
+    _conjugation_mean,
+    _tabulate,
+    decompose_regular,
+)
 
-from conftest import left_translation_rows, naive_average_hermitian
+from conftest import left_translation_rows, naive_average_hermitian, naive_tabulate
 
 
 def test_abelian_splits_into_linear_characters():
@@ -105,25 +110,64 @@ def test_average_hermitian_matches_sum_over_group(bench_groups, name):
     assert np.max(np.abs(fast - naive_average_hermitian(H, inv_rows))) <= 1e-12
 
 
+def _coset_span(G):
+    """Orthonormal basis of the functions constant on the left cosets of an
+    involution t: the action on G/<t>, invariant and reducible."""
+    t = next(g for g in range(1, G.order) if G.mul(g, g) == 0)
+    coset = np.minimum(np.arange(G.order), G.mul_many(np.arange(G.order), t))
+    return (coset[:, None] == np.unique(coset)[None, :]) / np.sqrt(2.0)
+
+
 def test_restricted_average_on_reducible_subspace(bench_groups):
-    """V^* avg(V K V^*) V equals (1/|G|) sum_g rho(g) K rho(g)^* on the functions
-    constant on the left cosets of an involution: the action on G/<t>, invariant
-    and reducible.  `split` averages like this only when a first-pass eigenspace
-    is reducible, which generic draws never produce."""
+    """The tree tabulation and the mean of rho(g) K rho(g)^* over it equal the
+    naive per-element gathers and sum on the coset span.  `split` averages like
+    this whenever a first-pass eigenspace is reducible: after the real first
+    pass, every eigenspace that holds a complex-type irreducible and its
+    conjugate, or two copies of a quaternionic one, is."""
     G = bench_groups["s4"]
     n = G.order
-    t = next(g for g in range(1, n) if G.mul(g, g) == 0)
-    coset = np.minimum(np.arange(n), G.mul_many(np.arange(n), t))
-    V = (coset[:, None] == np.unique(coset)[None, :]) / np.sqrt(2.0)
+    V = _coset_span(G)
     rows, inv_rows = left_translation_rows(G)
-    rho = np.array([V.T @ V[inv_rows[g]] for g in range(n)])
+    rho = naive_tabulate(V, inv_rows)
     assert np.allclose(V @ rho, V[inv_rows], atol=1e-12)  # span(V) is invariant
     assert np.sum(np.abs(np.einsum("gii->g", rho)) ** 2) / n > 1.5  # and reducible
+    mats = _tabulate(V, G.tree, inv_rows)
+    assert np.max(np.abs(mats - rho)) <= 1e-12
     rng = np.random.default_rng(8)
     X = rng.standard_normal((V.shape[1],) * 2) + 1j * rng.standard_normal((V.shape[1],) * 2)
     K = (X + X.conj().T) / 2.0
     naive = sum(r @ K @ r.conj().T for r in rho) / n
-    assert np.max(np.abs(_restricted_average(V, K, rows, inv_rows) - naive)) <= 1e-12
+    assert np.max(np.abs(_conjugation_mean(mats, K) - naive)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["s4", "sl2_5", "s6"])
+def test_tabulate_matches_naive_on_every_irreducible(request, bench_groups, name):
+    """On the span of the conjugated first columns of each irreducible (an
+    invariant copy of it, in which R(g) acts as the irreducible's matrix)."""
+    if name == "s6":
+        G = request.getfixturevalue("s6")
+        irreps = decompose_regular(G, seed=11)
+    else:
+        G, irreps = bench_groups[name], request.getfixturevalue("bench_irreps")[name]
+    _, inv_rows = left_translation_rows(G)
+    for rep in irreps:
+        V = np.sqrt(rep.dim / G.order) * rep.matrices[:, :, 0].conj()
+        mats = _tabulate(V, G.tree, inv_rows)
+        assert np.max(np.abs(mats - naive_tabulate(V, inv_rows))) <= 1e-12
+        assert np.max(np.abs(mats - rep.matrices)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+@pytest.mark.parametrize("name", ["c7", "c8", "q8", "sl2_3"])
+def test_groups_with_non_real_irreducibles_match_dixon(bench_groups, name, seed):
+    """Cyclic groups and SL2(3) have complex-type irreducibles, Q8 a
+    quaternionic one: the real first pass leaves each of them in a reducible
+    eigenspace that `split` must separate."""
+    if name in bench_groups:
+        G = bench_groups[name]
+    else:
+        G = close_generators(catalog.cyclic_generators(int(name[1:])))
+    _assert_matches_dixon(G, decompose_regular(G, seed=seed))
 
 
 def test_dimension_multiset_stable_across_seeds(bench_groups):

@@ -203,7 +203,9 @@ def _roots_by_evaluation(f: np.ndarray, ell: int) -> list[int]:
 
 
 def test_roots_of_the_sl2_49_class_operators(sl2_49, monkeypatch):
-    # every characteristic polynomial that Dixon's splitting factors on SL2(49)
+    # every characteristic polynomial that Dixon's splitting factors on SL2(49):
+    # 19 of the 91 operators it restricts to a space; the other 72 are scalar
+    # there and pass the space through unfactored
     seen = []
 
     def recording(f, ell):
@@ -213,7 +215,7 @@ def test_roots_of_the_sl2_49_class_operators(sl2_49, monkeypatch):
 
     monkeypatch.setattr(chartable, "roots_mod", recording)
     chartable.dixon_character_table(sl2_49)
-    assert len(seen) > 50 and all(seen)
+    assert len(seen) == 19 and all(seen)
 
 
 def test_nullspace_and_solve():
