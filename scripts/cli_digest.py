@@ -41,6 +41,7 @@ from signedwalk.elements import MatrixElement  # noqa: E402
 from signedwalk.errors import NotInvertible  # noqa: E402
 
 BENCH_SEED = 11
+C12_CYCLE = [(i + 1) % 12 for i in range(12)]
 MINUS_I_MOD_17 = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
 # two non-associative 5-element loops with identity 0 (refused as tables)
 LOOP_L1 = [[0, 1, 2, 3, 4], [1, 2, 4, 0, 3], [2, 3, 0, 4, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
@@ -70,6 +71,9 @@ def write_inputs(d: Path) -> None:
     put("c11.json", {"kind": "permutation", "degree": 11,
                      "generators": [[(i + 1) % 11 for i in range(11)]]})
     put("seq9.json", {"elements": [1], "repeat": 9})
+    put("c12.json", {"kind": "permutation", "degree": 12, "generators": [C12_CYCLE]})
+    put("seq4096.json", {"elements": [1, 2, 3, 4], "repeat": 1024})
+    put("hyperbolic_mats.json", [[[2, 1], [1, 1]]])
     put("inline_seq.json", {"elements": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]})
     put("raw_seq.json", {"elements": [[1, 2, 3, 0], [1, 0, 2, 3]], "repeat": 3})
     put("raw_mats.json", {"kind": "matrix_mod_p", "p": 5,
@@ -176,6 +180,13 @@ def commands() -> list[tuple[str, list[str]]]:
         "--n-max", "6", "--format", "csv")
     add("sweep_json", "sweep", "--group", "sl2_5.json", "--element", "[[1,1],[0,1]]",
         "--n-max", "6")
+    # the longest walk (counts past 1,000 digits) and 200 prefix laws of one walk
+    add("rho_s4_n4096", "rho", "--group", "s4.json", "--seq", "seq4096.json",
+        "--dump-dist", "OUT/law.json")
+    add("sweep_c12", "sweep", "--group", "c12.json", "--element", json.dumps(C12_CYCLE),
+        "--n-max", "200")
+    # deviation numerators of up to about 110 bits, some left to Pollard rho
+    add("embed_hyperbolic", "embed", "--matrices", "hyperbolic_mats.json", "--n", "40")
     add("bad_json", "rho", "--group", "bad.json", "--seq", "seq.json")
     add("bad_flag", "bounds", "--s", "3", "--n", "4", "--seed", "1")
     add("closure_loop_l1", "closure", "--group", "loop_l1.json", "--cap", "1000")

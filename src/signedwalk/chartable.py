@@ -44,7 +44,6 @@ from .modarith import (
     nullspace_mod,
     roots_mod,
     solve_in_span,
-    sqrt_mod,
 )
 from .primes import is_prime
 
@@ -222,21 +221,20 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     sizes = np.array(cc.sizes, dtype=np.int64)
     chibar = np.zeros((r, r), dtype=np.int64)
     degrees = np.zeros(r, dtype=np.int64)
-    sqrt_cap = math.isqrt(G.order)
+    # ell > 2 sqrt|G|, so d -> d^2 mod ell is one-to-one on the possible degrees
+    degree_of_square = {d * d % ell: d for d in range(1, math.isqrt(G.order) + 1)}
     inv_class_list = list(inverse_class)
     for row, W in enumerate(spaces):
         v = W[:, 0] % ell
         w = v * inv_mod(int(v[0]), ell) % ell
         terms = sizes % ell * w % ell * w[inv_class_list] % ell
-        denom = int(np.sum(terms.astype(object)) % ell)
-        d2 = G.order * inv_mod(denom, ell) % ell
-        droot = sqrt_mod(d2, ell)
-        d = min(droot, ell - droot)
-        if d < 1 or d > sqrt_cap:
+        denom = int(terms.sum() % ell)  # r <= 512 residues below 2^31: no int64 overflow
+        d = degree_of_square.get(G.order * inv_mod(denom, ell) % ell)
+        if d is None:
             raise ConsistencyFailure("lifted degree out of range")
         degrees[row] = d
         chibar[row] = d * w[inv_class_list] % ell
-    if int(np.sum(degrees.astype(object) ** 2)) != G.order:
+    if int(np.sum(degrees**2)) != G.order:
         raise ConsistencyFailure("degree squares do not sum to the group order")
 
     # lift values to C through eigenvalue multiplicities

@@ -51,6 +51,7 @@ from .walk import (
     central_binomial_bound,
     exact_distribution,
     order_length_bound,
+    prefix_distributions,
     prime_order_length_bound,
     rho_monte_carlo,
     sequence_from_spec,
@@ -371,34 +372,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     gi = G.index_of(element_from_spec(G, data))
     if gi == 0:
         raise ValueError("sweep element must be non-trivial")
-    s = element_order(G, gi)
-    rows = []
+    s = element_order(G, gi)  # >= 2: the element is non-trivial
     payload = []
-    for n in range(1, args.n_max + 1):
-        seq = SignedSequence.constant(G.element(gi), n)
-        rho = exact_distribution(G, seq).rho()
-        binom = central_binomial_bound(n)
-        if s >= 2 and n >= 2:
-            bound, vac = order_length_bound(s, n)
-        else:
-            bound, vac = float("nan"), True
-        rows.append((n, rho.value, float(binom), bound, vac))
+    seq = SignedSequence.constant(G.element(gi), args.n_max)
+    for n, dist in enumerate(prefix_distributions(G, seq), start=1):
+        rho = dist.rho()
+        bound, vac = order_length_bound(s, n) if n >= 2 else (float("nan"), True)
         payload.append(
             {
                 "n": n,
                 "rho": _rho_json(rho),
                 "rho_value": rho.value,
-                "binomial": float(binom),
+                "binomial": float(central_binomial_bound(n)),
                 "order_length": bound,
                 "vacuous": vac,
             }
         )
-    _emit(
-        args,
-        payload,
-        csv_rows=rows,
-        csv_header=("n", "rho", "binomial", "order_length", "vacuous"),
-    )
+    columns = ("n", "rho_value", "binomial", "order_length", "vacuous")
+    rows = [tuple(row[c] for c in columns) for row in payload]
+    # the CSV heads the rho_value column "rho"
+    _emit(args, payload, csv_rows=rows, csv_header=("n", "rho") + columns[2:])
     return EXIT_OK
 
 

@@ -21,14 +21,17 @@ from fractions import Fraction
 
 from .elements import MatrixElement, is_square
 from .errors import (
+    CapExceeded,
     ConsistencyFailure,
     NotInvertible,
     NotNonTrivial,
     PowerCapExceeded,
+    SignedWalkError,
 )
 from .primes import factorize, next_prime_outside
 
 POWER_CAP = 10**6  # matrix products one order computation may take
+FACTOR_CAP = 5 * 10**6  # Pollard-rho steps one bad-prime search may take
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,16 @@ class RationalMatrix:
         )
 
 
-class _MulBudget:
-    def __init__(self) -> None:
-        self.used = 0
+class _Budget:
+    """`cap` units of work; the unit past it raises `error`."""
 
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > POWER_CAP:
-            raise PowerCapExceeded(f"power computation exceeded {POWER_CAP} multiplications")
+    def __init__(self, cap: int, error: SignedWalkError) -> None:
+        self.left, self.error = cap, error
+
+    def spend(self, units: int = 1) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise self.error
 
 
 def _finite_order_exponent(m: int) -> int:
@@ -121,7 +126,7 @@ def _finite_order_exponent(m: int) -> int:
     return L
 
 
-def _mat_pow(A: RationalMatrix, e: int, budget: _MulBudget) -> RationalMatrix:
+def _mat_pow(A: RationalMatrix, e: int, budget: _Budget) -> RationalMatrix:
     acc = RationalMatrix.identity(A.m)
     base = A
     while e:
@@ -138,7 +143,9 @@ def _mat_pow(A: RationalMatrix, e: int, budget: _MulBudget) -> RationalMatrix:
 def rational_order(A: RationalMatrix) -> int | None:
     """Exact order of A over Q, or None when the order is infinite.  Raises
     PowerCapExceeded after POWER_CAP matrix products."""
-    budget = _MulBudget()
+    budget = _Budget(
+        POWER_CAP, PowerCapExceeded(f"power computation exceeded {POWER_CAP} multiplications")
+    )
     L = _finite_order_exponent(A.m)
     if not _mat_pow(A, L, budget).is_identity():
         return None
@@ -165,19 +172,23 @@ def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
 
     For inputs of finite order k the exponent range runs to k - 1 (so the
     image order cannot collapse to a proper divisor); for infinite order it
-    runs to n - 1.
+    runs to n - 1.  Raises CapExceeded once the factorizations would take more
+    than FACTOR_CAP Pollard-rho steps.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     report = BadPrimeReport(primes=set(), reasons={}, orders=[])
+    rho_budget = _Budget(
+        FACTOR_CAP, CapExceeded(f"factoring exceeded {FACTOR_CAP} Pollard-rho steps")
+    )
     for i, A in enumerate(matrices):
         if A.is_identity():
             raise NotNonTrivial(f"matrix {i} is the identity")
         for e in A.entries:
-            for q in factorize(e.denominator):
+            for q in factorize(e.denominator, rho_budget.spend):
                 report.add(q, f"denominator of entry in matrix {i}")
         det = A.det()
-        for q in factorize(abs(det.numerator)):
+        for q in factorize(abs(det.numerator), rho_budget.spend):
             report.add(q, f"determinant numerator of matrix {i}")
         try:
             order = rational_order(A)
@@ -192,7 +203,7 @@ def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
             dev = _identity_deviation(power)
             if dev == 0:
                 raise AssertionError("zero deviation below the detected order")
-            for q in factorize(dev.numerator):
+            for q in factorize(dev.numerator, rho_budget.spend):
                 report.add(q, f"deviation of matrix {i} at exponent {j}")
     return report
 

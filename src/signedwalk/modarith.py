@@ -218,36 +218,6 @@ def roots_mod(f: np.ndarray, ell: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_mod(a: int, ell: int) -> int:
-    """A square root of a mod ell (Tonelli-Shanks); ValueError if a is not a QR."""
-    a %= ell
-    if a == 0:
-        return 0
-    if ell == 2:
-        return a
-    if pow(a, (ell - 1) // 2, ell) != 1:
-        raise ValueError("not a quadratic residue")
-    if ell % 4 == 3:
-        return pow(a, (ell + 1) // 4, ell)
-    q, s = ell - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (ell - 1) // 2, ell) != ell - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % ell
-            i += 1
-        b = pow(c, 1 << (m - i - 1), ell)
-        m, c = i, b * b % ell
-        t, r = t * c % ell, r * b % ell
-    return r
-
-
 def element_of_order(e: int, ell: int) -> int:
     """An element of exact multiplicative order e in F_ell^* (needs e | ell-1)."""
     from .primes import factorize

@@ -7,6 +7,7 @@ Pollard rho for the composite cofactors that survive trial division.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .errors import ConsistencyFailure, PrimeSearchExhausted
 
@@ -69,8 +70,9 @@ def next_prime(n: int) -> int:
     return c
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (Brent variant, deterministic restarts)."""
+def _pollard_rho(n: int, spend: Callable[[int], None]) -> int:
+    """One nontrivial factor of composite n (Brent variant, deterministic restarts).
+    Each round of length r first passes its 2r steps y -> y^2 + c to `spend`."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -78,6 +80,7 @@ def _pollard_rho(n: int) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            spend(2 * r)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -100,8 +103,9 @@ def _pollard_rho(n: int) -> int:
     raise ConsistencyFailure(f"rho factorization failed for {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Full prime factorization of n >= 1 as {prime: exponent}."""
+def factorize(n: int, spend: Callable[[int], None] = lambda steps: None) -> dict[int, int]:
+    """Full prime factorization of n >= 1 as {prime: exponent}; `spend` gets the
+    Pollard-rho steps and may raise to stop the search."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -124,7 +128,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d = _pollard_rho(m, spend)
         stack.append(d)
         stack.append(m // d)
     return out

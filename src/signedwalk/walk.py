@@ -1,23 +1,26 @@
 """The signed-product walk: exact law, maximum point probability, bounds, Monte Carlo.
 
 All probabilities of the walk are dyadic rationals; the exact engine therefore
-keeps integer counts with denominator 2^n and never rounds.  Each convolution
-step is a vectorized gather over an int64 array of base-2^32 limbs, carried
-often enough that no limb overflows; the counts come back as exact Python
-ints.  The Monte-Carlo estimator needs no enumeration: one `RowArith.right_mul`
-over the distinct entries and their inverses multiplies every sample's row by
-A_i or A_i^-1 at each step, picked by entry and sign bit (a table gather per
-step for matrix row codes when samples * n products pay for the tables, else
-a matmul on entries).  The products are counted by their keys, which sort in
-`encode()` order; only the modal key is turned back into `encode()` bytes.
-It is deterministic for a fixed (seed, samples) pair regardless of worker
-count: samples are processed in fixed-size batches whose bit streams come
-from a counter-based generator keyed by (seed, batch index).
+keeps integer counts with denominator 2^n and never rounds.  The law is one
+(|G|, limbs) int64 array of base-2^32 limbs: a step is two row gathers, and a
+vectorized carry pass every 30 steps keeps each limb below 2^32 + 2^31, so no
+limb overflows.  Only a law that is read becomes exact Python ints, so one walk
+gives the law of every prefix.  The Monte-Carlo estimator needs no
+enumeration: one `RowArith.right_mul` over the distinct entries and their
+inverses multiplies every sample's row by A_i or A_i^-1 at each step, picked by
+entry and sign bit (a table gather per step for matrix row codes when
+samples * n products pay for the tables, else a matmul on entries).  The
+products are counted by their keys, which sort in `encode()` order; only the
+modal key is turned back into `encode()` bytes.  It is deterministic for a
+fixed (seed, samples) pair regardless of worker count: samples are processed
+in fixed-size batches whose bit streams come from a counter-based generator
+keyed by (seed, batch index).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,12 +115,6 @@ class ExactDistribution:
     counts: list[int]
     denom_exp: int
 
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def probability(self, i: int) -> Fraction:
-        return Fraction(self.counts[i], 1 << self.denom_exp)
-
     def support(self) -> list[int]:
         return [i for i, c in enumerate(self.counts) if c]
 
@@ -143,10 +140,23 @@ class ExactDistribution:
 
 
 def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution:
-    """Exact law of A_1^{±1} ... A_n^{±1} by n convolution steps over G.
+    """Exact law of A_1^{±1} ... A_n^{±1} by n convolution steps over G."""
+    for limbs in _walk(G, seq):
+        pass
+    return ExactDistribution(_counts(limbs), seq.n)
+
+
+def prefix_distributions(G: FiniteGroup, seq: SignedSequence) -> Iterator[ExactDistribution]:
+    """Exact law of every prefix A_1^{±1} ... A_k^{±1}, k = 1..n, from one walk."""
+    for k, limbs in enumerate(_walk(G, seq), start=1):
+        yield ExactDistribution(_counts(limbs), k)
+
+
+def _walk(G: FiniteGroup, seq: SignedSequence) -> Iterator[np.ndarray]:
+    """The (|G|, limbs) count array after each of the n convolution steps.
 
     Step i sends mass from g to both g*A_i and g*A_i^{-1}.  Right
-    multiplication is a bijection, so the step is two gathers,
+    multiplication is a bijection, so the step is two row gathers,
     nxt[h] = cur[h*A_i^{-1}] + cur[h*A_i], over the right-multiplication
     columns of G.  Counts are kept as base-2^32 limbs (see `_carry`).
     """
@@ -160,36 +170,35 @@ def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution
             if b not in cols:
                 cols[b] = G.right_column(b)
 
-    cur = np.zeros((1, G.order), dtype=np.int64)
+    cur = np.zeros((G.order, 1), dtype=np.int64)
     cur[0, 0] = 1
     for step, a in enumerate(idxs, start=1):
-        cur = np.take(cur, cols[G.inv(a)], axis=1) + np.take(cur, cols[a], axis=1)
+        cur = np.take(cur, cols[G.inv(a)], axis=0) + np.take(cur, cols[a], axis=0)
         if step % _CARRY_EVERY == 0:
             cur = _carry(cur)
-    cur = _carry(cur)
-
-    counts = cur[-1].tolist()
-    for limb in cur[-2::-1]:
-        counts = [(c << _LIMB_BITS) | x for c, x in zip(counts, limb.tolist())]
-    return ExactDistribution(counts, seq.n)
+        yield cur
 
 
 def _carry(limbs: np.ndarray) -> np.ndarray:
-    """Normalize a (limbs, |G|) count array so every limb is below 2^32.
+    """One vectorized carry pass, in place, over a (|G|, limbs) count array: each
+    limb keeps its low 32 bits and adds the high part of the limb below it, and a
+    top limb is appended only when the top limb had a high part.  Limbs below 2^63
+    come out below 2^32 + 2^31, so `_CARRY_EVERY` doublings stay below 2^63."""
+    high = limbs >> _LIMB_BITS
+    limbs &= _LIMB_MASK
+    limbs[:, 1:] += high[:, :-1]
+    if high[:, -1].any():
+        limbs = np.concatenate([limbs, high[:, -1:]], axis=1)
+    return limbs
 
-    Between carries a step at most doubles every limb, so limbs below 2^32
-    stay below 2^62 for `_CARRY_EVERY` steps; int64 never overflows.  A top
-    limb is appended only when the top carry is nonzero.
-    """
-    out = np.empty_like(limbs)
-    carry = 0
-    for k, limb in enumerate(limbs):
-        total = limb + carry
-        out[k] = total & _LIMB_MASK
-        carry = total >> _LIMB_BITS
-    if np.any(carry):
-        out = np.concatenate([out, carry[None, :]])
-    return out
+
+def _counts(limbs: np.ndarray) -> list[int]:
+    """Exact Python-int counts of a (|G|, limbs) array: the sum of its limbs
+    shifted by 32 bits per place, which needs no normalized limbs."""
+    counts = limbs[:, -1].tolist()
+    for k in range(limbs.shape[1] - 2, -1, -1):
+        counts = [(c << _LIMB_BITS) + x for c, x in zip(counts, limbs[:, k].tolist())]
+    return counts
 
 
 # ---------------------------------------------------------------------------

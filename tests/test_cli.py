@@ -7,6 +7,8 @@ from signedwalk import catalog, chartable, elements, embed, primes
 from signedwalk.cli import main
 from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.errors import ConsistencyFailure
+from signedwalk.groups import group_from_spec
+from signedwalk.walk import SignedSequence, exact_distribution
 
 from conftest import LOOP_GENERATORS, naive_class_powers
 
@@ -211,8 +213,12 @@ def test_s7_table_json_matches_scalar_power_loops(capsys, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command", ["chartab", "mult-bounds"])
 def test_table_consistency_failure_exits_2(specs, capsys, monkeypatch, command):
-    # a square root of 0 makes every lifted degree 0, outside [1, sqrt(|G|)]
-    monkeypatch.setattr(chartable, "sqrt_mod", lambda a, ell: 0)
+    # identity-class indicators as eigenlines give d^2 = |G| = 6 (mod 7) on S3,
+    # which is no square of a degree d <= 2
+    monkeypatch.setattr(
+        chartable, "_eigenlines",
+        lambda G, cc, ell: [np.eye(cc.count, 1, dtype=np.int64)] * cc.count,
+    )
     code = main([command, "--group", specs["s3"]])
     captured = capsys.readouterr()
     assert code == 2
@@ -302,6 +308,27 @@ def test_sweep_csv(specs, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("n,rho,")
     assert len(lines) == 7
+
+
+def test_sweep_rows_are_the_prefix_laws(specs, capsys):
+    code, out = run(
+        capsys, "sweep", "--group", specs["sl2_5"], "--element", "[[1,1],[0,1]]", "--n-max", "40",
+    )
+    assert code == 0
+    G = group_from_spec(catalog.group_spec("sl2_5"))
+    a = MatrixElement.from_rows([[1, 1], [0, 1]], 5)
+    for n, row in enumerate(json.loads(out), start=1):
+        rho = exact_distribution(G, SignedSequence.constant(a, n)).rho()
+        assert row["n"] == n
+        assert row["rho"] == {"count": str(rho.count), "denom_exp": n}
+
+
+def test_sweep_past_walk_cap_exits_3(specs, capsys):
+    # one walk of length n_max, so the cap fires before any step runs
+    argv = ["sweep", "--group", specs["s3"], "--element", "[1,0,2]", "--n-max", "4097"]
+    code, err = run_failing(capsys, *argv)
+    assert code == 3
+    assert err == "resource cap: walk length capped at 4096\n"
 
 
 def test_reruns_are_byte_identical(specs, capsys):
@@ -399,6 +426,17 @@ def test_factorization_failure_exits_2(capsys, tmp_path, monkeypatch):
     code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
     assert code == 2
     assert err == "input error: rho factorization failed for 1000003\n"
+
+
+def test_factoring_budget_exits_3(capsys, tmp_path, monkeypatch):
+    # the denominator (10^9 + 7)(10^9 + 9) survives trial division, and Pollard
+    # rho needs more than 1000 steps to split it
+    monkeypatch.setattr(embed, "FACTOR_CAP", 1000)
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1, f"1/{(10**9 + 7) * (10**9 + 9)}"], [0, 1]]]))
+    code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
+    assert code == 3
+    assert err == "resource cap: factoring exceeded 1000 Pollard-rho steps\n"
 
 
 def test_missing_torus_element_is_a_consistency_failure(monkeypatch):

@@ -16,7 +16,6 @@ from signedwalk.modarith import (
     poly_pow_mod,
     roots_mod,
     solve_in_span,
-    sqrt_mod,
 )
 
 from conftest import brute_force_roots
@@ -227,17 +226,6 @@ def test_nullspace_and_solve():
     W = rng.integers(0, ell, size=(6, 3)).astype(np.int64)
     X = (W @ rng.integers(0, ell, size=(3, 2))) % ell
     assert np.array_equal((W @ solve_in_span(W, X, ell)) % ell, X)
-
-
-def test_sqrt_mod_both_branches():
-    for ell in (151, 33601, 13):  # 3 mod 4 and 1 mod 4 cases
-        for a in (1, 4, 9, 2):
-            try:
-                s = sqrt_mod(a, ell)
-            except ValueError:
-                assert pow(a, (ell - 1) // 2, ell) == ell - 1
-                continue
-            assert s * s % ell == a % ell
 
 
 def test_element_of_order():

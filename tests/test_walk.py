@@ -102,7 +102,7 @@ def test_oracle_agreement_random(bench_groups, seed, n):
     G = bench_groups[["s3", "d4", "q8", "a4", "s4", "sl2_3"][int(rng.integers(6))]]
     seq = random_sequence(G, n, rng)
     d = exact_distribution(G, seq)
-    assert d.total() == 2**n
+    assert sum(d.counts) == 2**n
     assert d.counts == brute_force_distribution(G, seq)
 
 
@@ -111,12 +111,13 @@ def test_conservation_longer_walks(bench_groups):
     for name in ("s4", "sl2_5"):
         G = bench_groups[name]
         seq = random_sequence(G, 40, rng)
-        assert exact_distribution(G, seq).total() == 2**40
+        assert sum(exact_distribution(G, seq).counts) == 2**40
 
 
-@pytest.mark.parametrize("n", [31, 32, 33, 62, 63, 64, 65, 96])
+@pytest.mark.parametrize("n", [31, 32, 33, 62, 63, 64, 65, 96, 4095, 4096])
 def test_involution_walk_across_limb_boundaries(bench_groups, n):
-    # counts of exactly 2^n cross the 2^32 and 2^64 limb edges
+    # counts of exactly 2^n cross the 2^32 and 2^64 limb edges; at n = 4096 the
+    # last carry is 16 steps back, so 2^4096 is 128 limbs with a top limb of 2^32
     G = bench_groups["s4"]
     t = G.index_of(PermutationElement((1, 0, 2, 3)))
     d = exact_distribution(G, SignedSequence.constant(G.element(t), n))
@@ -132,6 +133,12 @@ def test_long_walks_match_naive_convolution(bench_groups, name, seed):
     rng = np.random.default_rng(seed)
     G = bench_groups[name]
     seq = random_sequence(G, int(rng.integers(60, 131)), rng)
+    assert exact_distribution(G, seq).counts == naive_exact_counts(G, seq)
+
+
+def test_longest_walk_matches_naive_convolution(bench_groups):
+    G = bench_groups["s4"]
+    seq = random_sequence(G, walk.MAX_WALK_LENGTH, np.random.default_rng(4096))
     assert exact_distribution(G, seq).counts == naive_exact_counts(G, seq)
 
 
