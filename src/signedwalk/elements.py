@@ -9,6 +9,7 @@ encodings are image lists, table encodings are the bare index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -64,16 +65,13 @@ def _inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
 
 
 def is_square(rows, entry_type=int) -> bool:
-    """Whether rows is a non-empty square list of lists of `entry_type` values."""
+    """Whether rows is a non-empty square list of lists of `entry_type` values
+    (the entry types are collected once, so no Python step runs per entry)."""
     return (
         isinstance(rows, (list, tuple))
         and len(rows) > 0
-        and all(
-            isinstance(row, (list, tuple))
-            and len(row) == len(rows)
-            and all(isinstance(x, entry_type) for x in row)
-            for row in rows
-        )
+        and all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)
+        and all(issubclass(t, entry_type) for t in set(map(type, chain.from_iterable(rows))))
     )
 
 
@@ -251,10 +249,13 @@ class MulTable:
     def __init__(self, rows) -> None:
         if not is_square(rows):
             raise ValueError("table must be a square list of int lists")
-        size, full = len(rows), frozenset(range(len(rows)))
-        if any(frozenset(row) != full for row in rows):
+        try:
+            T = np.array(rows, dtype=np.int64)
+        except OverflowError:  # an int outside int64 is no index
+            T = None
+        size, ar = len(rows), np.arange(len(rows))
+        if T is None or np.any(np.sort(T, axis=1) != ar):
             raise ValueError("table rows must be permutations")
-        T, ar = np.array(rows, dtype=np.int64), np.arange(size)
         if np.any(np.sort(T, axis=0) != ar[:, None]):
             raise ValueError("table columns must be permutations")
         idents = np.flatnonzero(np.all(T == ar, axis=1) & np.all(T.T == ar, axis=1))

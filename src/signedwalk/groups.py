@@ -30,11 +30,13 @@ its layer's start plus its position among that layer's sorted keys, so the
 same pass writes the generator tree: the right-multiplication columns of the
 multipliers, the start of every layer and, for every h >= 1, the first product
 g * t that found h, with g < h its parent in the layer before.  Each layer
-rebuilds the rows of its new elements from that product and carries their
-inverses along the tree as t^-1 * g^-1, so no inversion runs after closure.
-A group never changes after construction.  `mul_many` takes one right factor
-or an index array aligned with the left factors, so a batch of unrelated
-products (e.g. the next power of every class representative) is one call.
+rebuilds the rows of its new elements from that product; the inverses are
+read off the finished tree by index (`_inverses`).  A table closure that
+numbers more elements than the table has, or inverses that do not pair up,
+mean the table is not associative.  A group never changes after
+construction.  `mul_many` takes one right factor or an index array aligned
+with the left factors, so a batch of unrelated products (e.g. the next power
+of every class representative) is one call.
 
 Everything else that needs whole-group arithmetic is index gathers along the
 tree: the column of any element (`right_column`: its tree word composed), the
@@ -233,16 +235,17 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`np.unique(keys, return_index=True, return_inverse=True)` with an int32
-    inverse, computed from one stable argsort; the caller's `keys` is freed
-    early if it holds no other reference."""
-    order = np.argsort(keys, kind="stable")
+    inverse, computed from one argsort; the first index of a key is the least
+    position among its copies, so the sort need not be stable.  The caller's
+    `keys` is freed early if it holds no other reference."""
+    order = np.argsort(keys)
     keys = keys[order]
     head = np.empty(keys.size, dtype=bool)
     head[:1] = True
     head[1:] = keys[1:] != keys[:-1]  # np.void has no `not_equal` loop, only `!=`
     inverse = np.empty(keys.size, dtype=np.int32)
     inverse[order] = np.cumsum(head, dtype=np.int32) - 1
-    return keys[head], order[head], inverse
+    return keys[head], np.minimum.reduceat(order, np.flatnonzero(head)), inverse
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,24 @@ class GeneratorTree:
     via: np.ndarray
     parent: np.ndarray
     starts: tuple[int, ...]  # first index of each BFS layer, then |G|
+
+
+def _inverses(tree: GeneratorTree) -> np.ndarray:
+    """inv[h] = index of g_h^-1, filled down the tree through the left columns
+    left[u, h] = index(t_u * g_h) of the multipliers t_u: from g_h = g_parent * t_via,
+    left[:, h] = cols[via, left[:, parent]] and inv[h] = left[via^-1, inv[parent]],
+    as g_h^-1 = t_via^-1 * g_parent^-1.  An element and its inverse share a
+    layer, so each layer reads only layers before it: two gathers per layer."""
+    cols, via, parent = tree.cols, tree.via, tree.parent
+    inv_of = np.argmax(cols[:, cols[:, 0]] == 0, axis=0)  # t_u * t_inv_of[u] = 1
+    left = np.zeros_like(cols)  # zeros: outside a group a read may precede its write
+    left[:, 0] = cols[:, 0]
+    inv = np.zeros(cols.shape[1], dtype=np.int64)
+    for s, e in zip(tree.starts[1:], tree.starts[2:]):
+        v, p = via[s:e], parent[s:e]
+        left[:, s:e] = cols[v, left[:, p]]
+        inv[s:e] = left[inv_of[v], inv[p]]
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -367,27 +388,26 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     Deterministic element numbering: identity first, then layer by layer in
     canonical-encoding order (see the module docstring).  Raises CapExceeded
     if the closure grows past `cap` (callers can fall back to the Monte-Carlo
-    path), MixedVariants if the generators do not share one family.
+    path), MixedVariants if the generators do not share one family, NotInGroup
+    if a table that is not associative leaves the search inconsistent.
     """
     gens = list(generators)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     same_family(gens)
     arith = RowArith(gens[0])
-    gen_rows, gen_inv_rows = arith.rows(gens), arith.rows([g.inv() for g in gens])
-    both = np.concatenate([gen_rows, gen_inv_rows])
-    keep = np.sort(np.unique(arith.keys(both), return_index=True)[1])
-    mults = both[keep]
-    mult_invs = np.concatenate([gen_inv_rows, gen_rows])[keep]
+    gen_rows = arith.rows(gens)
+    both = np.concatenate([gen_rows, arith.rows([g.inv() for g in gens])])
+    mults = both[np.sort(np.unique(arith.keys(both), return_index=True)[1])]
 
     # Layer k holds indices [start, start + F).  Each of its unique product
     # keys is numbered by its layer start plus its position in the sorted keys
     # of layer k-1, k or (new) k+1, and each product by its unique key.  Layer
     # 0 stands in for its own missing predecessor.
-    frontier = frontier_inv = arith.identity
+    frontier = arith.identity
     layer_keys = [arith.keys(frontier)]
     zero = np.zeros(1, dtype=np.int64)
-    cols, inv, via, parent = [], [zero], [zero], [zero]
+    cols, via, parent = [], [zero], [zero]
     prev, prev_start, start = layer_keys[0], 0, 0
     while len(frontier):
         F = len(frontier)
@@ -399,22 +419,20 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         pos_cur, in_cur = _find(layer_keys[-1], uniq)
         fresh = ~(in_prev | in_cur)
         pick = first[fresh]
-        if start + F + pick.size > cap:
+        total = start + F + pick.size
+        if arith.table is not None and total > arith.table.size:  # a key numbered twice
+            raise NotInGroup("generators do not close to a group: an element came back")
+        if total > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
         index = np.where(in_cur, start + pos_cur, prev_start + pos_prev).astype(np.int32)
-        index[fresh] = np.arange(start + F, start + F + pick.size)
+        index[fresh] = np.arange(start + F, total)
         cols.append(index[slot].reshape(len(mults), F))
         g, t = pick % F, pick // F
         parent.append(start + g)
         via.append(t)
         frontier = times(frontier[g], t)
-        frontier_inv = arith.compose(mult_invs[t], frontier_inv[g])
         prev, prev_start, start = layer_keys[-1], start, start + F
         layer_keys.append(uniq[fresh])
-        pos, found = _find(layer_keys[-1], arith.keys(frontier_inv))
-        if not np.all(found):  # in a group, an element and its inverse share a layer
-            raise NotInGroup("generators do not close to a group: an inverse left its layer")
-        inv.append(start + pos)
 
     cols = np.concatenate(cols, axis=1)
     starts = np.cumsum([0] + [len(k) for k in layer_keys[:-1]])  # the last layer is empty
@@ -422,7 +440,10 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         tuple(cols[:, 0].tolist()), cols, np.concatenate(via), np.concatenate(parent),
         tuple(starts.tolist()),
     )
-    return FiniteGroup(arith, np.concatenate(layer_keys), np.concatenate(inv), tree, gen_rows)
+    inv = _inverses(tree)
+    if not np.array_equal(inv[inv], np.arange(len(inv))):
+        raise NotInGroup("generators do not close to a group: inversion is not an involution")
+    return FiniteGroup(arith, np.concatenate(layer_keys), inv, tree, gen_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,13 @@ def factorize(n: int, spend: Callable[[int], None] = lambda steps: None) -> dict
             n //= p
     p = _SMALL_PRIME_BOUND
     p += 1 if p % 2 == 0 else 0
-    while p * p <= n and p <= _TRIAL_DIVISION_BOUND:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    prime = is_prime(n)  # a prime cofactor has no divisor left to find
+    while not prime and p * p <= n and p <= _TRIAL_DIVISION_BOUND:
+        if n % p == 0:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            prime = is_prime(n)
         p += 2
     stack = [n] if n > 1 else []
     while stack:

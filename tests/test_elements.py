@@ -213,6 +213,29 @@ def test_table_accepts_group_tables(bench_groups, s6):
             assert MulTable(relabelled.tolist()).identity_index == shift[0]
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "square list of int lists"),
+        ((0, 1), "square list of int lists"),
+        ([[0, 1], [1]], "square list of int lists"),
+        ([[0, 1], [1, 0], [0, 1]], "square list of int lists"),
+        ([[0, 1.0], [1, 0]], "square list of int lists"),
+        ([[0, "1"], [1, 0]], "square list of int lists"),
+        ([[0, np.int64(1)], [1, 0]], "square list of int lists"),
+        ([[[0]]], "square list of int lists"),
+        ([[0, 2], [2, 0]], "rows must be permutations"),
+        ([[0, -1], [1, 0]], "rows must be permutations"),
+        ([[0, 2**70], [1, 0]], "rows must be permutations"),
+        ([[0, 1], [0, 1]], "columns must be permutations"),
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "no two-sided identity"),
+    ],
+)
+def test_table_rejections_name_the_broken_rule(rows, message):
+    with pytest.raises(ValueError, match=message):
+        MulTable(rows)
+
+
 def test_table_rejects_non_latin():
     with pytest.raises(ValueError):
         MulTable([[0, 0], [1, 1]])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,36 @@ def test_factorize_semiprime_and_powers():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize((2**31 - 1) * 7) == {7: 1, 2**31 - 1: 1}
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        {999_983: 1, 1_000_003: 1},
+        {999_979: 2, 1_000_033: 1, 2**61 - 1: 1},
+        {2: 1, 1009: 3, 999_983: 1, 1_000_003: 2},
+        {3: 1, 2**61 - 1: 1},
+        {2**61 - 1: 1},
+    ],
+)
+def test_factorize_planted_products_across_the_trial_bound(planted):
+    # primes on both sides of the 10^6 trial-division bound
+    n = 1
+    for q, e in planted.items():
+        n *= q**e
+    assert factorize(n) == planted
+
+
+def test_factorize_stops_trial_division_at_a_prime_cofactor():
+    # a cofactor that passes `is_prime` ends the trial loop, which would
+    # otherwise run on to 10^6 (about 0.08 s a call)
+    m61, m89 = 2**61 - 1, 2**89 - 1
+    cases = {
+        m61: {m61: 1}, 3 * m61: {3: 1, m61: 1}, m89: {m89: 1},
+        1009 * 1_000_003: {1009: 1, 1_000_003: 1},
+    }
+    start = time.perf_counter()
+    for _ in range(5):
+        for n, planted in cases.items():
+            assert factorize(n) == planted
+    assert time.perf_counter() - start < 0.5

@@ -480,9 +480,27 @@ def _s8():
     ]
 
 
+def _cyclic_2048_table():
+    """C2048 as an addition table from the generator 1: 1025 BFS layers."""
+    shifts = list(range(2048))
+    return [TableElement(MulTable([shifts[i:] + shifts[:i] for i in range(2048)]), 1)]
+
+
+def _c151_x_s3():
+    """C151 x S3 on 154 points from (0 ... 150)(151 152) and (0 ... 150)(151 152 153):
+    76 BFS layers, byte keys."""
+    cycle = list(range(1, 151)) + [0]
+    return [
+        PermutationElement(tuple(cycle + [152, 151, 153])),
+        PermutationElement(tuple(cycle + [152, 153, 151])),
+    ]
+
+
 # name -> (|G|, generators, keys are encoded bytes)
 GENERIC_CLOSURE_CASES = {
     "s8": (40320, _s8, False),
+    "cyclic_2048_table": (2048, _cyclic_2048_table, False),
+    "c151_x_s3": (906, _c151_x_s3, True),
     "dihedral_2503": (5006, _dihedral_2503, False),
     "affine_mod_16": (128, _affine_mod_16, True),
     "dihedral_degree_300": (600, _dihedral_degree_300, True),
@@ -557,12 +575,23 @@ def test_row_arith_decode_inverts_keys(name):
     assert np.array_equal(arith.decode(keys[:0]), rows[:0])
 
 
-@pytest.mark.parametrize("name", ["matrix", "wide_perm"])
-def test_unique_matches_numpy(name):
+@pytest.mark.parametrize(
+    "name, copies",
+    [("matrix", None), ("wide_perm", None), ("matrix", 8), ("wide_perm", 8)],
+    ids=["matrix", "wide_perm", "matrix-8x", "wide_perm-8x"],
+)
+def test_unique_matches_numpy(name, copies):
+    # random draws, or every key `copies` times in shuffled order: the first
+    # index of a key is its least position whatever order the sort leaves ties in
     gens = KEY_FORM_CASES[name][0]()
     arith = RowArith(gens[0])
     rows = arith.rows(naive_close_generic(gens)[0])
-    keys = arith.keys(rows[np.random.default_rng(2).integers(0, len(rows), size=3 * len(rows))])
+    rng = np.random.default_rng(2)
+    if copies is None:
+        draw = rng.integers(0, len(rows), size=3 * len(rows))
+    else:
+        draw = rng.permutation(np.repeat(np.arange(len(rows)), copies))
+    keys = arith.keys(rows[draw])
     uniq, first, inverse = _unique(keys)
     want = np.unique(keys, return_index=True, return_inverse=True)
     assert np.array_equal(uniq, want[0]) and np.array_equal(first, want[1])
@@ -625,6 +654,25 @@ def test_closure_refuses_a_non_associative_table(monkeypatch):
     loop = MulTable(rows)
     with pytest.raises(NotInGroup, match="do not close to a group"):
         close_generators([TableElement(loop, 1), TableElement(loop, 2)])
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([2], "an element came back"),
+        ([2, 3], "inversion is not an involution"),
+        ([1, 2, 3, 4], "inversion is not an involution"),
+    ],
+)
+def test_closure_refuses_loops_by_either_guard(monkeypatch, generators, message):
+    # the loop above: from 2 alone the BFS finds more than its 5 elements; from
+    # 2 and 3, or from all of 1..4, it finds the 5 elements, but the inverses
+    # read off the tree do not pair up
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    monkeypatch.setattr(elements, "_check_associative", lambda rows, identity: None)
+    loop = MulTable(rows)
+    with pytest.raises(NotInGroup, match=f"do not close to a group: {message}"):
+        close_generators([TableElement(loop, i) for i in generators])
 
 
 def _s4_table_without_transpositions():
