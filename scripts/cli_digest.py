@@ -105,6 +105,10 @@ def write_inputs(d: Path) -> None:
     ]})
     put("mod17_seven_seq.json", {"kind": "matrix_mod_p", "p": 17,
                                  "elements": [_random_invertible(rng, 17, 4) for _ in range(7)]})
+    put("n65_seq.json", {"kind": "matrix_mod_p", "p": 5, "repeat": 5,
+                         "elements": [_random_invertible(rng, 5, 2) for _ in range(13)]})
+    put("many_letters_seq.json", {"kind": "matrix_mod_p", "p": 31,
+                                  "elements": [_random_invertible(rng, 31, 2) for _ in range(40)]})
 
     rng = np.random.default_rng(BENCH_SEED)
     spec, letters = inputs.sl2_49_spec(rng)
@@ -155,6 +159,12 @@ def commands() -> list[tuple[str, list[str]]]:
         for t in ("1", "2"):
             add(f"mc_{seq}_t{t}", "mc", "--seq", f"{seq}_seq.json", "--samples", samples,
                 "--seed", "3", "--threads", t, "--out", "OUT/mc.json")
+    # sign blocks: n = 65 ends in a one-step block (k = 8, tables); 40 distinct
+    # 2x2 letters mod 31 get tables only at k = 4
+    for seq, samples in (("n65", "30000"), ("many_letters", "20000")):
+        for t in ("1", "2"):
+            add(f"mc_{seq}_t{t}", "mc", "--seq", f"{seq}_seq.json", "--samples", samples,
+                "--seed", "7", "--threads", t)
     add("irreps_sl2_3", "irreps", "--group", "sl2_3.json", "--seed", "2024", "--dump-matrices")
     # C11: five pairs of complex-conjugate characters share first-pass eigenspaces
     add("irreps_c11", "irreps", "--group", "c11.json", "--seed", "1")
@@ -195,7 +205,7 @@ def commands() -> list[tuple[str, list[str]]]:
     add("bench_closure_sl2_49", "closure", "--group", "sl2_49.json")
     add("bench_rho_sl2_49", "rho", "--group", "sl2_49.json", "--seq", "sl2_49_seq.json",
         "--dump-dist", "OUT/law.json")
-    for t in ("1", "2"):
+    for t in ("1", "2", "4"):
         add(f"bench_mc_sl2_49_t{t}", "mc", "--seq", "sl2_49_seq.json", "--seed", str(BENCH_SEED),
             "--samples", "100000", "--threads", t)
     add("bench_chartab_sl2_49", "chartab", "--group", "sl2_49.json")

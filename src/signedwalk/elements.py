@@ -231,8 +231,9 @@ def _check_associative(T: np.ndarray, identity: int) -> None:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            products = T[frontier][:, gens].ravel()
-            frontier = np.unique(products[~reached[products]])
+            hit = np.zeros_like(reached)
+            hit[T[frontier][:, gens]] = True
+            frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
     for g in gens:
         col = T[:, g]

@@ -100,6 +100,7 @@ class RowArith:
             base, width, entries, top = template.table.size, 1, 1, 2**32 - 1  # 4-byte index
             ident = TableElement(template.table, template.table.identity_index)
         byte_width = _byte_width(top)
+        self.entry_count = entries  # matrix entries, images or 1 per element
         self.row_bytes = entries * byte_width
         self._shifts = 8 * np.arange(byte_width - 1, -1, -1, dtype=np.int64)
         self._base, self._width, self._powers = base, width, None
@@ -162,21 +163,26 @@ class RowArith:
             return np.take_along_axis(left, right, axis=1)
         return self.table.products[left, right]
 
+    def tables_fit(self, factors: int, work: int) -> bool:
+        """Whether `right_mul` of `factors` right factors, asked for `work` row
+        products, builds tables: with row codes, when the factors * p^m table
+        entries are at most ROW_TABLE_BOUND and at most `work`."""
+        return self._digits is not None and factors * self._base <= min(ROW_TABLE_BOUND, work)
+
     def right_mul(self, factors: np.ndarray, work: int):
         """The product by the fixed (k, width) right factors, as a function
         (rows, picks) -> rows of rows[s] * factors[picks[s, 0]] * factors[picks[s, 1]]
         * ...; picks is one index, one index per row or one row of indices
-        per row.  With row codes, and k * p^m at most ROW_TABLE_BOUND and at
-        most `work` (the number of row products the caller will ask for), it
-        builds the (k, p^m) int32 table of every row code times every factor
-        here, once, and each product is one gather; otherwise the products
-        compose, on entries decoded once per call."""
+        per row.  Where `tables_fit`, it builds the (k, p^m) int32 table of
+        every row code times every factor here, once, all factors together,
+        and each product is one gather; otherwise the products compose, on
+        entries decoded once per call."""
 
         def steps(picks) -> np.ndarray:  # (steps, rows or 1) factor indices
             picks = np.asarray(picks, dtype=np.int64)
             return (picks if picks.ndim == 2 else picks.reshape(-1, 1)).T
 
-        if self._digits is None or len(factors) * self._base > min(ROW_TABLE_BOUND, work):
+        if not self.tables_fit(len(factors), work):
             factor_entries = self.entries(factors)
 
             def composed(rows: np.ndarray, picks) -> np.ndarray:
@@ -186,18 +192,17 @@ class RowArith:
                 return self._from_entries(cur)
 
             return composed
-        p, m, base = self.p, self.m, self._base
-        tables = []
-        for t in self.entries(factors).reshape(-1, m, m):
-            terms = (np.arange(p)[:, None, None] * t % p).astype(np.int32)  # [r, i, j] = r t_ij
-            code = np.zeros(base, dtype=np.int32)  # int32: sums stay below m * p, codes below p^m
-            for j in range(m):  # digit j of (every row code) * t: an outer sum over rows i
-                digit = np.zeros(1, dtype=np.int32)
-                for i in range(m):
-                    digit = np.add.outer(digit, terms[:, i, j]).ravel()
-                code = code * p + digit % p
-            tables.append(code)
-        table = np.concatenate(tables)
+        p, m, k, base = self.p, self.m, len(factors), self._base
+        t = self.entries(factors).reshape(k, 1, m, m)
+        terms = (np.arange(p)[:, None, None] * t % p).astype(np.int32)  # [f, r, i, j] = r t_f,ij
+        table = np.zeros(k * base, dtype=np.int32)  # int32: sums stay below m * p, codes below p^m
+        for j in range(m):  # digit j of (every row code) * t_f: an outer sum over rows i
+            digit = np.zeros((k, 1), dtype=np.int32)
+            for i in range(m):
+                digit = (digit[:, :, None] + terms[:, None, :, i, j]).reshape(k, -1)
+            digit %= p  # in place, as below: fewer temporaries, no extra heap growth
+            table *= p
+            table += digit.ravel()
 
         def gathered(rows: np.ndarray, picks) -> np.ndarray:
             for pick in steps(picks):

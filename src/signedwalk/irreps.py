@@ -177,10 +177,10 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
         if members_count[b] != d:
             raise SplitFailure(f"isotypic multiplicity {members_count[b]} != dimension {d}")
     irreps: list[UnitaryIrrep] = []
-    for d in np.unique(dims):  # one tabulation for all classes of a dimension
+    for d in sorted(set(dims.tolist())):  # one tabulation for all classes of a dimension
         bases = np.stack([blocks[b][0] for b in heads[dims == d]])
         for mats in _tabulate(bases, G.tree, left_inv_rows).astype(np.complex128, copy=False):
-            irreps.append(UnitaryIrrep(int(d), mats, np.einsum("gii->g", mats)))
+            irreps.append(UnitaryIrrep(d, mats, np.einsum("gii->g", mats)))
     if sum(r.dim * r.dim for r in irreps) != n:
         raise SplitFailure("squared dimensions of the classes do not sum to |G|")
     irreps.sort(key=lambda r: (r.dim, tuple(np.round(r.character.real, 6))))

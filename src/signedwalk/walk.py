@@ -6,15 +6,16 @@ keeps integer counts with denominator 2^n and never rounds.  The law is one
 vectorized carry pass every 30 steps keeps each limb below 2^32 + 2^31, so no
 limb overflows.  Only a law that is read becomes exact Python ints, so one walk
 gives the law of every prefix.  The Monte-Carlo estimator needs no
-enumeration: one `RowArith.right_mul` over the distinct entries and their
-inverses multiplies every sample's row by A_i or A_i^-1 at each step, picked by
-entry and sign bit (a table gather per step for matrix row codes when
-samples * n products pay for the tables, else a matmul on entries).  The
-products are counted by their keys, which sort in `encode()` order; only the
-modal key is turned back into `encode()` bytes.  It is deterministic for a
-fixed (seed, samples) pair regardless of worker count: samples are processed
-in fixed-size batches whose bit streams come from a counter-based generator
-keyed by (seed, batch index).
+enumeration.  It cuts the n steps into blocks of k <= 8 steps and gives each
+distinct block word its 2^k signed products, so one `RowArith.right_mul` step
+per block, indexed by the block's k sign bits, multiplies every sample's row
+(a table gather for matrix row codes when the run pays for the tables, else a
+matmul or compose on entries).  The products are counted by their keys, which
+sort in `encode()` order, per thread task with `np.unique` and across tasks
+with `np.unique` and weighted sums; only the modal key is turned back into
+`encode()` bytes.  It is deterministic for a fixed (seed, samples) pair
+regardless of worker count: samples are processed in fixed-size batches whose
+bit streams come from a counter-based generator keyed by (seed, batch index).
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ import numpy as np
 
 from .elements import GroupElement, same_family
 from .errors import CapExceeded, ElementNotInGroup, NotInGroup, NotNonTrivial
-from .groups import FiniteGroup, RowArith, element_from_entry, element_from_spec, spec_field
+from .groups import (
+    ROW_TABLE_BOUND,
+    FiniteGroup,
+    RowArith,
+    element_from_entry,
+    element_from_spec,
+    spec_field,
+)
 from .primes import is_prime
 
 MAX_WALK_LENGTH = 4096
@@ -39,6 +47,8 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _CARRY_EVERY = 30
 _DUMP_CHUNK = 4096  # support elements encoded per write of the law dump
 _MC_DISTINCT_CAP = 1_000_000  # distinct Monte-Carlo products kept before CapExceeded
+_MC_BLOCK = 8  # most steps per sign block: one byte of sign bits per block
+_MC_TASK_BATCHES = 16  # most batches whose keys one thread task holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -252,52 +262,98 @@ def rho_monte_carlo(
 
     No enumeration of the ambient group is required.  Output is identical for
     any `threads` value: batch b draws its sign bits from a Philox stream with
-    counter (0, 0, 0, b) under key `seed`, and batch results are merged in
-    batch order.
+    counter (0, 0, 0, b) under key `seed`, and products are counted by key.
+
+    The n steps are cut into blocks of k <= 8 steps (`_block_length`).  A
+    block's word has 2^k signed products, and the product a sample takes is
+    its k sign bits read as a little-endian number, so a sample is one
+    `right_mul` step per block.  Each thread task runs a contiguous run of at
+    most `_MC_TASK_BATCHES` batches, holding one batch's sign bits at a time,
+    and returns its sorted distinct keys and their counts.  Tasks are merged in
+    batch order, at most `threads` results waiting at once, and
+    `_MC_DISTINCT_CAP` is checked after each merge.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     elements = seq.elements
     n = seq.n
     arith = RowArith(elements[0])
-    # one product by every distinct entry's pair (A^-1, A): step i picks factor
-    # pair_of[i] + its sign bit, so A_i^-1 for bit 0 and A_i for bit 1
-    distinct = {e: 2 * k for k, e in enumerate(dict.fromkeys(elements))}
-    factors = arith.rows([x for e in distinct for x in (e.inv(), e)])
-    times = arith.right_mul(factors, samples * n)
-    pair_of = np.array([distinct[e] for e in elements], dtype=np.int64)
-    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
+    letters = {e: i for i, e in enumerate(dict.fromkeys(elements))}
+    ids = [letters[e] for e in elements]
+    k = _block_length(arith, ids, samples)
+    blocks = [tuple(ids[j : j + k]) for j in range(0, n, k)]
+    words = list(dict.fromkeys(blocks[: n // k]))  # the distinct full blocks
+    pairs = arith.rows([x for e in letters for x in (e.inv(), e)])  # A_i^-1, A_i at 2i, 2i + 1
+    factors = np.concatenate(
+        [_signed_products(arith, pairs, np.array(g)) for g in (words, blocks[n // k :]) if g]
+    )
+    first_of = {w: i << k for i, w in enumerate(words)}  # a short last block follows them
+    first = np.array([first_of.get(b, len(words) << k) for b in blocks], dtype=np.int64)
+    times = arith.right_mul(factors, samples * len(blocks))
+    n_batches = -(-samples // _MC_BATCH)
+    per_task = min(_MC_TASK_BATCHES, -(-n_batches // threads))
+    weights = 1 << np.arange(k)
 
-    def run_batch(b: int) -> dict:
+    def batch_keys(b: int) -> np.ndarray:
         size = min(_MC_BATCH, samples - b * _MC_BATCH)
         gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, b]))
-        picks = gen.integers(0, 2, size=(size, n), dtype=np.uint8) + pair_of
-        cur = times(np.repeat(arith.identity, size, axis=0), picks)
-        uniq, cnt = np.unique(arith.keys(cur), return_counts=True)
-        return dict(zip(uniq.tolist(), cnt.tolist()))
+        bits = gen.integers(0, 2, size=(size, n), dtype=np.uint8)
+        if k == _MC_BLOCK:  # a byte per block; packbits pads the short block's byte with 0
+            index = np.packbits(bits, axis=1, bitorder="little")
+        else:
+            index = np.pad(bits, ((0, 0), (0, -n % k))).reshape(size, -1, k) @ weights
+        picks = index + first
+        return arith.keys(times(factors[picks[:, 0]], picks[:, 1:]))
 
-    merged: dict = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batch_results = list(pool.map(run_batch, range(n_batches)))
-    else:
-        batch_results = [run_batch(b) for b in range(n_batches)]
-    for counts in batch_results:
-        for k, c in counts.items():
-            merged[k] = merged.get(k, 0) + c
-        if len(merged) > _MC_DISTINCT_CAP:
-            raise CapExceeded(f"distinct products exceeded cap {_MC_DISTINCT_CAP}")
+    def run_task(start: int) -> tuple[np.ndarray, np.ndarray]:
+        batches = range(start, min(start + per_task, n_batches))
+        return np.unique(np.concatenate([batch_keys(b) for b in batches]), return_counts=True)
 
-    best = max(merged.values())
-    top_key = min(k for k, c in merged.items() if c == best)  # keys sort in encode() order
-    top_row = arith.decode(np.array([top_key], dtype=arith.keys(arith.identity).dtype))
+    keys, counts = arith.keys(arith.identity)[:0], np.zeros(0)
+    starts = range(0, n_batches, per_task)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for group in range(0, len(starts), threads):  # at most `threads` task results at once
+            for task_keys, task_counts in pool.map(run_task, starts[group : group + threads]):
+                keys, slot = np.unique(np.concatenate([keys, task_keys]), return_inverse=True)
+                counts = np.bincount(slot, np.concatenate([counts, task_counts]))  # exact below 2^53
+                if len(keys) > _MC_DISTINCT_CAP:
+                    raise CapExceeded(f"distinct products exceeded cap {_MC_DISTINCT_CAP}")
+
+    top = int(np.argmax(counts))  # the least key among the maximal counts: keys are sorted
     return MonteCarloResult(
         samples=samples,
         seed=seed,
-        max_count=best,
-        distinct_products=len(merged),
-        top_encoding=arith.encode(top_row).tobytes().hex(),
+        max_count=int(counts[top]),
+        distinct_products=len(keys),
+        top_encoding=arith.encode(arith.decode(keys[top : top + 1])).tobytes().hex(),
     )
+
+
+def _signed_products(arith: RowArith, pairs: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The 2^L signed products of each of the (W, L) letter words, W * 2^L rows:
+    product f of a word multiplies, over its letters i in turn, A_i = pairs[2i + 1]
+    where bit t of f is set and A_i^-1 = pairs[2i] where it is not, i the t-th letter."""
+    bits = np.arange(1 << words.shape[1])
+    rows = np.repeat(arith.identity, len(words) * len(bits), axis=0)
+    for t, letter in enumerate(words.T):
+        rows = arith.compose(rows, pairs[(2 * letter[:, None] + (bits >> t & 1)).ravel()])
+    return rows
+
+
+def _block_length(arith: RowArith, ids: list[int], samples: int) -> int:
+    """Steps per sign block of `rho_monte_carlo` on the letter sequence `ids`:
+    the largest k <= 8 whose block products get `right_mul` tables
+    (`RowArith.tables_fit`, asked for samples * ceil(n/k) row products); if no
+    k does, the largest k whose block products' entries fit the same bound."""
+    n = len(ids)
+    ks = range(_MC_BLOCK, 0, -1)
+    work = {k: samples * -(-n // k) for k in ks}
+    products = {
+        k: sum(1 << len(w) for w in {tuple(ids[j : j + k]) for j in range(0, n, k)}) for k in ks
+    }
+    tabled = [k for k in ks if arith.tables_fit(products[k], work[k])]
+    composed = [k for k in ks if products[k] * arith.entry_count <= min(ROW_TABLE_BOUND, work[k])]
+    return (tabled or composed or [1])[0]
 
 
 # ---------------------------------------------------------------------------

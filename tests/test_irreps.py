@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import signedwalk
 from signedwalk import catalog
 from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import SizeCap
@@ -19,6 +25,25 @@ def test_abelian_splits_into_linear_characters():
     G = close_generators(catalog.cyclic_generators(8))
     irreps = decompose_regular(G, seed=5)
     assert [r.dim for r in irreps] == [1] * 8
+
+
+def test_irreps_and_tables_leave_numpy_ma_unimported():
+    # numpy 2.4's np.unique without return flags calls np.ma.is_masked, which
+    # imports numpy.ma (about 13 ms of startup); irreps on S6 and the table
+    # checks of MulTable need none of it
+    code = (
+        "import sys\n"
+        "from signedwalk import catalog\n"
+        "from signedwalk.elements import MulTable\n"
+        "from signedwalk.groups import close_generators\n"
+        "from signedwalk.irreps import decompose_regular\n"
+        "assert len(decompose_regular(close_generators(catalog.symmetric_generators(6)), 11)) == 11\n"
+        "MulTable([[(i + j) % 6 for j in range(6)] for i in range(6)])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(signedwalk.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 def test_s3_dimensions(bench_irreps):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from signedwalk import catalog, walk
 from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.errors import CapExceeded, ElementNotInGroup, NotInvertible, NotNonTrivial
-from signedwalk.groups import close_generators
+from signedwalk.groups import RowArith, close_generators
 from signedwalk.walk import (
     ExactDistribution,
     SignedSequence,
@@ -281,8 +281,17 @@ def test_monte_carlo_within_five_stderr(bench_groups):
 
 def _mc_sequence(name: str, bench_groups) -> SignedSequence:
     rng = np.random.default_rng(29)
-    if name == "sl2_5":
-        return random_sequence(bench_groups["sl2_5"], 10, rng)
+    sl2_5 = bench_groups["sl2_5"]
+    if name.startswith("sl2_5"):
+        n = {"sl2_5": 10, "sl2_5_n1": 1, "sl2_5_n65": 65, "sl2_5_bench_shape": 4}[name]
+        seq = random_sequence(sl2_5, n, rng)
+        return SignedSequence(seq.elements * 16) if name == "sl2_5_bench_shape" else seq
+    if name == "torus_normalizer_31":  # 40 of the 59 non-identity diag(a, 1/a), [[0, a], [-1/a, 0]]
+        mats = [[[a, 0], [0, pow(a, -1, 31)]] for a in range(2, 31)]
+        mats += [[[0, a], [-pow(a, -1, 31), 0]] for a in range(1, 31)]
+        return SignedSequence(tuple(MatrixElement.from_rows(mats[i], 31) for i in rng.permutation(59)[:40]))
+    if name == "perm10":
+        return SignedSequence(tuple(PermutationElement(tuple(rng.permutation(10).tolist())) for _ in range(12)))
     p, m = (1031, 2) if name == "mod1031" else (17, 4)
     letters = []
     while len(letters) < (7 if name == "mod17_seven" else 3):
@@ -300,12 +309,37 @@ def _mc_sequence(name: str, bench_groups) -> SignedSequence:
     return SignedSequence(tuple(letters) * 3)
 
 
-# sl2_5: row-code tables, int64 keys.  mod17 (one 4x4 letter mod 17, n = 40):
-# 5,000 * 40 products pay for its 2 * 17^4 table entries, byte keys.
-# mod17_seven (7 distinct 4x4 letters mod 17): 14 * 17^4 entries exceed the
-# table bound, so row codes compose, byte keys.  mod1031 (2x2 mod 1031, p^m
-# above the bound): entries compose, int64 keys.
-MC_REPLAY_CASES = ["sl2_5", "mod17", "mod17_seven", "mod1031"]
+# name -> the one `right_mul` of `rho_monte_carlo` at 5,000 samples: (block
+# products, blocks, path).  A block of k steps has 2^k products (2^(n mod k) for
+# a short last block), and k is the largest k <= 8 whose tables fit
+# min(ROW_TABLE_BOUND, 5,000 * blocks) entries, else the largest k whose
+# products' entries do.
+# sl2_5 (n = 10; 25 row codes, int64 keys): k = 8, words of 8 and 2 steps.
+# sl2_5_n1: k = 8, one short block of one step.
+# sl2_5_n65: k = 8 needs 2050 * 25 entries > 45,000; k = 7 has nine words of 7
+#   steps and one of 2.
+# sl2_5_bench_shape (4 letters repeated 16 times, as in the benchmark): one
+#   distinct word of 8 steps.
+# torus_normalizer_31 (40 distinct 2x2 letters mod 31, 961 row codes): k = 3
+#   needs 106 * 961 entries > 5,000 * 14, k = 8 exceeds ROW_TABLE_BOUND; k = 2.
+# mod17 (one 4x4 letter mod 17, n = 40; byte keys): only k = 1 has tables,
+#   2 * 17^4 entries <= 5,000 * 40.
+# mod17_seven (7 distinct 4x4 letters mod 17): no k has tables (14 * 17^4 >
+#   ROW_TABLE_BOUND), so row codes compose, k = 8 with one short block.
+# mod1031 (2x2 mod 1031, p^m above the bound, n = 9): entries compose, k = 8,
+#   words of 8 and 1 steps.
+# perm10 (12 random permutations of 10 points): compose, k = 8, words of 8 and 4.
+MC_REPLAY_CASES = {
+    "sl2_5": (256 + 4, 2, "gathered"),
+    "sl2_5_n1": (2, 1, "gathered"),
+    "sl2_5_n65": (9 * 128 + 4, 10, "gathered"),
+    "sl2_5_bench_shape": (256, 8, "gathered"),
+    "torus_normalizer_31": (20 * 4, 20, "gathered"),
+    "mod17": (2, 40, "gathered"),
+    "mod17_seven": (128, 1, "composed"),
+    "mod1031": (256 + 2, 2, "composed"),
+    "perm10": (256 + 16, 2, "composed"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -316,11 +350,21 @@ def mc_replay(bench_groups):
 
 
 @pytest.mark.parametrize("name", MC_REPLAY_CASES)
-@pytest.mark.parametrize("threads", [1, 2])
-def test_monte_carlo_matches_scalar_replay(mc_replay, name, threads):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_monte_carlo_matches_scalar_replay(monkeypatch, mc_replay, name, threads):
     seq, want = mc_replay[name]
+    calls = []
+    right_mul = RowArith.right_mul
+
+    def spy(arith, factors, work):
+        times = right_mul(arith, factors, work)
+        calls.append((len(factors), work // 5_000, times.__name__))
+        return times
+
+    monkeypatch.setattr(RowArith, "right_mul", spy)
     mc = rho_monte_carlo(seq, samples=5_000, seed=13, threads=threads)  # two batches
     assert (mc.max_count, mc.distinct_products, mc.top_encoding) == want
+    assert calls == [MC_REPLAY_CASES[name]]
 
 
 def test_monte_carlo_wide_permutation_bytes_path():
