@@ -275,6 +275,8 @@ def rho_monte_carlo(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     elements = seq.elements
     n = seq.n
     arith = RowArith(elements[0])
@@ -292,16 +294,14 @@ def rho_monte_carlo(
     times = arith.right_mul(factors, samples * len(blocks))
     n_batches = -(-samples // _MC_BATCH)
     per_task = min(_MC_TASK_BATCHES, -(-n_batches // threads))
-    weights = 1 << np.arange(k)
 
     def batch_keys(b: int) -> np.ndarray:
         size = min(_MC_BATCH, samples - b * _MC_BATCH)
         gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, b]))
         bits = gen.integers(0, 2, size=(size, n), dtype=np.uint8)
-        if k == _MC_BLOCK:  # a byte per block; packbits pads the short block's byte with 0
-            index = np.packbits(bits, axis=1, bitorder="little")
-        else:
-            index = np.pad(bits, ((0, 0), (0, -n % k))).reshape(size, -1, k) @ weights
+        by_block = np.pad(bits, ((0, 0), (0, -n % k))).reshape(size, -1, k)
+        spread = np.pad(by_block, ((0, 0), (0, 0), (0, 8 - k))).reshape(size, -1)  # a byte a block
+        index = np.packbits(spread, axis=1, bitorder="little")
         picks = index + first
         return arith.keys(times(factors[picks[:, 0]], picks[:, 1:]))
 

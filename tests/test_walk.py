@@ -260,6 +260,14 @@ def test_monte_carlo_exact_for_involution():
     assert mc.distinct_products == 1
 
 
+def test_monte_carlo_rejects_bad_counts():
+    seq = SignedSequence.constant(cyclic(5).element(1), 3)
+    with pytest.raises(ValueError, match="samples"):
+        rho_monte_carlo(seq, samples=0, seed=1)
+    with pytest.raises(ValueError, match="threads"):
+        rho_monte_carlo(seq, samples=10, seed=1, threads=0)
+
+
 def test_monte_carlo_deterministic_across_threads(bench_groups):
     G = bench_groups["sl2_5"]
     rng = np.random.default_rng(17)
