@@ -16,7 +16,8 @@ fixture groups, the seed-11 benchmark inputs (`perfbench/inputs.py`, imported
 read-only) and a few Monte-Carlo sequences of wide or large-prime matrices.
 Commands run one at a time with `--src` (default: this checkout's `src/`) on
 PYTHONPATH, from a temporary directory with relative paths, so no line depends
-on where the run happens.
+on where the run happens; COLUMNS is pinned to 80 so that argparse's help and
+usage text does not depend on the terminal.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def write_inputs(d: Path) -> None:
         ]})
     put("singular_gen.json", {"kind": "matrix_mod_p", "p": 5, "m": 2,
                               "generators": [[[1, 1], [0, 1]], [[1, 2], [2, 4]]]})
+    put("composite_p.json", {"kind": "matrix_mod_p", "p": 4, "m": 2,
+                             "generators": [[[1, 1], [0, 1]]]})
+    put("composite_p_seq.json", {"kind": "matrix_mod_p", "p": 4, "elements": [[[1, 1], [0, 1]]]})
+    put("bool_degree.json", {"kind": "permutation", "degree": True, "generators": [[0]]})
     (d / "bad.json").write_text("{not json", encoding="utf-8")
 
     rng = np.random.default_rng(17)
@@ -201,6 +206,13 @@ def commands() -> list[tuple[str, list[str]]]:
     add("bad_flag", "bounds", "--s", "3", "--n", "4", "--seed", "1")
     add("closure_loop_l1", "closure", "--group", "loop_l1.json", "--cap", "1000")
     add("closure_loop_l2", "closure", "--group", "loop_l2.json")
+    # argparse output, and refusals while a spec or a flag is read
+    add("help", "--help")
+    add("mc_help", "mc", "--help")
+    add("closure_composite_p", "closure", "--group", "composite_p.json")
+    add("mc_composite_p_seq", "mc", "--seq", "composite_p_seq.json")
+    add("closure_bool_degree", "closure", "--group", "bool_degree.json")
+    add("example2_empty_a", "example2", "--a", "")
 
     add("bench_closure_sl2_49", "closure", "--group", "sl2_49.json")
     add("bench_rho_sl2_49", "rho", "--group", "sl2_49.json", "--seq", "sl2_49_seq.json",
@@ -226,7 +238,7 @@ def main() -> int:
     )
     ap.add_argument("--src", default=str(ROOT / "src"), help="source tree to run (default: ./src)")
     args = ap.parse_args()
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), COLUMNS="80")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)

@@ -4,7 +4,10 @@ Exit codes: 0 success or verified pass, 1 verification failure, 2 input error,
 3 resource cap.  Output is deterministic for a fixed (config, seed); JSON is
 emitted with sorted keys and no timestamps, so reruns are byte-identical.
 Each subcommand accepts only the flags its handler reads; handlers take the
-parsed argparse namespace.
+parsed argparse namespace.  Of the engines only `groups` and `walk` load with
+this module; a handler imports the one it runs (chartable, irreps, spectral,
+embed) when it is called, so no command pays start-up for an engine it leaves
+idle.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartable import check_multiplicity_bounds, dixon_character_table, max_character_ratio
-from .embed import embed_mod_p, rational_matrices_from_json
 from .errors import (
     CapExceeded,
     NoSuitablePrime,
@@ -36,15 +37,6 @@ from .groups import (
     element_from_spec,
     element_order,
     group_from_spec,
-)
-from .irreps import decompose_regular, fourier_distribution
-from .spectral import (
-    cascade_diagnostics,
-    cos_spectrum,
-    product_singular_bounds,
-    random_unitary,
-    trace_vs_singular_sum,
-    trig_inequality_scan,
 )
 from .walk import (
     SignedSequence,
@@ -196,12 +188,16 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_chartab(args: argparse.Namespace) -> int:
+    from .chartable import dixon_character_table
+
     table = dixon_character_table(_group(args))
     _emit(args, table.to_json())
     return EXIT_OK
 
 
 def cmd_irreps(args: argparse.Namespace) -> int:
+    from .irreps import decompose_regular
+
     G = _group(args)
     irreps = decompose_regular(G, seed=args.seed)
     payload = {
@@ -220,6 +216,8 @@ def cmd_irreps(args: argparse.Namespace) -> int:
 
 
 def cmd_fourier_check(args: argparse.Namespace) -> int:
+    from .irreps import decompose_regular, fourier_distribution
+
     G = _group(args)
     if G.order == 1:
         raise ValueError("fourier-check draws non-trivial elements; the group is trivial (|G| = 1)")
@@ -241,6 +239,8 @@ def cmd_fourier_check(args: argparse.Namespace) -> int:
 
 
 def cmd_mult_bounds(args: argparse.Namespace) -> int:
+    from .chartable import check_multiplicity_bounds, dixon_character_table, max_character_ratio
+
     table = dixon_character_table(_group(args))
     report = check_multiplicity_bounds(table, args.alpha)
     ratio = max_character_ratio(table)
@@ -258,6 +258,14 @@ def cmd_mult_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_svd_props(args: argparse.Namespace) -> int:
+    from .spectral import (
+        cos_spectrum,
+        product_singular_bounds,
+        random_unitary,
+        trace_vs_singular_sum,
+        trig_inequality_scan,
+    )
+
     rng = np.random.default_rng(args.seed)
     ok = True
     for _ in range(args.draws):
@@ -288,6 +296,9 @@ def cmd_svd_props(args: argparse.Namespace) -> int:
 
 
 def cmd_diag(args: argparse.Namespace) -> int:
+    from .irreps import decompose_regular
+    from .spectral import cascade_diagnostics
+
     G = _group(args)
     if G.variant != "matrix_mod_p":
         raise ValueError("cascade diagnostics need a matrix group (for p and m)")
@@ -326,6 +337,8 @@ def cmd_diag(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    from .embed import embed_mod_p, rational_matrices_from_json
+
     mats = rational_matrices_from_json(_load_json(args.matrices))
     res = embed_mod_p(mats, args.n, p_min=args.p_min)
     _emit(args, res.to_json())
@@ -345,7 +358,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
-    if args.a:
+    if args.a is not None:
         res = signed_sum_check([int(x) for x in args.a.split(",")], K=args.k)
     else:
         K = 3 if args.k is None else args.k

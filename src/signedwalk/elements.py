@@ -65,13 +65,17 @@ def _inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
 
 
 def is_square(rows, entry_type=int) -> bool:
-    """Whether rows is a non-empty square list of lists of `entry_type` values
-    (the entry types are collected once, so no Python step runs per entry)."""
+    """Whether rows is a non-empty square list of lists of `entry_type` values,
+    bools excluded (the entry types are collected once, so no Python step runs
+    per entry)."""
     return (
         isinstance(rows, (list, tuple))
         and len(rows) > 0
         and all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)
-        and all(issubclass(t, entry_type) for t in set(map(type, chain.from_iterable(rows))))
+        and all(
+            issubclass(t, entry_type) and t is not bool
+            for t in set(map(type, chain.from_iterable(rows)))
+        )
     )
 
 

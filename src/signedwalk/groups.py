@@ -63,6 +63,7 @@ from .elements import (
     same_family,
 )
 from .errors import CapExceeded, NotInGroup, SizeCap
+from .primes import is_prime
 
 DEFAULT_CLOSURE_CAP = 4_000_000
 ROW_TABLE_BOUND = 2**20  # most row codes p^m, and most entries of one product table
@@ -531,16 +532,29 @@ def center_and_centralizer(G: FiniteGroup, g: GroupElement | int) -> tuple[tuple
 # ---------------------------------------------------------------------------
 
 
+def is_spec_int(value) -> bool:
+    """Whether a spec value is an int; JSON true/false (Python bools) are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def spec_field(spec, key: str, of_type: type | None = None):
-    """spec[key] of a spec dict, checked to be an `of_type` when given;
-    ValueError naming the key when it is missing or of another type."""
+    """spec[key] of a spec dict, checked to be an `of_type` (never a bool) when
+    given; ValueError naming the key when it is missing or of another type."""
     if not isinstance(spec, dict):
         raise ValueError(f"a spec must be a JSON object, not {type(spec).__name__}")
     if key not in spec:
         raise ValueError(f"spec has no {key!r}")
-    if of_type is not None and not isinstance(spec[key], of_type):
+    if of_type is not None and (isinstance(spec[key], bool) or not isinstance(spec[key], of_type)):
         raise ValueError(f"spec {key!r} must be of type {of_type.__name__}")
     return spec[key]
+
+
+def spec_prime(spec) -> int:
+    """The modulus "p" of a matrix_mod_p spec; ValueError unless it is a prime."""
+    p = spec_field(spec, "p", int)
+    if not is_prime(p):
+        raise ValueError(f"spec 'p' must be a prime, not {p}")
+    return p
 
 
 def element_from_entry(
@@ -554,11 +568,11 @@ def element_from_entry(
             raise ValueError("a matrix_mod_p entry must be a square list of int lists")
         return MatrixElement.from_rows(entry, p)
     if kind == "permutation":
-        if not (isinstance(entry, (list, tuple)) and all(isinstance(x, int) for x in entry)):
+        if not (isinstance(entry, (list, tuple)) and all(map(is_spec_int, entry))):
             raise ValueError("a permutation entry must be a list of ints")
         return PermutationElement(tuple(entry))
     if kind == "table":
-        if not isinstance(entry, int):
+        if not is_spec_int(entry):
             raise ValueError("a table entry must be one int")
         return TableElement(table, entry)
     raise ValueError(f"unknown group kind: {kind!r}")
@@ -569,12 +583,13 @@ def generators_from_spec(spec: dict) -> list[GroupElement]:
     kind = spec_field(spec, "kind")
     p = table = None
     if kind == "matrix_mod_p":
-        p, m = spec_field(spec, "p", int), spec_field(spec, "m", int)
+        p, m = spec_prime(spec), spec_field(spec, "m", int)
     elif kind == "permutation":
         degree = spec_field(spec, "degree", int)
     elif kind == "table":
         table = MulTable(spec_field(spec, "table"))
-        if spec.get("size", table.size) != table.size:
+        size = spec.get("size", table.size)
+        if not is_spec_int(size) or size != table.size:
             raise ValueError("table size mismatch")
         if spec.get("generators") is None:
             return [TableElement(table, i) for i in range(table.size)]

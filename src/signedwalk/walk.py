@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +35,9 @@ from .groups import (
     RowArith,
     element_from_entry,
     element_from_spec,
+    is_spec_int,
     spec_field,
+    spec_prime,
 )
 from .primes import is_prime
 
@@ -273,6 +274,8 @@ def rho_monte_carlo(
     batch order, at most `threads` results waiting at once, and
     `_MC_DISTINCT_CAP` is checked after each merge.
     """
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: Monte Carlo only
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if threads < 1:
@@ -455,17 +458,17 @@ def sequence_from_spec(
     items = spec_field(spec, "elements", list)
     if G is not None:
         elems = [
-            G.element(item) if isinstance(item, int) else element_from_spec(G, item)
+            G.element(item) if is_spec_int(item) else element_from_spec(G, item)
             for item in items
         ]
     else:
         gspec = ambient if ambient is not None else spec
         kind = gspec.get("kind", "permutation")
-        p = spec_field(gspec, "p", int) if kind == "matrix_mod_p" else None
-        if any(isinstance(item, int) for item in items):
+        p = spec_prime(gspec) if kind == "matrix_mod_p" else None
+        if any(map(is_spec_int, items)):
             raise ValueError("index-based sequence entries need an enumerated group")
         elems = [element_from_entry(kind, item, p) for item in items]
     repeat = spec.get("repeat", 1)
-    if not isinstance(repeat, int) or repeat < 1:
+    if not is_spec_int(repeat) or repeat < 1:
         raise ValueError("repeat must be >= 1")
     return SignedSequence(tuple(elems) * repeat)

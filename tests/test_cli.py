@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signedwalk
 from signedwalk import catalog, chartable, elements, embed, primes
 from signedwalk.cli import main
 from signedwalk.elements import MatrixElement, PermutationElement
@@ -592,6 +597,133 @@ def test_missing_spec_key_is_named(specs, capsys, tmp_path, kind, spec, key):
     code, err = run_failing(capsys, "rho", "--group", group, "--seq", seq)
     assert code == 2
     assert err == f"input error: spec has no {key}\n"
+
+
+# the engines that closure and mc never run
+ENGINES = tuple(f"signedwalk.{m}" for m in ("chartable", "irreps", "spectral", "embed", "modarith"))
+Z6_TABLE = {"kind": "table", "table": [[(i + j) % 6 for j in range(6)] for i in range(6)]}
+
+
+@pytest.mark.parametrize(
+    ("command", "files"),
+    [
+        pytest.param(
+            ["mc", "--seq", "{seq}", "--samples", "100"],
+            {"seq": {"elements": [[1, 0, 2]], "repeat": True}},
+            id="repeat",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "permutation", "degree": True, "generators": [[0]]}},
+            id="degree",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "matrix_mod_p", "p": 5, "m": True, "generators": [[[2]]]}},
+            id="m",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "permutation", "degree": 3, "generators": [[True, False, 2]]}},
+            id="permutation-images",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "matrix_mod_p", "p": 5, "m": 2,
+                       "generators": [[[True, 1], [0, True]]]}},
+            id="matrix-entries",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "table", "table": [[False, True], [True, False]]}},
+            id="table-rows",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"], {"group": {**Z6_TABLE, "generators": [True]}},
+            id="table-generator",
+        ),
+        pytest.param(
+            ["closure", "--group", "{group}"],
+            {"group": {"kind": "table", "table": [[0]], "size": True}},
+            id="table-size",
+        ),
+        pytest.param(
+            ["order", "--group", "{group}", "--element", "true"], {"group": Z6_TABLE},
+            id="table-element",
+        ),
+        pytest.param(
+            ["rho", "--group", "{group}", "--seq", "{seq}"],
+            {"group": Z6_TABLE, "seq": {"elements": [True, 2]}},
+            id="sequence-index",
+        ),
+    ],
+)
+def test_json_booleans_are_no_ints(specs, capsys, tmp_path, command, files):
+    # Python's bool is an int, so true/false would pass as 1/0 without the checks
+    paths = dict(specs)
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code, err = run_failing(capsys, *(arg.format(**paths) for arg in command))
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
+COMPOSITE_GROUP = {"kind": "matrix_mod_p", "p": 4, "m": 2, "generators": [[[1, 1], [0, 1]]]}
+COMPOSITE_SEQ = {"kind": "matrix_mod_p", "p": 4, "elements": [[[1, 1], [0, 1]]]}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["closure", "--group", "{group}"],
+        ["order", "--group", "{group}", "--element", "[[1,1],[0,1]]"],
+        ["chartab", "--group", "{group}"],
+        ["rho", "--group", "{group}", "--seq", "{inline}"],
+        ["mc", "--group", "{group}", "--seq", "{inline}"],
+        ["mc", "--seq", "{seq}"],
+    ],
+    ids=["closure", "order", "chartab", "rho", "mc-group", "mc-inline-seq"],
+)
+def test_composite_modulus_is_refused_while_parsing(capsys, tmp_path, command):
+    paths = {}
+    for name, data in (("group", COMPOSITE_GROUP), ("seq", COMPOSITE_SEQ),
+                       ("inline", {"elements": [[[1, 1], [0, 1]]]})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code, err = run_failing(capsys, *(arg.format(**paths) for arg in command))
+    assert (code, err) == (2, "input error: spec 'p' must be a prime, not 4\n")
+
+
+def test_example2_empty_term_list_is_an_input_error(capsys):
+    code, err = run_failing(capsys, "example2", "--a", "")
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    ("command", "absent"),
+    [
+        (["closure", "--group", "{s6}"], ENGINES + ("concurrent.futures",)),
+        (["mc", "--seq", "{seq}", "--samples", "5000", "--threads", "2"], ENGINES),
+    ],
+    ids=["closure", "mc"],
+)
+def test_a_command_imports_only_the_engines_it_runs(tmp_path, command, absent):
+    paths = {"s6": tmp_path / "s6.json", "seq": tmp_path / "seq.json"}
+    s6 = catalog.spec_from_generators(catalog.symmetric_generators(6))
+    paths["s6"].write_text(json.dumps(s6))
+    paths["seq"].write_text(json.dumps({"elements": [[1, 2, 0, 3], [1, 0, 2, 3]], "repeat": 9}))
+    argv = [arg.format(**paths) for arg in command] + ["--out", str(tmp_path / "out.json")]
+    code = (
+        "import sys\n"
+        "from signedwalk.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print([m for m in {absent!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(signedwalk.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 def run_rejected(capsys, *argv) -> str:
