@@ -170,10 +170,12 @@ def commands() -> list[tuple[str, list[str]]]:
         for t in ("1", "2"):
             add(f"mc_{seq}_t{t}", "mc", "--seq", f"{seq}_seq.json", "--samples", samples,
                 "--seed", "7", "--threads", t)
-    add("irreps_sl2_3", "irreps", "--group", "sl2_3.json", "--seed", "2024", "--dump-matrices")
+    # complex-type (SL2(3)) and quaternionic (SL2(5)) eigenspaces, split in two
+    for g in ("sl2_3", "sl2_5"):
+        add(f"irreps_{g}", "irreps", "--group", f"{g}.json", "--seed", "2024", "--dump-matrices")
     # C11: five pairs of complex-conjugate characters share first-pass eigenspaces
     add("irreps_c11", "irreps", "--group", "c11.json", "--seed", "1")
-    for g in ("s3", "q8", "sl2_3"):
+    for g in ("s3", "q8", "sl2_3", "sl2_5"):
         add(f"fourier_{g}", "fourier-check", "--group", f"{g}.json", "--count", "4", "--seed", "1")
     add("mult_bounds_sl2_5", "mult-bounds", "--group", "sl2_5.json")
     # window statuses: s3 at 1/10 all hypothesis_failed; q8 at 2/3 all vacuous;
@@ -224,6 +226,9 @@ def commands() -> list[tuple[str, list[str]]]:
     add("bench_mult_bounds_sl2_49", "mult-bounds", "--group", "sl2_49.json", "--alpha", "1/6")
     add("bench_closure_s6", "closure", "--group", "s6.json")
     add("bench_irreps_s6", "irreps", "--group", "s6.json", "--seed", str(BENCH_SEED))
+    # real-type eigenspaces only: the basis of each is hashed
+    add("bench_irreps_s6_dump", "irreps", "--group", "s6.json", "--seed", str(BENCH_SEED),
+        "--dump-matrices")
     add("bench_fourier_s6", "fourier-check", "--group", "s6.json", "--seed", str(BENCH_SEED))
     return cmds
 

@@ -1,42 +1,46 @@
 """Explicit unitary irreducibles by splitting the regular representation.
 
-A real symmetric matrix H averaged over the left-translation action lands in
-the commutant of the regular representation.  The average needs no sum over
-the group: it commutes with every left translation, so `Ht[a, b] = f(a^{-1} b)`
+A real matrix H averaged over the left-translation action lands in the
+commutant of the regular representation R.  The average needs no sum over the
+group: it commutes with every left translation, so `Ht[a, b] = f(a^{-1} b)`
 with `f(h) = mean_x H[x, x h]`, one gather of H through the multiplication
-table, one mean and one gather of f, O(|G|^2) in all.  As H is symmetric,
-f(h) = f(h^{-1}), so Ht is real symmetric and the first pass is one float64
-`eigh`.  On the d copies of an irreducible Phi of dimension d, Ht acts through
-a d x d matrix A on the multiplicity space, generic among those the real
-structure allows:
+table, one mean and one gather of f, O(|G|^2) in all.  It keeps H symmetric
+or antisymmetric, and the halves (H + H^T)/2 and (H - H^T)/2 of one Gaussian
+draw are independent.
+
+The first pass is one float64 `eigh` of the symmetric half's average.  On the
+d copies of an irreducible Phi of dimension d, it acts through a d x d matrix
+A on the multiplicity space, generic among those the real structure allows:
 
 - Phi real (it has a real form): A is real symmetric with d distinct
-  eigenvalues, and each eigenspace of Ht is one copy of Phi;
+  eigenvalues, and each eigenspace is one copy of Phi;
 - Phi complex (not isomorphic to its conjugate): the block of conj(Phi) is
   conj(A), so each eigenvalue is shared by a copy of Phi and one of conj(Phi);
 - Phi quaternionic: A commutes with an antiunitary J with J^2 = -1, so its
   eigenvalues come in equal pairs and each eigenspace holds two copies of Phi.
 
-A character self-inner-product of 1 certifies an eigenspace irreducible.  A
-larger one (the 2d-dimensional eigenspaces of the last two kinds, or a draw
-that merged eigenvalues) is split again: for a random complex Hermitian K, the
-mean of rho(g) K rho(g)^* over the group commutes with the restricted action
-rho, and its eigenspaces separate the summands, recursively.
+A character self-inner-product of 1 certifies an eigenspace irreducible.  On
+an eigenspace V of the last two kinds, the antisymmetric half's average K
+gives V^T K V, real antisymmetric and commuting with the restricted action:
+i b on Phi and -i b on conj(Phi), or an imaginary quaternion q on the two
+copies of Phi (and 0 on a real-type eigenspace).  So the Hermitian i V^T K V
+has the two eigenvalues -+b, or -+|q|, each on one copy of Phi.  K is formed
+at most once per draw, from a replay of it, and only if an eigenspace is
+reducible.  A draw whose pieces are not all irreducible is replaced.
 
-On an invariant subspace with orthonormal basis V, rho(g) = V^* R(g) V is
-tabulated down the generator tree: one gather of V for each multiplier t, then
-rho(h) = rho(parent[h]) rho(t) for a whole BFS layer in one batched matmul,
-O(|G| d^3) per subspace (a gather per element would be O(|G|^2 d)).  Only the
-spans that need splitting, and at the end one representative per isomorphism
-class, are tabulated; the representatives of one dimension go together.  The
-class characters of a first-pass eigenspace are one gather of V through the
-class representatives' rows of the table; a piece V E of a split span takes
-them from the span's table, as traces of E^* rho(rep) E.  The irreducible
-pieces fall into isomorphism classes by one Gram matrix of their characters.
+Characters need no representation matrices: the projection P onto an invariant
+subspace commutes with R, so P[a, b] = p(a^{-1} b) for p = P[e], and chi(g) is
+|G| / |class of g| times the sum of p over the class of g, O(|G| d).  One Gram
+matrix of the pieces' characters sorts them into isomorphism classes.  One
+representative per class is tabulated down the generator tree, those of one
+dimension together: rho(t) = V^* R(t) V for each multiplier t by one gather,
+then rho(h) = rho(parent[h]) rho(t) for a whole BFS layer in one batched
+matmul, O(|G| d^3) per subspace (a gather per element would be O(|G|^2 d)).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +99,15 @@ def _tabulate(V: np.ndarray, tree: GeneratorTree, left_inv_rows: np.ndarray) -> 
     return mats
 
 
-def _conjugation_mean(mats: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_g mats[g] K mats[g]^*: in the commutant of a tabulated rho."""
-    return np.mean(mats @ K @ mats.conj().swapaxes(1, 2), axis=0)
-
-
 def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
     """One unitary irreducible per isomorphism class, with full element tables.
 
-    Deterministic for a fixed seed.  Degenerate random draws (merged
-    eigenvalue clusters that refuse to split) are retried with derived seeds,
-    at most 8 times, then SplitFailure.  `_INTEGRALITY_TOL` gates how close the
-    character inner products must sit to integers; anything farther means the
-    numerics broke, not that the answer is ambiguous.
+    Deterministic for a fixed seed: every draw, retries included, comes from
+    the one stream `default_rng(seed)`.  A draw whose pieces are not all
+    irreducible (merged eigenvalue clusters) is replaced by the next, at most
+    `_MAX_RETRIES` draws in all, then SplitFailure.  `_INTEGRALITY_TOL` gates
+    how close the character inner products must sit to integers; anything
+    farther means the numerics broke, not that the answer is ambiguous.
     """
     n = G.order
     if n > REGULAR_SIZE_CAP:
@@ -115,59 +115,57 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
     cc = conjugacy_classes(G)
     sizes = np.array(cc.sizes, dtype=np.float64)
     left_inv_rows = G.dense_table()[G._inv]  # row g: R(g) as a gather
-    reps = list(cc.representatives)
-
+    left_rows = left_inv_rows[G._inv]
+    by_class = np.argsort(cc.class_of, kind="stable")
+    class_starts = np.cumsum(cc.sizes) - cc.sizes
     rng = np.random.default_rng(seed)
 
-    def random_hermitian(d: int) -> np.ndarray:
-        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return (X + X.conj().T) / 2.0
+    def character(W: np.ndarray) -> np.ndarray:
+        """Class character of span(W), W orthonormal and span(W) invariant."""
+        p = W.conj() @ W[0]  # p[h] = (W W^*)[e, h]
+        return np.add.reduceat(p[by_class], class_starts) * (n / sizes)
 
-    def split(V: np.ndarray, chi: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Split span(V) (orthonormal columns, invariant, class character chi)
-        into irreducible pieces, each with its character on the classes."""
+    def is_irreducible(chi: np.ndarray) -> bool:
         norm = sizes @ np.abs(chi) ** 2 / n
         if abs(norm - round(norm)) > _INTEGRALITY_TOL:
             raise SplitFailure("character self-inner-product is not close to an integer")
-        if round(norm) == 1:
-            return [(V, chi)]
-        if depth > 256:
-            raise SplitFailure("splitting recursion exceeded depth budget")
-        mats = _tabulate(V, G.tree, left_inv_rows)
-        at_reps_rho = mats[reps]
-        for attempt in range(_MAX_RETRIES):
-            evals, evecs = np.linalg.eigh(_conjugation_mean(mats, random_hermitian(V.shape[1])))
-            clusters = _cluster(evals)
-            if len(clusters) > 1:
-                out: list[tuple[np.ndarray, np.ndarray]] = []
-                for sel in clusters:
-                    E = evecs[:, sel]  # span(V E) carries E^* rho E
-                    piece = np.einsum("jm,kjl,lm->k", E.conj(), at_reps_rho, E)
-                    out.extend(split(V @ E, piece, depth + 1))
-                return out
-        raise SplitFailure("no splitting draw succeeded within the retry budget")
+        return round(norm) == 1
 
-    def first_pass() -> list[tuple[np.ndarray, np.ndarray]]:
-        """Average a real symmetric draw over the full regular representation
-        and split each eigenspace into irreducible pieces."""
-        left_rows = left_inv_rows[G._inv]
-        at_reps = left_inv_rows[reps]
-        for attempt in range(_MAX_RETRIES):
-            H = rng.standard_normal((n, n))
-            H = _average_hermitian((H + H.T) / 2.0, left_rows, left_inv_rows)
-            evals, evecs = np.linalg.eigh(H)  # eigh reads one triangle: no symmetrizing needed
-            try:
-                blocks: list[tuple[np.ndarray, np.ndarray]] = []
-                for sel in _cluster(evals):
-                    V = evecs[:, sel]  # real, so chi(rep) = sum_a V[a] . V[rep^-1 a]
-                    chi = V.take(at_reps, axis=0).reshape(len(reps), -1) @ V.ravel()
-                    blocks.extend(split(V, chi, 0))
-                return blocks
-            except SplitFailure:
-                if attempt == _MAX_RETRIES - 1:
-                    raise
+    def averaged_half(gen: np.random.Generator, op: np.ufunc) -> np.ndarray:
+        """Average of the half op(H, H^T) / 2 of gen's next Gaussian draw H."""
+        H = gen.standard_normal((n, n))
+        return _average_hermitian(op(H, H.T) / 2.0, left_rows, left_inv_rows)
 
-    blocks = first_pass()
+    def pieces() -> list[tuple[np.ndarray, np.ndarray]]:
+        """The irreducible pieces of the next draw, each with its class character."""
+        replay = copy.deepcopy(rng)  # replays this draw for K: H need not outlive the eigh
+        evals, evecs = np.linalg.eigh(averaged_half(rng, np.add))  # eigh reads one triangle
+        K = None
+        out: list[tuple[np.ndarray, np.ndarray]] = []
+        for sel in _cluster(evals):
+            V = evecs[:, sel]
+            chi = character(V)
+            if is_irreducible(chi):
+                out.append((V, chi))
+                continue
+            if K is None:
+                K = averaged_half(replay, np.subtract)
+            kevals, E = np.linalg.eigh(1j * (V.T @ K @ V))
+            for s in _cluster(kevals):
+                W = V @ E[:, s]
+                piece = character(W)
+                if not is_irreducible(piece):
+                    raise SplitFailure("an eigenspace piece is reducible")
+                out.append((W, piece))
+        return out
+
+    for attempt in range(_MAX_RETRIES):
+        try:
+            blocks = pieces()
+            break
+        except SplitFailure:
+            if attempt == _MAX_RETRIES - 1:
+                raise
     first = _first_isomorphic(np.array([chi for _, chi in blocks]), sizes)
     members_count = np.bincount(first, minlength=len(blocks))
 

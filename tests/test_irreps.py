@@ -8,15 +8,11 @@ import pytest
 
 import signedwalk
 from signedwalk import catalog
+from signedwalk import irreps as irreps_module
 from signedwalk.chartable import dixon_character_table
-from signedwalk.errors import SizeCap
-from signedwalk.groups import close_generators
-from signedwalk.irreps import (
-    _average_hermitian,
-    _conjugation_mean,
-    _tabulate,
-    decompose_regular,
-)
+from signedwalk.errors import SizeCap, SplitFailure
+from signedwalk.groups import close_generators, group_from_spec
+from signedwalk.irreps import _average_hermitian, _tabulate, decompose_regular
 
 from conftest import left_translation_rows, naive_average_hermitian, naive_tabulate
 
@@ -143,26 +139,16 @@ def _coset_span(G):
     return (coset[:, None] == np.unique(coset)[None, :]) / np.sqrt(2.0)
 
 
-def test_restricted_average_on_reducible_subspace(bench_groups):
-    """The tree tabulation and the mean of rho(g) K rho(g)^* over it equal the
-    naive per-element gathers and sum on the coset span.  `split` averages like
-    this whenever a first-pass eigenspace is reducible: after the real first
-    pass, every eigenspace that holds a complex-type irreducible and its
-    conjugate, or two copies of a quaternionic one, is."""
+def test_tabulate_on_reducible_subspace(bench_groups):
+    """The tree tabulation equals the naive per-element gathers on the coset
+    span, an invariant subspace that holds more than one irreducible."""
     G = bench_groups["s4"]
-    n = G.order
     V = _coset_span(G)
-    rows, inv_rows = left_translation_rows(G)
+    _, inv_rows = left_translation_rows(G)
     rho = naive_tabulate(V, inv_rows)
     assert np.allclose(V @ rho, V[inv_rows], atol=1e-12)  # span(V) is invariant
-    assert np.sum(np.abs(np.einsum("gii->g", rho)) ** 2) / n > 1.5  # and reducible
-    mats = _tabulate(V, G.tree, inv_rows)
-    assert np.max(np.abs(mats - rho)) <= 1e-12
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((V.shape[1],) * 2) + 1j * rng.standard_normal((V.shape[1],) * 2)
-    K = (X + X.conj().T) / 2.0
-    naive = sum(r @ K @ r.conj().T for r in rho) / n
-    assert np.max(np.abs(_conjugation_mean(mats, K) - naive)) <= 1e-12
+    assert np.sum(np.abs(np.einsum("gii->g", rho)) ** 2) / G.order > 1.5  # and reducible
+    assert np.max(np.abs(_tabulate(V, G.tree, inv_rows) - rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["s4", "sl2_5", "s6"])
@@ -182,17 +168,51 @@ def test_tabulate_matches_naive_on_every_irreducible(request, bench_groups, name
         assert np.max(np.abs(mats - rep.matrices)) <= 1e-12
 
 
+# C3 x S3 on 6 points: C3 on {0, 1, 2}, S3 on {3, 4, 5}
+C3_S3 = {"kind": "permutation", "degree": 6,
+         "generators": [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3], [0, 1, 2, 4, 3, 5]]}
+
+
 @pytest.mark.parametrize("seed", [1, 7, 2024])
-@pytest.mark.parametrize("name", ["c7", "c8", "q8", "sl2_3"])
-def test_groups_with_non_real_irreducibles_match_dixon(bench_groups, name, seed):
-    """Cyclic groups and SL2(3) have complex-type irreducibles, Q8 a
-    quaternionic one: the real first pass leaves each of them in a reducible
-    eigenspace that `split` must separate."""
+@pytest.mark.parametrize("name", ["c7", "c8", "q8", "sl2_3", "sl2_5", "sl2_7", "c3_s3"])
+def test_groups_with_non_real_irreducibles_match_dixon(request, bench_groups, name, seed):
+    """Cyclic groups and SL2(3) have complex-type irreducibles (C3 x S3 one of
+    dimension 2), Q8, SL2(5) and SL2(7) quaternionic ones: the real first
+    pass leaves each of them in a reducible eigenspace that the antisymmetric
+    half of the draw must split."""
     if name in bench_groups:
         G = bench_groups[name]
+    elif name == "sl2_7":
+        G = request.getfixturevalue("sl2_7")
+    elif name == "c3_s3":
+        G = group_from_spec(C3_S3)
     else:
         G = close_generators(catalog.cyclic_generators(int(name[1:])))
     _assert_matches_dixon(G, decompose_regular(G, seed=seed))
+
+
+def test_antisymmetric_half_only_for_reducible_eigenspaces(monkeypatch, bench_groups, s6):
+    """S6 has only real-type irreducibles, so its first-pass eigenspaces are
+    irreducible and the antisymmetric half is never averaged; Q8 has a
+    quaternionic one, so it is, once."""
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _average_hermitian(*args)
+
+    monkeypatch.setattr(irreps_module, "_average_hermitian", spy)
+    for G, seed, expected in ((s6, 11, 1), (bench_groups["q8"], 2024, 2)):
+        calls.clear()
+        decompose_regular(G, seed=seed)
+        assert len(calls) == expected
+
+
+def test_split_failure_after_the_retry_budget(monkeypatch, bench_groups):
+    # a cluster gap no eigenvalue gap reaches merges every eigenspace, every draw
+    monkeypatch.setattr(irreps_module, "_CLUSTER_GAP", 1e300)
+    with pytest.raises(SplitFailure):
+        decompose_regular(bench_groups["q8"], seed=1)
 
 
 def test_dimension_multiset_stable_across_seeds(bench_groups):
