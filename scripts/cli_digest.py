@@ -11,9 +11,10 @@ change with its parent is one `diff`:
     python scripts/cli_digest.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-The inputs are written once per run from this checkout: the `tests/test_cli.py`
-fixture groups, the seed-11 benchmark inputs (`perfbench/inputs.py`, imported
-read-only) and a few Monte-Carlo sequences of wide or large-prime matrices.
+The inputs are written once per run from this checkout: the named test groups
+(`tests/group_specs.py`), the seed-11 benchmark inputs (`perfbench/inputs.py`,
+imported read-only) and a few Monte-Carlo sequences of wide or large-prime
+matrices.
 Commands run one at a time with `--src` (default: this checkout's `src/`) on
 PYTHONPATH, from a temporary directory with relative paths, so no line depends
 on where the run happens; COLUMNS is pinned to 80 so that argparse's help and
@@ -34,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import group_specs  # noqa: E402  (tests/group_specs.py)
 import inputs  # noqa: E402  (perfbench/inputs.py)
-from signedwalk import catalog  # noqa: E402
 from signedwalk.elements import MatrixElement  # noqa: E402
 from signedwalk.errors import NotInvertible  # noqa: E402
 
@@ -66,7 +67,7 @@ def write_inputs(d: Path) -> None:
         (d / name).write_text(json.dumps(data), encoding="utf-8")
 
     for name in ("s3", "q8", "s4", "sl2_3", "sl2_5"):
-        put(f"{name}.json", catalog.group_spec(name))
+        put(f"{name}.json", group_specs.BENCH[name])
     put("seq.json", {"elements": [1, 2, 3, 1]})
     put("mats.json", [[[1, 1], [0, 1]]])
     put("c11.json", {"kind": "permutation", "degree": 11,
@@ -98,6 +99,9 @@ def write_inputs(d: Path) -> None:
     put("composite_p.json", {"kind": "matrix_mod_p", "p": 4, "m": 2,
                              "generators": [[[1, 1], [0, 1]]]})
     put("composite_p_seq.json", {"kind": "matrix_mod_p", "p": 4, "elements": [[[1, 1], [0, 1]]]})
+    # the README recipes: the plain SL2(49) and the seed-0 walk on SL2(5)
+    put("sl2_49_plain.json", group_specs.SL2_49)
+    put("walk_sl2_5.json", {"elements": [102, 76, 61, 33, 37, 5, 9, 2, 21, 97]})
     put("bool_degree.json", {"kind": "permutation", "degree": True, "generators": [[0]]})
     (d / "bad.json").write_text("{not json", encoding="utf-8")
 
@@ -222,6 +226,9 @@ def commands() -> list[tuple[str, list[str]]]:
     for t in ("1", "2", "4"):
         add(f"bench_mc_sl2_49_t{t}", "mc", "--seq", "sl2_49_seq.json", "--seed", str(BENCH_SEED),
             "--samples", "100000", "--threads", t)
+    # inline entries: the group spec is parsed but not enumerated
+    add("bench_mc_sl2_49_group", "mc", "--group", "sl2_49.json", "--seq", "sl2_49_seq.json",
+        "--seed", str(BENCH_SEED), "--samples", "100000")
     add("bench_chartab_sl2_49", "chartab", "--group", "sl2_49.json")
     add("bench_mult_bounds_sl2_49", "mult-bounds", "--group", "sl2_49.json", "--alpha", "1/6")
     add("bench_closure_s6", "closure", "--group", "s6.json")
@@ -230,6 +237,11 @@ def commands() -> list[tuple[str, list[str]]]:
     add("bench_irreps_s6_dump", "irreps", "--group", "s6.json", "--seed", str(BENCH_SEED),
         "--dump-matrices")
     add("bench_fourier_s6", "fourier-check", "--group", "s6.json", "--seed", str(BENCH_SEED))
+    add("recipe_chartab_sl2_49", "chartab", "--group", "sl2_49_plain.json")
+    add("recipe_mult_bounds_sl2_49", "mult-bounds", "--group", "sl2_49_plain.json",
+        "--alpha", "1/6")
+    add("recipe_diag_sl2_5", "diag", "--group", "sl2_5.json", "--seq", "walk_sl2_5.json",
+        "--dim", "5", "--target", "77", "--format", "csv")
     return cmds
 
 

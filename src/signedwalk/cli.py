@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .elements import same_family
 from .errors import (
     CapExceeded,
     NoSuitablePrime,
@@ -36,7 +37,10 @@ from .groups import (
     FiniteGroup,
     element_from_spec,
     element_order,
+    generators_from_spec,
     group_from_spec,
+    is_spec_int,
+    spec_field,
 )
 from .walk import (
     SignedSequence,
@@ -180,8 +184,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
     group_spec = G = None
     if args.group:
         group_spec = _load_json(args.group)
+        same_family(generators_from_spec(group_spec))  # refuse an empty or malformed spec
+    seq_spec = _load_json(args.seq)
+    # inline entries need only the spec's kind and p: enumerate for indices only
+    if group_spec is not None and any(map(is_spec_int, spec_field(seq_spec, "elements", list))):
         G = _group_under_cap(group_spec, args.cap)
-    seq = sequence_from_spec(_load_json(args.seq), G, group_spec)
+    seq = sequence_from_spec(seq_spec, G, group_spec)
     mc = rho_monte_carlo(seq, args.samples, args.seed, threads=args.threads)
     _emit(args, mc.to_json())
     return EXIT_OK

@@ -316,9 +316,6 @@ class FiniteGroup:
         self.tree = tree
         self.generator_indices = tuple(self._lookup(arith.keys(generator_rows)).tolist())
 
-    def __len__(self) -> int:
-        return self.order
-
     # -- element access ------------------------------------------------
 
     def _decode(self, idxs) -> np.ndarray:
@@ -476,9 +473,6 @@ class ConjugacyClasses:
     @property
     def count(self) -> int:
         return len(self.representatives)
-
-    def members(self, cid: int) -> np.ndarray:
-        return np.nonzero(self.class_of == cid)[0]
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:

@@ -198,10 +198,6 @@ class CascadeDiagnostics:
     prefix_rhs: list[float] = field(default_factory=list)
     prefix_ok: bool = True
 
-    @property
-    def dim_threshold(self) -> float:
-        return math.exp(0.5 * math.log(self.p) * (self.m * self.m - self.m - 1))
-
     def csv_rows(self) -> list[tuple]:
         rows = []
         for l in range(1, self.dim + 1):
@@ -220,15 +216,6 @@ class CascadeDiagnostics:
                 )
             )
         return rows
-
-
-def split_index(l: int, m_i: int) -> tuple[int, int]:
-    """Decompose l = 4 m_i a_i + b_i with 4 m_i <= b_i < 8 m_i (needs l >= 8 m_i)."""
-    if m_i < 1 or l < 8 * m_i:
-        raise ValueError("decomposition requires m_i >= 1 and l >= 8 m_i")
-    a = (l - 4 * m_i) // (4 * m_i)
-    b = l - 4 * m_i * a
-    return a, b
 
 
 def cascade_diagnostics(

@@ -92,9 +92,6 @@ class SignedSequence:
     def min_order(self) -> int:
         return min(self.orders())
 
-    def count_order_at_least(self, sigma: int) -> int:
-        return sum(1 for k in self.orders() if k >= sigma)
-
 
 # ---------------------------------------------------------------------------
 # exact distribution

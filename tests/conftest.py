@@ -11,7 +11,6 @@ import itertools
 import numpy as np
 import pytest
 
-from signedwalk import catalog
 from signedwalk.elements import (
     MatrixElement,
     MulTable,
@@ -21,12 +20,14 @@ from signedwalk.elements import (
     _inv_entries,
 )
 from signedwalk.errors import NotInGroup
-from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators
+from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators, group_from_spec
 from signedwalk.irreps import decompose_regular
 from signedwalk.modarith import charpoly_mod, matmul_mod, nullspace_mod, roots_mod, solve_in_span
 from signedwalk.walk import _MC_BATCH, ExactDistribution, SignedSequence
 
-BENCH_NAMES = ["s3", "d4", "q8", "a4", "s4", "sl2_3", "sl2_5"]
+from group_specs import BENCH, SL2_49, SL2_49_SEED11, sl2
+
+BENCH_NAMES = list(BENCH)
 
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -41,7 +42,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def bench_groups() -> dict[str, FiniteGroup]:
-    return {name: catalog.named_group(name) for name in BENCH_NAMES}
+    return {name: group_from_spec(BENCH[name]) for name in BENCH_NAMES}
 
 
 @pytest.fixture(scope="session")
@@ -51,26 +52,12 @@ def bench_irreps(bench_groups):
 
 @pytest.fixture(scope="session")
 def sl2_49():
-    return close_generators(catalog.sl2_prime_squared_generators(7))
-
-
-# the four transvections of SL_2(49), conjugated by the benchmark's seed-11 word
-SL2_49_SEED11_GENERATORS = [
-    [[3, 4, 2, 0], [6, 3, 0, 2], [0, 6, 6, 3], [2, 0, 1, 6]],
-    [[6, 1, 0, 6], [5, 6, 2, 0], [3, 6, 3, 6], [2, 3, 2, 3]],
-    [[5, 6, 0, 6], [2, 5, 2, 0], [6, 0, 4, 1], [0, 6, 5, 4]],
-    [[2, 1, 6, 0], [5, 2, 0, 6], [6, 2, 0, 6], [3, 6, 2, 0]],
-]
+    return group_from_spec(SL2_49)
 
 
 @pytest.fixture(scope="session")
-def sl2_49_seed11_generators() -> list[MatrixElement]:
-    return [MatrixElement.from_rows(rows, 7) for rows in SL2_49_SEED11_GENERATORS]
-
-
-@pytest.fixture(scope="session")
-def sl2_49_seed11(sl2_49_seed11_generators):
-    return close_generators(sl2_49_seed11_generators)
+def sl2_49_seed11():
+    return group_from_spec(SL2_49_SEED11)
 
 
 @pytest.fixture(scope="session")
@@ -110,7 +97,7 @@ def class_case(request, bench_groups):
 
 @pytest.fixture(scope="session")
 def sl2_7():
-    return close_generators(catalog.sl2_generators(7))
+    return group_from_spec(sl2(7))
 
 
 @pytest.fixture(scope="session")
@@ -396,7 +383,7 @@ def naive_class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -
     """M[k, j] = #{x in C_i : x^-1 z_k in C_j} mod ell, one `mul_many` per class
     representative z_k over the inverses of every member of C_i."""
     r = cc.count
-    xinv = np.array([G.inv(int(x)) for x in cc.members(i)], dtype=np.int64)
+    xinv = np.array([G.inv(int(x)) for x in np.nonzero(cc.class_of == i)[0]], dtype=np.int64)
     M = np.zeros((r, r), dtype=np.int64)
     for k, zk in enumerate(cc.representatives):
         M[k] = np.bincount(cc.class_of[G.mul_many(xinv, zk)], minlength=r)

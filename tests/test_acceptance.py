@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from signedwalk import catalog
 from signedwalk.chartable import check_multiplicity_bounds, dixon_character_table
-from signedwalk.groups import close_generators
+from signedwalk.groups import generators_from_spec, group_from_spec
 from signedwalk.irreps import fourier_distribution
 from signedwalk.spectral import (
     cascade_diagnostics,
@@ -33,6 +32,7 @@ from signedwalk.walk import (
 from signedwalk.embed import RationalMatrix, embed_mod_p
 
 from conftest import BENCH_NAMES, random_sequence
+from group_specs import BENCH, SL2_149_TORUS, cyclic
 
 # rho values produced by earlier criteria, consumed by the bound consistency check
 _RHO_LEDGER: list[tuple[str, Fraction, int, int]] = []
@@ -66,7 +66,7 @@ def test_criterion_1_fourier_inversion(bench_groups, bench_irreps):
 
 
 def test_criterion_2_binomial_walk_exact():
-    G = close_generators(catalog.cyclic_generators(67))
+    G = group_from_spec(cyclic(67))
     a = G.element(1)
     ok = True
     for n in range(1, 65):
@@ -81,7 +81,7 @@ def test_criterion_2_binomial_walk_exact():
 def test_criterion_3_torsion_lower_bound():
     ok = True
     for s in range(3, 13):
-        G = close_generators(catalog.cyclic_generators(s))
+        G = group_from_spec(cyclic(s))
         a = G.element(1)
         for n in (10, 50, 100):
             r = exact_distribution(G, SignedSequence.constant(a, n)).rho()
@@ -112,7 +112,7 @@ def test_criterion_5_order_length_bound_consistency():
     if not sample:  # criterion run in isolation: draw a fresh sample
         rng = np.random.default_rng(20240805)
         for name in ("s4", "sl2_5"):
-            G = catalog.named_group(name)
+            G = group_from_spec(BENCH[name])
             for _ in range(10):
                 n = int(rng.integers(2, 17))
                 seq = random_sequence(G, n, rng)
@@ -126,8 +126,8 @@ def test_criterion_5_order_length_bound_consistency():
         ok &= rho_below_order_length_bound(rho, s, n)
 
     # non-vacuous spot check: order-150 element of SL_2(149), walk of length 256
-    gen = catalog.nonsplit_torus_generator(149)
-    T = close_generators([gen])
+    (gen,) = generators_from_spec(SL2_149_TORUS)
+    T = group_from_spec(SL2_149_TORUS)
     assert T.order == 150
     r = exact_distribution(T, SignedSequence.constant(gen, 256)).rho()
     spot_ok = r.fraction <= Fraction(141, 150)

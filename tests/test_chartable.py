@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signedwalk import catalog, chartable
+from signedwalk import chartable
 from signedwalk.cli import main
 from signedwalk.chartable import (
     _class_matrix,
@@ -19,7 +19,7 @@ from signedwalk.chartable import (
 )
 from signedwalk.elements import PermutationElement
 from signedwalk.errors import ConsistencyFailure, NoSuitablePrime, TooManyClasses
-from signedwalk.groups import close_generators, conjugacy_classes
+from signedwalk.groups import close_generators, conjugacy_classes, group_from_spec
 from signedwalk.irreps import REGULAR_SIZE_CAP, decompose_regular
 
 from conftest import (
@@ -30,15 +30,16 @@ from conftest import (
     naive_eigenlines,
     naive_multiplicities,
 )
+from group_specs import BENCH, cyclic, sl2
 
 
 def table_of(name):
-    return dixon_character_table(catalog.named_group(name))
+    return dixon_character_table(group_from_spec(BENCH[name]))
 
 
 def test_cyclic_table_is_the_root_of_unity_grid():
     k = 7
-    G = close_generators(catalog.cyclic_generators(k))
+    G = group_from_spec(cyclic(k))
     t = dixon_character_table(G)
     assert t.degrees == (1,) * k
     # rows are j -> eps^{i j} for the generator's class, up to row order
@@ -74,7 +75,7 @@ def test_column_orthogonality(bench_groups):
 
 
 def test_sl2_7_degree_squares():
-    G = close_generators(catalog.sl2_generators(7))
+    G = group_from_spec(sl2(7))
     t = dixon_character_table(G)
     assert sum(d * d for d in t.degrees) == 7 * 48
 
@@ -94,7 +95,7 @@ def test_prime_search_failure_names_the_real_floor(bench_groups, monkeypatch, ca
         dixon_character_table(bench_groups["s3"])
     assert str(exc.value) == message
     spec = tmp_path / "s3.json"
-    spec.write_text(json.dumps(catalog.group_spec("s3")))
+    spec.write_text(json.dumps(BENCH["s3"]))
     assert main(["chartab", "--group", str(spec)]) == 3
     assert capsys.readouterr().err == f"resource cap: {message}\n"
 
@@ -226,12 +227,12 @@ def test_max_character_ratio_s3():
 
 
 def test_max_character_ratio_abelian_none():
-    G = close_generators(catalog.cyclic_generators(6))
+    G = group_from_spec(cyclic(6))
     assert max_character_ratio(dixon_character_table(G)) is None
 
 
 def test_multiplicity_bounds_cyclic_empty():
-    G = close_generators(catalog.cyclic_generators(10))
+    G = group_from_spec(cyclic(10))
     report = check_multiplicity_bounds(dixon_character_table(G), Fraction(1, 6))
     assert report.entries == []
     assert report.all_pass

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import signedwalk
-from signedwalk import catalog, chartable, elements, embed, primes
+from signedwalk import chartable, elements, embed, groups, primes
 from signedwalk.cli import main
 from signedwalk.elements import MatrixElement, PermutationElement
-from signedwalk.errors import ConsistencyFailure
 from signedwalk.groups import group_from_spec
 from signedwalk.walk import SignedSequence, exact_distribution
 
 from conftest import LOOP_GENERATORS, naive_class_powers
+from group_specs import BENCH, cyclic, sl2, symmetric
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def specs(tmp_path):
     paths = {}
     for name in ("s3", "q8", "s4", "sl2_3", "sl2_5"):
         p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(catalog.group_spec(name)))
+        p.write_text(json.dumps(BENCH[name]))
         paths[name] = str(p)
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"elements": [1, 2, 3, 1]}))
@@ -142,6 +142,24 @@ def test_mc_thread_invariance(specs, capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize(
+    ("entries", "closures"),
+    [([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 0), ([1, 2, 3, 1], 1)],
+    ids=["inline", "indices"],
+)
+def test_mc_enumerates_the_group_only_for_index_entries(
+    specs, capsys, monkeypatch, tmp_path, entries, closures
+):
+    calls, close = [], groups.close_generators
+    monkeypatch.setattr(
+        groups, "close_generators", lambda *a, **k: calls.append(a) or close(*a, **k)
+    )
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"elements": entries}))
+    code, _ = run(capsys, "mc", "--group", specs["sl2_5"], "--seq", str(seq), "--samples", "2000")
+    assert (code, len(calls)) == (0, closures)
+
+
 def test_chartab(specs, capsys):
     code, out = run(capsys, "chartab", "--group", specs["s3"])
     assert code == 0
@@ -242,10 +260,7 @@ def test_mult_bounds_hypothesis_failures_reported(specs, capsys):
 
 def test_mult_bounds_abelian_empty_report(specs, capsys, tmp_path):
     spec = tmp_path / "c10.json"
-    cyc = catalog.cyclic_generators(10)[0]
-    spec.write_text(
-        json.dumps({"kind": "permutation", "degree": 10, "generators": [list(cyc.images)]})
-    )
+    spec.write_text(json.dumps(cyclic(10)))
     code, out = run(capsys, "mult-bounds", "--group", str(spec), "--alpha", "1/6")
     assert code == 0
     payload = json.loads(out)
@@ -320,7 +335,7 @@ def test_sweep_rows_are_the_prefix_laws(specs, capsys):
         capsys, "sweep", "--group", specs["sl2_5"], "--element", "[[1,1],[0,1]]", "--n-max", "40",
     )
     assert code == 0
-    G = group_from_spec(catalog.group_spec("sl2_5"))
+    G = group_from_spec(sl2(5))
     a = MatrixElement.from_rows([[1, 1], [0, 1]], 5)
     for n, row in enumerate(json.loads(out), start=1):
         rho = exact_distribution(G, SignedSequence.constant(a, n)).rho()
@@ -442,15 +457,6 @@ def test_factoring_budget_exits_3(capsys, tmp_path, monkeypatch):
     code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
     assert code == 3
     assert err == "resource cap: factoring exceeded 1000 Pollard-rho steps\n"
-
-
-def test_missing_torus_element_is_a_consistency_failure(monkeypatch):
-    # not reachable from the CLI; as a SignedWalkError it would exit 2 there.
-    # With a square in place of the non-square the scan sees only split-torus
-    # elements, whose orders divide p - 1, so none has order p + 1.
-    monkeypatch.setattr(catalog, "least_nonsquare", lambda p: 1)
-    with pytest.raises(ConsistencyFailure, match="no order-8 torus element"):
-        catalog.nonsplit_torus_generator(7)
 
 
 MINUS_I_MOD_17 = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -711,8 +717,7 @@ def test_example2_empty_term_list_is_an_input_error(capsys):
 )
 def test_a_command_imports_only_the_engines_it_runs(tmp_path, command, absent):
     paths = {"s6": tmp_path / "s6.json", "seq": tmp_path / "seq.json"}
-    s6 = catalog.spec_from_generators(catalog.symmetric_generators(6))
-    paths["s6"].write_text(json.dumps(s6))
+    paths["s6"].write_text(json.dumps(symmetric(6)))
     paths["seq"].write_text(json.dumps({"elements": [[1, 2, 0, 3], [1, 0, 2, 3]], "repeat": 9}))
     argv = [arg.format(**paths) for arg in command] + ["--out", str(tmp_path / "out.json")]
     code = (

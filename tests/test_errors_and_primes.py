@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from signedwalk import catalog, chartable, walk
+from signedwalk import chartable, walk
 from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import (
     CapExceeded,
@@ -11,16 +11,17 @@ from signedwalk.errors import (
     NonIntegralMultiplicity,
     PrimeSearchExhausted,
 )
-from signedwalk.groups import close_generators
+from signedwalk.groups import group_from_spec
 from signedwalk.irreps import UnitaryIrrep, fourier_distribution
 from signedwalk.primes import factorize, is_prime, next_prime, next_prime_outside
 from signedwalk.walk import SignedSequence, rho_monte_carlo
 
 from conftest import random_sequence
+from group_specs import sl2
 
 
 def test_monte_carlo_distinct_cap(monkeypatch):
-    G = close_generators(catalog.sl2_generators(5))
+    G = group_from_spec(sl2(5))
     rng = np.random.default_rng(2)
     seq = random_sequence(G, 12, rng)
     monkeypatch.setattr(walk, "_MC_DISTINCT_CAP", 3)

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 import signedwalk
-from signedwalk import catalog
 from signedwalk import irreps as irreps_module
 from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import SizeCap, SplitFailure
-from signedwalk.groups import close_generators, group_from_spec
+from signedwalk.groups import group_from_spec
 from signedwalk.irreps import _average_hermitian, _tabulate, decompose_regular
 
 from conftest import left_translation_rows, naive_average_hermitian, naive_tabulate
+from group_specs import SL2_9, cyclic, sl2, symmetric
 
 
 def test_abelian_splits_into_linear_characters():
-    G = close_generators(catalog.cyclic_generators(8))
+    G = group_from_spec(cyclic(8))
     irreps = decompose_regular(G, seed=5)
     assert [r.dim for r in irreps] == [1] * 8
 
@@ -29,11 +29,10 @@ def test_irreps_and_tables_leave_numpy_ma_unimported():
     # checks of MulTable need none of it
     code = (
         "import sys\n"
-        "from signedwalk import catalog\n"
         "from signedwalk.elements import MulTable\n"
-        "from signedwalk.groups import close_generators\n"
+        "from signedwalk.groups import group_from_spec\n"
         "from signedwalk.irreps import decompose_regular\n"
-        "assert len(decompose_regular(close_generators(catalog.symmetric_generators(6)), 11)) == 11\n"
+        f"assert len(decompose_regular(group_from_spec({symmetric(6)!r}), 11)) == 11\n"
         "MulTable([[(i + j) % 6 for j in range(6)] for i in range(6)])\n"
         "print('numpy.ma' in sys.modules)\n"
     )
@@ -187,7 +186,7 @@ def test_groups_with_non_real_irreducibles_match_dixon(request, bench_groups, na
     elif name == "c3_s3":
         G = group_from_spec(C3_S3)
     else:
-        G = close_generators(catalog.cyclic_generators(int(name[1:])))
+        G = group_from_spec(cyclic(int(name[1:])))
     _assert_matches_dixon(G, decompose_regular(G, seed=seed))
 
 
@@ -238,9 +237,8 @@ def test_table_group_end_to_end():
 
 
 def test_size_cap():
-    gens = catalog.sl2_prime_squared_generators(3)  # SL_2(9), order 720 -- fine
-    G = close_generators(gens)
+    G = group_from_spec(SL2_9)  # order 720 -- fine
     assert G.order == 720
-    big = close_generators(catalog.sl2_generators(17))  # order 4896 > cap
+    big = group_from_spec(sl2(17))  # order 4896 > cap
     with pytest.raises(SizeCap):
         decompose_regular(big)

@@ -12,7 +12,6 @@ from signedwalk.spectral import (
     product_singular_bounds,
     random_unitary,
     singular_values,
-    split_index,
     trace_vs_singular_sum,
     trig_inequality_scan,
 )
@@ -136,15 +135,6 @@ def test_trig_scan():
         trig_inequality_scan(0.1)
 
 
-def test_split_index_ranges():
-    a, b = split_index(40, 1)
-    assert 40 == 4 * a + b and 4 <= b < 8
-    a, b = split_index(201, 5)
-    assert 201 == 20 * a + b and 20 <= b < 40
-    with pytest.raises(ValueError):
-        split_index(7, 1)
-
-
 def test_cascade_vacuous_when_l0_exceeds_dim(bench_groups, bench_irreps):
     G = bench_groups["sl2_5"]
     rep = next(r for r in bench_irreps["sl2_5"] if r.dim == 4)
@@ -216,4 +206,3 @@ def test_dim_threshold_square_is_exact_biginteger():
     assert make(149, 43).dim_threshold_squared == 149**1805
     small = make(5, 3)
     assert small.dim_threshold_squared == 5**5
-    assert small.dim_threshold == pytest.approx(5**2.5)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedwalk import catalog, walk
+from signedwalk import walk
 from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.errors import CapExceeded, ElementNotInGroup, NotInvertible, NotNonTrivial
-from signedwalk.groups import RowArith, close_generators
+from signedwalk.groups import RowArith, close_generators, group_from_spec
 from signedwalk.walk import (
     ExactDistribution,
     SignedSequence,
@@ -28,10 +28,11 @@ from conftest import (
     naive_mc,
     random_sequence,
 )
+from group_specs import cyclic as cyclic_spec, sl2, symmetric
 
 
 def cyclic(k):
-    return close_generators(catalog.cyclic_generators(k))
+    return group_from_spec(cyclic_spec(k))
 
 
 def test_orders_computes_each_distinct_entry_once(monkeypatch):
@@ -58,7 +59,7 @@ def test_sequence_rejects_identity():
 
 
 def test_sequence_order_statistics():
-    G = close_generators(catalog.symmetric_generators(4))
+    G = group_from_spec(symmetric(4))
     transposition = G.index_of(PermutationElement((1, 0, 2, 3)))
     four_cycle = G.index_of(PermutationElement((1, 2, 3, 0)))
     seq = SignedSequence(
@@ -66,8 +67,6 @@ def test_sequence_order_statistics():
     )
     assert seq.orders() == (2, 4, 4)
     assert seq.min_order == 2
-    assert seq.count_order_at_least(3) == 2
-    assert seq.count_order_at_least(5) == 0
 
 
 def test_single_step_high_order():
@@ -387,7 +386,7 @@ def test_monte_carlo_wide_permutation_bytes_path():
 
 
 def test_monte_carlo_permutation_and_table_paths():
-    Gp = close_generators(catalog.symmetric_generators(4))
+    Gp = group_from_spec(symmetric(4))
     seqp = SignedSequence.constant(Gp.element(Gp.index_of(PermutationElement((1, 2, 3, 0)))), 4)
     mcp = rho_monte_carlo(seqp, samples=20_000, seed=3)
     exact = exact_distribution(Gp, seqp).rho().value
@@ -429,7 +428,7 @@ def test_write_json_matches_json_dump_across_chunks(monkeypatch, bench_groups, n
 
 
 def test_sequence_from_spec_indices_and_inline():
-    G = close_generators(catalog.sl2_generators(5))
+    G = group_from_spec(sl2(5))
     seq = sequence_from_spec({"elements": [1, [[1, 1], [0, 1]]], "repeat": 2}, G)
     assert seq.n == 4
     assert seq.elements[1] == MatrixElement.from_rows([[1, 1], [0, 1]], 5)
