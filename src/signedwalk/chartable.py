@@ -11,6 +11,11 @@ sum to the degree), and the multiplicity windows read them from there.  An
 operator that is scalar on an eigenspace found so far cannot split it, so the
 space passes on without a characteristic polynomial.
 
+The operators come in representative order, which interleaves the families of
+classes (a family shares one size, so an order by size walks through one family
+first): on SL2(49), 10-13 operators instead of 33-36.  Low representatives also
+have the shortest tree paths, so their columns cost least.
+
 Each class-sum operator comes from one column (that of the inverse of the
 class representative, composed along the generator tree) and one `bincount`
 over the class pairs it produces.
@@ -163,13 +168,13 @@ def _class_matrix(G: FiniteGroup, cc: ConjugacyClasses, i: int, ell: int) -> np.
 
 def _eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int) -> list[np.ndarray]:
     """The common eigenlines of the class-sum operators mod ell, one (r, 1) basis
-    each: the class-function space is split by one operator after another,
-    smallest classes first, until every space is a line.  An operator that is
+    each: the class-function space is split by one operator after another, in
+    representative order, until every space is a line.  An operator that is
     scalar on a space has one eigenvalue there and cannot split it, so that space
     passes through without a characteristic polynomial, roots or kernel."""
     r = cc.count
     spaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
-    for i in sorted(range(1, r), key=lambda i: (cc.sizes[i], i)):
+    for i in range(1, r):
         if all(W.shape[1] == 1 for W in spaces):
             break
         Mi = _class_matrix(G, cc, i, ell)
@@ -184,8 +189,7 @@ def _eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int) -> list[np.ndarr
                 continue
             covered = 0
             for lam in roots_mod(charpoly_mod(A, ell), ell):
-                shifted = (A - lam * np.eye(A.shape[0], dtype=np.int64)) % ell
-                K = nullspace_mod(shifted, ell)
+                K = nullspace_mod((A - lam * np.eye(len(A), dtype=np.int64)) % ell, ell)
                 refined.append(matmul_mod(W, K, ell))
                 covered += K.shape[1]
             if covered != W.shape[1]:
@@ -209,9 +213,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     if r > MAX_CLASSES:
         raise TooManyClasses(f"{r} classes exceeds cap {MAX_CLASSES}")
     class_orders, central_orders, power_map = _class_powers(G, cc)
-    exponent = 1
-    for k in class_orders:
-        exponent = exponent * k // math.gcd(exponent, k)
+    exponent = math.lcm(*class_orders)
     ell = _find_table_prime(exponent, G.order)
     inverse_class = tuple(int(cc.class_of[G.inv(rep)]) for rep in cc.representatives)
 
@@ -279,9 +281,11 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
 
 
 def _check_orthogonality(table: CharacterTable) -> None:
-    sizes = np.array(table.classes.sizes, dtype=np.float64)
-    gram = (table.values * sizes) @ table.values.conj().T / table.group.order
-    if np.max(np.abs(gram - np.eye(table.num_classes))) > _ORTHOGONALITY_TOL:
+    # real matmuls on both parts: one complex matmul of size >= ~40 costs ms here
+    w = np.array(table.classes.sizes, dtype=np.float64) / table.group.order
+    re, im = table.values.real, table.values.imag
+    gram = (re * w) @ re.T + (im * w) @ im.T - np.eye(table.num_classes)
+    if np.max(np.hypot(gram, (im * w) @ re.T - (re * w) @ im.T)) > _ORTHOGONALITY_TOL:
         raise ConsistencyFailure("character rows fail orthogonality")
 
 
@@ -377,33 +381,25 @@ def check_multiplicity_bounds(table: CharacterTable, alpha) -> MultiplicityRepor
         raise ValueError("alpha must lie in (0, 1)")
     entries: list[MultiplicityCheck] = []
     chars, noncentral, ratios = _character_ratios(table)
+    windows: dict[tuple[int, int], tuple] = {}  # (k1, degree) -> (lower, upper, lo, hi)
     for i, row in zip(chars, ratios):
         d = table.degrees[i]
         hypothesis_ok = row.max(initial=0.0) <= float(alpha) + 1e-9
         for c in noncentral:
-            k1 = table.central_order(c)
+            k1 = table.central_orders[c]
             if not hypothesis_ok:
                 entries.append(
                     MultiplicityCheck(i, c, k1, "hypothesis_failed", None, None, None, ())
                 )
                 continue
-            prof = eigenvalue_multiplicities(table, i, c)
-            lower = (Fraction(1, k1) - alpha) * d
-            upper = (Fraction(1, k1) + alpha) * d
-            # an integer lies in (lower, upper) exactly when it lies in (lo, hi)
-            lo, hi = math.floor(lower), math.ceil(upper)
-            vacuous = lo < 0 and hi > d
-            ok = all(lo < m < hi for m in prof.multiplicities if m > 0)
-            entries.append(
-                MultiplicityCheck(
-                    i,
-                    c,
-                    k1,
-                    "vacuous" if vacuous else "ok",
-                    ok,
-                    lower,
-                    upper,
-                    prof.multiplicities,
-                )
-            )
+            if (k1, d) not in windows:
+                lower = (Fraction(1, k1) - alpha) * d
+                upper = (Fraction(1, k1) + alpha) * d
+                # an integer lies in (lower, upper) exactly when it lies in (lo, hi)
+                windows[k1, d] = lower, upper, math.floor(lower), math.ceil(upper)
+            lower, upper, lo, hi = windows[k1, d]
+            mults = tuple(table.multiplicities[c][i].tolist())
+            status = "vacuous" if lo < 0 and hi > d else "ok"
+            ok = all(lo < m < hi for m in mults if m > 0)
+            entries.append(MultiplicityCheck(i, c, k1, status, ok, lower, upper, mults))
     return MultiplicityReport(alpha=alpha, entries=entries)

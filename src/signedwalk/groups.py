@@ -357,13 +357,13 @@ class FiniteGroup:
 
     def right_column(self, x: int) -> np.ndarray:
         """Column h -> index(g_h * g_x): the multiplier columns composed along
-        the tree path from the identity to x, one gather per edge."""
+        the tree path from the identity to x, one gather per edge after the first."""
         tree = self.tree
         path = []
         while x:
             path.append(int(tree.via[x]))
             x = int(tree.parent[x])
-        col = np.arange(self.order, dtype=np.int32)
+        col = tree.cols[path.pop()].copy() if path else np.arange(self.order, dtype=np.int32)
         for k in reversed(path):
             col = tree.cols[k][col]
         return col

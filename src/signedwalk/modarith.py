@@ -38,23 +38,25 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
 
 def _row_reduce(M: np.ndarray, ncols: int, ell: int) -> list[int]:
     """Gauss-Jordan elimination of M (reduced mod ell) in place over its first
-    ncols columns; returns the pivot columns, pivot r sitting in row r."""
+    ncols columns, one rank-1 update of all rows per pivot (products < ell^2 <
+    2^62, so int64 is exact); returns the pivot columns, pivot r in row r."""
     m = M.shape[0]
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
         if row == m:
             break
-        nz = np.flatnonzero(M[row:, col])
-        if nz.size == 0:
+        nz = M[row:, col].nonzero()[0]
+        if not nz.size:
             continue
         piv = row + int(nz[0])
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
-        M[row] = M[row] * inv_mod(int(M[row, col]), ell) % ell
-        for r in range(m):
-            if r != row and M[r, col]:
-                M[r] = (M[r] - M[r, col] * M[row]) % ell
+        lead = M[row, col:] * inv_mod(int(M[row, col]), ell) % ell
+        rest = M[:, col:]  # columns left of col are zero in the pivot row
+        rest -= M[:, col, None] * lead
+        rest %= ell
+        M[row, col:] = lead
         pivots.append(col)
     return pivots
 
@@ -64,12 +66,10 @@ def nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
     n = a.shape[1]
     M = a.copy().astype(np.int64) % ell
     pivots = _row_reduce(M, n, ell)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, j] = (-M[r, fc]) % ell
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((n, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -M[: len(pivots), free] % ell
     return basis
 
 
@@ -93,22 +93,17 @@ def charpoly_mod(A: np.ndarray, ell: int) -> np.ndarray:
     H = A.copy().astype(np.int64) % ell
     n = H.shape[0]
     for j in range(n - 2):
-        piv = None
-        for r in range(j + 1, n):
-            if H[r, j]:
-                piv = r
-                break
-        if piv is None:
+        nz = H[j + 1 :, j].nonzero()[0]
+        if not nz.size:
             continue
+        piv = j + 1 + int(nz[0])
         if piv != j + 1:
             H[[j + 1, piv]] = H[[piv, j + 1]]
             H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
-        ipiv = inv_mod(int(H[j + 1, j]), ell)
-        for r in range(j + 2, n):
-            if H[r, j]:
-                f = H[r, j] * ipiv % ell
-                H[r] = (H[r] - f * H[j + 1]) % ell
-                H[:, j + 1] = (H[:, j + 1] + f * H[:, r]) % ell
+        # clear column j below the subdiagonal: H -> L H L^-1, L = I - f e_(j+1)^T
+        f = H[j + 2 :, j] * inv_mod(int(H[j + 1, j]), ell) % ell
+        H[j + 2 :] = (H[j + 2 :] - np.outer(f, H[j + 1])) % ell
+        H[:, j + 1] = (H[:, j + 1] + matmul_mod(H[:, j + 2 :], f, ell)) % ell
 
     polys = [np.array([1], dtype=np.int64)]
     for k in range(1, n + 1):
@@ -165,21 +160,30 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
 
 
 def poly_pow_mod(base: np.ndarray, e: int, mod: np.ndarray, ell: int) -> np.ndarray:
-    """base^e mod `mod`, for `mod` of degree >= 1."""
+    """base^e mod `mod`, for `mod` of degree n >= 1.  A product of two residues
+    has degree <= 2n - 2; its coefficients from x^n up are folded back in one
+    matrix product with the rows x^n, ..., x^(2n-2) mod `mod`."""
     if ell * ell * len(mod) >= 2**63:
         raise ValueError("modulus too large for int64 convolution")
+    n = len(mod) - 1
+    fold = np.zeros((n - 1, n), dtype=np.int64)
+    row = -mod[:n] * inv_mod(int(mod[n]), ell) % ell  # x^n mod `mod`
+    for k in range(n - 1):
+        fold[k] = row
+        row = (np.concatenate(([0], row[:-1])) + row[-1] * fold[0]) % ell
 
-    def mul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # np.convolve refuses []
-        prod = np.convolve(a, b) % ell if len(a) and len(b) else a[:0]
-        return poly_divmod(prod, mod, ell)[1]
+    def mul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # both of length n
+        prod = np.convolve(a, b) % ell
+        return (prod[:n] + prod[n:] @ fold) % ell
 
-    result, cur = np.array([1], dtype=np.int64), poly_divmod(base, mod, ell)[1]
+    low = poly_divmod(base, mod, ell)[1]
+    result, cur = np.pad(np.ones(1, dtype=np.int64), (0, n - 1)), np.pad(low, (0, n - len(low)))
     while e:
         if e & 1:
             result = mul_mod(result, cur)
         cur = mul_mod(cur, cur)
         e >>= 1
-    return result
+    return _trimmed(result)
 
 
 def roots_mod(f: np.ndarray, ell: int) -> list[int]:

@@ -471,13 +471,65 @@ def naive_tabulate(V: np.ndarray, left_inv_rows: np.ndarray) -> np.ndarray:
     return np.array([Vh @ V[left_inv_rows[g]] for g in range(len(V))])
 
 
-def naive_eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int):
+def naive_row_reduce(M: np.ndarray, ncols: int, ell: int) -> list[int]:
+    """Gauss-Jordan elimination of M (reduced mod ell) in place over its first
+    ncols columns, clearing each pivot column one row at a time; returns the
+    pivot columns, pivot r sitting in row r."""
+    m = M.shape[0]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        nz = np.flatnonzero(M[row:, col])
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            M[[row, piv]] = M[[piv, row]]
+        M[row] = M[row] * pow(int(M[row, col]), -1, ell) % ell
+        for r in range(m):
+            if r != row and M[r, col]:
+                M[r] = (M[r] - M[r, col] * M[row]) % ell
+        pivots.append(col)
+    return pivots
+
+
+def naive_nullspace(a: np.ndarray, ell: int) -> np.ndarray:
+    """Right-kernel basis (n x k) read off `naive_row_reduce`, one free column at
+    a time: 1 at the free column, minus the reduced entries at the pivots."""
+    n = a.shape[1]
+    M = a.astype(np.int64) % ell
+    pivots = naive_row_reduce(M, n, ell)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, j] = (-M[r, fc]) % ell
+    return basis
+
+
+def naive_solve_in_span(W: np.ndarray, X: np.ndarray, ell: int) -> np.ndarray:
+    """A with W @ A = X (mod ell), from `naive_row_reduce` on [W | X]."""
+    d = W.shape[1]
+    aug = np.concatenate([W, X], axis=1).astype(np.int64) % ell
+    if len(naive_row_reduce(aug, d, ell)) < d:
+        raise ValueError("basis matrix is column-rank deficient")
+    if np.any(aug[d:, d:]):
+        raise ValueError("right-hand side leaves the span")
+    return aug[:d, d:]
+
+
+def naive_eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int, order=None):
     """(common eigenlines of the class-sum operators mod ell, number of times an
     operator was scalar on a space): Dixon's splitting loop, class operators from
-    `naive_class_matrix`, with every space of dimension > 1 split through its
-    characteristic polynomial, the roots and one kernel per root, scalar or not."""
+    `naive_class_matrix` taken in `order` (by default class by class, as
+    `_eigenlines` takes them), with every space of dimension > 1 split through
+    its characteristic polynomial, the roots and one kernel per root, scalar or
+    not."""
     spaces, scalar = [np.eye(cc.count, dtype=np.int64)], 0
-    for i in sorted(range(1, cc.count), key=lambda i: (cc.sizes[i], i)):
+    for i in range(1, cc.count) if order is None else order:
         if all(W.shape[1] == 1 for W in spaces):
             break
         M = naive_class_matrix(G, cc, i, ell)

@@ -21,6 +21,7 @@ from signedwalk.elements import PermutationElement
 from signedwalk.errors import ConsistencyFailure, NoSuitablePrime, TooManyClasses
 from signedwalk.groups import close_generators, conjugacy_classes, group_from_spec
 from signedwalk.irreps import REGULAR_SIZE_CAP, decompose_regular
+from signedwalk.modarith import inv_mod
 
 from conftest import (
     BENCH_NAMES,
@@ -150,6 +151,26 @@ def test_scalar_operators_pass_spaces_through(bench_groups, sl2_7):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         skipped.append(scalar)
     assert skipped == [0, 0, 0, 3]
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES + ["sl2_7", "sl2_49"])
+def test_eigenlines_do_not_depend_on_the_operator_order(request, bench_groups, name):
+    """The class operators commute, so the order in which they split the space
+    cannot change the common eigenlines: those of `_eigenlines` (operators in
+    representative order) and those of the naive loop with the operators
+    smallest classes first, each scaled to 1 at the identity class, are one
+    set."""
+    G = bench_groups[name] if name in bench_groups else request.getfixturevalue(name)
+    t = dixon_character_table(G)
+    cc, ell = t.classes, t.modulus
+    by_size = sorted(range(1, cc.count), key=lambda i: (cc.sizes[i], i))
+
+    def lines(spaces):
+        return sorted(tuple((W[:, 0] * inv_mod(int(W[0, 0]), ell) % ell).tolist()) for W in spaces)
+
+    want, _ = naive_eigenlines(G, cc, ell, by_size)
+    assert len(want) == cc.count
+    assert lines(_eigenlines(G, cc, ell)) == lines(want)
 
 
 def test_multiplicities_identity_class():

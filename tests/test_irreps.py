@@ -239,6 +239,8 @@ def test_table_group_end_to_end():
 def test_size_cap():
     G = group_from_spec(SL2_9)  # order 720 -- fine
     assert G.order == 720
+    irreps = decompose_regular(G)
+    assert len(irreps) == 13 and sum(r.dim**2 for r in irreps) == 720
     big = group_from_spec(sl2(17))  # order 4896 > cap
     with pytest.raises(SizeCap):
         decompose_regular(big)
