@@ -1,11 +1,12 @@
 """Command-line surface: batch computation, verification suites, CSV/JSON emission.
 
 Exit codes: 0 success or verified pass, 1 verification failure, 2 input error,
-3 resource cap.  Output is deterministic for a fixed (config, seed); JSON is
-emitted with sorted keys and no timestamps, so reruns are byte-identical.
+3 resource cap.  Output is deterministic for a fixed (config, seed) and BLAS
+thread count (the last bits of `eigh` depend on it); JSON is emitted with
+sorted keys and no timestamps, so such reruns are byte-identical.
 Each subcommand accepts only the flags its handler reads; handlers take the
-parsed argparse namespace.  Of the engines only `groups` and `walk` load with
-this module; a handler imports the one it runs (chartable, irreps, spectral,
+parsed argparse namespace.  Of the engines only `groups` loads with this
+module; a handler imports the ones it runs (walk, chartable, irreps, spectral,
 embed) when it is called, so no command pays start-up for an engine it leaves
 idle.
 """
@@ -19,6 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,17 +44,9 @@ from .groups import (
     is_spec_int,
     spec_field,
 )
-from .walk import (
-    SignedSequence,
-    central_binomial_bound,
-    exact_distribution,
-    order_length_bound,
-    prefix_distributions,
-    prime_order_length_bound,
-    rho_monte_carlo,
-    sequence_from_spec,
-    signed_sum_check,
-)
+
+if TYPE_CHECKING:
+    from .walk import SignedSequence
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -105,6 +99,8 @@ def _group_under_cap(spec: dict, cap: int) -> FiniteGroup | None:
 
 
 def _bounds_payload(seq: SignedSequence, p: int | None) -> dict:
+    from .walk import central_binomial_bound, order_length_bound, prime_order_length_bound
+
     s = seq.min_order
     n = seq.n
     out: dict = {"binomial": _fraction_json(central_binomial_bound(n))}
@@ -153,6 +149,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
+    from .walk import exact_distribution, rho_monte_carlo, sequence_from_spec
+
     seq_spec, group_spec = _load_json(args.seq), _load_json(args.group)
     G = _group_under_cap(group_spec, args.cap)
     seq = sequence_from_spec(seq_spec, G, group_spec)
@@ -181,6 +179,8 @@ def cmd_rho(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    from .walk import rho_monte_carlo, sequence_from_spec
+
     group_spec = G = None
     if args.group:
         group_spec = _load_json(args.group)
@@ -225,6 +225,7 @@ def cmd_irreps(args: argparse.Namespace) -> int:
 
 def cmd_fourier_check(args: argparse.Namespace) -> int:
     from .irreps import decompose_regular, fourier_distribution
+    from .walk import SignedSequence, exact_distribution
 
     G = _group(args)
     if G.order == 1:
@@ -306,6 +307,7 @@ def cmd_svd_props(args: argparse.Namespace) -> int:
 def cmd_diag(args: argparse.Namespace) -> int:
     from .irreps import decompose_regular
     from .spectral import cascade_diagnostics
+    from .walk import sequence_from_spec
 
     G = _group(args)
     if G.variant != "matrix_mod_p":
@@ -354,6 +356,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .walk import central_binomial_bound, order_length_bound, prime_order_length_bound
+
     value, vacuous = order_length_bound(args.s, args.n)
     payload = {
         "binomial": _fraction_json(central_binomial_bound(args.n)),
@@ -366,6 +370,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
+    from .walk import signed_sum_check
+
     if args.a is not None:
         res = signed_sum_check([int(x) for x in args.a.split(",")], K=args.k)
     else:
@@ -388,6 +394,13 @@ def cmd_example2(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .walk import (
+        SignedSequence,
+        central_binomial_bound,
+        order_length_bound,
+        prefix_distributions,
+    )
+
     data = json.loads(args.element)
     G = _group(args)
     gi = G.index_of(element_from_spec(G, data))

@@ -30,20 +30,23 @@ its layer's start plus its position among that layer's sorted keys, so the
 same pass writes the generator tree: the right-multiplication columns of the
 multipliers, the start of every layer and, for every h >= 1, the first product
 g * t that found h, with g < h its parent in the layer before.  Each layer
-rebuilds the rows of its new elements from that product; the inverses are
-read off the finished tree by index (`_inverses`).  A table closure that
-numbers more elements than the table has, or inverses that do not pair up,
-mean the table is not associative.  A group never changes after
-construction.  `mul_many` takes one right factor or an index array aligned
-with the left factors, so a batch of unrelated products (e.g. the next power
-of every class representative) is one call.
+decodes the rows of its new elements from their keys, and its temporaries
+are freed before the next layer sorts its products; the tree is int32
+throughout, and the inverses are read off the finished tree by index
+(`_inverses`).  A table closure that numbers more elements than the table
+has, or inverses that do not pair up, mean the table is not associative.  A
+group never changes after construction.  `mul_many` takes one right factor or
+an index array aligned with the left factors, so a batch of unrelated
+products (e.g. the next power of every class representative) is one call.
 
 Everything else that needs whole-group arithmetic is index gathers along the
 tree: the column of any element (`right_column`: its tree word composed), the
-conjugacy classes (connected components of the conjugation permutations
-h -> t h t^-1, found by min-label hooking with pointer jumping) and, on demand
-for the regular representation, the dense multiplication table (`dense_table`:
-column h is column parent[h] gathered through the column of its multiplier).
+conjugacy classes (connected components of the int32 conjugation permutations
+h -> t^-1 h t of the distinct generators t, found by min-label hooking with
+pointer jumping until every permutation maps the labels onto themselves) and,
+on demand for the regular representation, the dense multiplication table
+(`dense_table`: column h is column parent[h] gathered through the column of
+its multiplier).
 """
 
 from __future__ import annotations
@@ -243,15 +246,21 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`np.unique(keys, return_index=True, return_inverse=True)` with an int32
     inverse, computed from one argsort; the first index of a key is the least
     position among its copies, so the sort need not be stable.  The caller's
-    `keys` is freed early if it holds no other reference."""
+    `keys` is freed once sorted if it holds no other reference (a temporary
+    argument), and the sorted copy before the int32 ranks are formed."""
     order = np.argsort(keys)
     keys = keys[order]
     head = np.empty(keys.size, dtype=bool)
     head[:1] = True
     head[1:] = keys[1:] != keys[:-1]  # np.void has no `not_equal` loop, only `!=`
-    inverse = np.empty(keys.size, dtype=np.int32)
-    inverse[order] = np.cumsum(head, dtype=np.int32) - 1
-    return keys[head], np.minimum.reduceat(order, np.flatnonzero(head)), inverse
+    uniq = keys[head]
+    del keys
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    ranks = np.cumsum(head, dtype=np.int32)
+    ranks -= 1
+    inverse = np.empty(ranks.size, dtype=np.int32)
+    inverse[order] = ranks
+    return uniq, first, inverse
 
 
 @dataclass(frozen=True)
@@ -268,8 +277,8 @@ class GeneratorTree:
 
     mults: tuple[int, ...]  # distinct multiplier indices, generators first
     cols: np.ndarray  # (k, |G|) int32, cols[k, h] = index of g_h * t_k
-    via: np.ndarray
-    parent: np.ndarray
+    via: np.ndarray  # (|G|,) int32
+    parent: np.ndarray  # (|G|,) int32
     starts: tuple[int, ...]  # first index of each BFS layer, then |G|
 
 
@@ -283,7 +292,7 @@ def _inverses(tree: GeneratorTree) -> np.ndarray:
     inv_of = np.argmax(cols[:, cols[:, 0]] == 0, axis=0)  # t_u * t_inv_of[u] = 1
     left = np.zeros_like(cols)  # zeros: outside a group a read may precede its write
     left[:, 0] = cols[:, 0]
-    inv = np.zeros(cols.shape[1], dtype=np.int64)
+    inv = np.zeros(cols.shape[1], dtype=np.int32)
     for s, e in zip(tree.starts[1:], tree.starts[2:]):
         v, p = via[s:e], parent[s:e]
         left[:, s:e] = cols[v, left[:, p]]
@@ -385,6 +394,29 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _next_layer(arith: RowArith, mults, frontier, prev, cur, prev_start: int, start: int):
+    """One BFS step from `frontier`, the rows of layer k with sorted keys `cur`
+    (indices from `start`); `prev` holds the sorted keys of layer k-1 (indices
+    from `prev_start`).  Returns the (multipliers, F) int32 columns of the
+    frontier's products, the parent's position in the frontier and the
+    multiplier of the first product that found each new element (int32), and
+    the new elements' sorted keys.  Each unique product key is numbered by its
+    layer's start plus its position in the sorted keys of layer k-1, k or (new)
+    k+1, which starts at start + F.  Every temporary of the layer dies on
+    return, before the next layer sorts."""
+    F, k = len(frontier), len(mults)
+    times = arith.right_mul(mults, F * k)  # tables once a layer has p^m rows
+    # a temporary argument: `_unique` holds the only reference and frees it once sorted
+    uniq, first, slot = _unique(np.concatenate([arith.keys(times(frontier, u)) for u in range(k)]))
+    pos_prev, in_prev = _find(prev, uniq)
+    pos_cur, in_cur = _find(cur, uniq)
+    fresh = ~(in_prev | in_cur)
+    index = np.where(in_cur, start + pos_cur, prev_start + pos_prev).astype(np.int32)
+    pick = first[fresh].astype(np.int32)
+    index[fresh] = np.arange(start + F, start + F + pick.size, dtype=np.int32)
+    return index[slot].reshape(k, F), pick % F, pick // F, uniq[fresh]
+
+
 def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Breadth-first closure of the generators under products and inverses.
 
@@ -403,39 +435,29 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     both = np.concatenate([gen_rows, arith.rows([g.inv() for g in gens])])
     mults = both[np.sort(np.unique(arith.keys(both), return_index=True)[1])]
 
-    # Layer k holds indices [start, start + F).  Each of its unique product
-    # keys is numbered by its layer start plus its position in the sorted keys
-    # of layer k-1, k or (new) k+1, and each product by its unique key.  Layer
-    # 0 stands in for its own missing predecessor.
+    # Layer k holds indices [start, start + F).  Layer 0 stands in for its own
+    # missing predecessor.
     frontier = arith.identity
     layer_keys = [arith.keys(frontier)]
-    zero = np.zeros(1, dtype=np.int64)
+    zero = np.zeros(1, dtype=np.int32)
     cols, via, parent = [], [zero], [zero]
     prev, prev_start, start = layer_keys[0], 0, 0
     while len(frontier):
         F = len(frontier)
-        times = arith.right_mul(mults, F * len(mults))  # tables once a layer has p^m rows
-        uniq, first, slot = _unique(
-            np.concatenate([arith.keys(times(frontier, k)) for k in range(len(mults))])
+        layer_cols, g, t, fresh = _next_layer(
+            arith, mults, frontier, prev, layer_keys[-1], prev_start, start
         )
-        pos_prev, in_prev = _find(prev, uniq)
-        pos_cur, in_cur = _find(layer_keys[-1], uniq)
-        fresh = ~(in_prev | in_cur)
-        pick = first[fresh]
-        total = start + F + pick.size
+        total = start + F + fresh.size
         if arith.table is not None and total > arith.table.size:  # a key numbered twice
             raise NotInGroup("generators do not close to a group: an element came back")
         if total > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
-        index = np.where(in_cur, start + pos_cur, prev_start + pos_prev).astype(np.int32)
-        index[fresh] = np.arange(start + F, total)
-        cols.append(index[slot].reshape(len(mults), F))
-        g, t = pick % F, pick // F
-        parent.append(start + g)
+        cols.append(layer_cols)
+        parent.append(g + start)
         via.append(t)
-        frontier = times(frontier[g], t)
+        frontier = arith.decode(fresh)
         prev, prev_start, start = layer_keys[-1], start, start + F
-        layer_keys.append(uniq[fresh])
+        layer_keys.append(fresh)
 
     cols = np.concatenate(cols, axis=1)
     starts = np.cumsum([0] + [len(k) for k in layer_keys[:-1]])  # the last layer is empty
@@ -476,31 +498,34 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    """Connected components of conjugation by the generators and their inverses.
+    """Connected components of conjugation by the generators.
 
-    Conjugation by a multiplier t is h -> t h t^-1 = inv[R[inv[R[h]]]], R the
-    column of t^-1: four gathers (R runs over all columns, as the multipliers
-    are closed under inversion).  Each round hooks the label of every h onto
-    the label of each conjugate of h when that is smaller (a scatter-min), then
-    jumps pointers (lab = lab[lab]) until every label is a root; rounds repeat
-    until no label changes.  Hooking labels rather than elements merges whole
+    Conjugation by t^-1 for a generator t is h -> t^-1 h t = inv[R[inv[R[h]]]],
+    R the column of t: four gathers into an int32 permutation.  Conjugation by
+    t is its inverse permutation, so it adds no edge to the components, and the
+    distinct generators are the first len(set(generator_indices)) multiplier
+    columns of the tree (the identity among them if it is a generator).  Each
+    round hooks the label of every h onto the label of each conjugate of h when
+    that is smaller (a scatter-min), then jumps pointers (lab = lab[lab]) until
+    every label is a root.  Rounds repeat until every permutation maps the
+    labels onto themselves (lab[pi] == lab, one gather each), so the labels are
+    constant on every orbit.  Hooking labels rather than elements merges whole
     label trees, so a long conjugation cycle (the reflections of a large
     dihedral group) takes a few rounds, not one per step along it.  The final
-    label of a class is its lowest index, the representative; class ids
-    follow the representatives in increasing order.
+    label of a class is its lowest index, the representative; class ids follow
+    the representatives in increasing order.
     """
     inv = G._inv
-    perms = [inv[R[inv[R]]] for R in G.tree.cols]
-    lab = np.arange(G.order)
+    perms = [inv[R[inv[R]]] for R in G.tree.cols[: len(set(G.generator_indices))]]
+    lab = np.arange(G.order, dtype=np.int32)
     while True:
-        before = lab.copy()
         for pi in perms:
             roots = lab.copy()
             np.minimum.at(lab, roots, roots[pi])
         jumped = lab[lab]
         while not np.array_equal(jumped, lab):
             lab, jumped = jumped, jumped[jumped]
-        if np.array_equal(lab, before):
+        if all(np.array_equal(lab[pi], lab) for pi in perms):
             break
     reps, class_of = np.unique(lab, return_inverse=True)
     sizes = np.bincount(class_of)

@@ -42,12 +42,15 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ImagTooLarge, IncompleteIrreps, SizeCap, SplitFailure
 from .groups import FiniteGroup, GeneratorTree, conjugacy_classes
-from .walk import SignedSequence
+
+if TYPE_CHECKING:
+    from .walk import SignedSequence
 
 REGULAR_SIZE_CAP = 2048
 _MAX_RETRIES = 8

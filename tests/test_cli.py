@@ -710,10 +710,15 @@ def test_example2_empty_term_list_is_an_input_error(capsys):
 @pytest.mark.parametrize(
     ("command", "absent"),
     [
-        (["closure", "--group", "{s6}"], ENGINES + ("concurrent.futures",)),
+        (["closure", "--group", "{s6}"], ENGINES + ("signedwalk.walk", "concurrent.futures")),
         (["mc", "--seq", "{seq}", "--samples", "5000", "--threads", "2"], ENGINES),
+        (
+            ["chartab", "--group", "{s6}"],
+            tuple(f"signedwalk.{m}" for m in ("walk", "irreps", "spectral", "embed"))
+            + ("concurrent.futures",),
+        ),
     ],
-    ids=["closure", "mc"],
+    ids=["closure", "mc", "chartab"],
 )
 def test_a_command_imports_only_the_engines_it_runs(tmp_path, command, absent):
     paths = {"s6": tmp_path / "s6.json", "seq": tmp_path / "seq.json"}

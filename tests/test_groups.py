@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,69 @@ def test_conjugacy_classes_match_naive_bfs(class_case, name):
     assert cc.sizes == naive.sizes
 
 
+def _perms(*images):
+    return [PermutationElement(tuple(im)) for im in images]
+
+
+def _mats(p, *rows):
+    return [MatrixElement.from_rows(r, p) for r in rows]
+
+
+# generating sets whose multiplier columns are not "each generator, then its
+# inverse": the identity among the generators, a repeated generator, a
+# generator that is another's inverse, and an involution (its own inverse)
+# (generators, class count)
+GENERATOR_ONLY_CLASS_CASES = {
+    # S4 from the identity, (0 1) and (0 1 2 3)
+    "identity": (lambda: _perms([0, 1, 2, 3], [1, 0, 2, 3], [1, 2, 3, 0]), 5),
+    # SL2(5) from two transvections, the first one twice
+    "repeated": (lambda: _mats(5, [[1, 1], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]), 9),
+    # S5 from a 5-cycle, its inverse and (0 1)
+    "inverse_pair": (lambda: _perms([1, 2, 3, 4, 0], [4, 0, 1, 2, 3], [1, 0, 2, 3, 4]), 7),
+    # D8 (order 16) from a rotation and a reflection
+    "involution": (lambda: _perms([1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_ONLY_CLASS_CASES))
+def test_conjugacy_classes_from_generator_only_conjugation(name):
+    # the classes come from conjugation by the distinct generators only, the
+    # first len(set(generator_indices)) tree columns; the naive BFS conjugates
+    # by every generator and its inverse
+    make, count = GENERATOR_ONLY_CLASS_CASES[name]
+    G = close_generators(make())
+    cc, naive = conjugacy_classes(G), naive_conjugacy_classes(G)
+    assert cc.count == count
+    assert np.array_equal(cc.class_of, naive.class_of)
+    assert cc.representatives == naive.representatives and cc.sizes == naive.sizes
+
+
+def test_closure_and_classes_peak_memory():
+    """Traced peaks on the seed-11 SL2(49) spec (|G| = 117,600; numpy reports
+    its buffers to tracemalloc), in MiB above what is traced at each call.
+
+    `close_generators` read 20.8 when every layer kept the previous layer's
+    temporaries alive and the tree and inverses were int64, and 14.6 once
+    each layer's temporaries die before the next sort; the bound is 17.5.
+    `conjugacy_classes` added 15.4 with int64 conjugation permutations for all
+    8 multipliers, and 6.9 with int32 ones for the 4 distinct generators; the
+    bound is 11."""
+    gens = generators_from_spec(SL2_49_SEED11)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        G = close_generators(gens)
+        closure_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        conjugacy_classes(G)
+        classes_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert closure_peak < 17.5 * 2**20
+    assert classes_peak < 11 * 2**20
+
+
 def test_conjugacy_classes_of_a_long_conjugation_cycle():
     # D_2503 as affine maps x -> +-x + b mod 2503: conjugating by the translation
     # moves the 2503 reflections along one cycle, so the labels must cross it in
@@ -534,7 +598,8 @@ def test_generator_tree_composes_to_columns(class_case, name):
     idxs = np.arange(n)
     gens = set(G.generator_indices)
     assert set(tree.mults) == gens | {G.inv(t) for t in gens}
-    assert tree.cols.dtype == np.int32
+    assert set(tree.mults[: len(gens)]) == gens  # the distinct generators come first
+    assert tree.cols.dtype == tree.via.dtype == tree.parent.dtype == G._inv.dtype == np.int32
     for k, t in enumerate(tree.mults):
         assert np.array_equal(tree.cols[k], G.mul_many(idxs, t))
     assert np.all(tree.parent[1:] < idxs[1:])
