@@ -30,20 +30,26 @@ its layer's start plus its position among that layer's sorted keys, so the
 same pass writes the generator tree: the right-multiplication columns of the
 multipliers, the start of every layer and, for every h >= 1, the first product
 g * t that found h, with g < h its parent in the layer before.  Each layer
+writes its product keys into one buffer and deduplicates them (`_unique`):
+int64 keys whose bits leave room for the product's position are packed as
+key << b | position into that same buffer and sorted in place, so equal keys
+meet in product order and no argsort or sorted copy is made.  Each layer
 decodes the rows of its new elements from their keys, and its temporaries
 are freed before the next layer sorts its products; the tree is int32
-throughout, and the inverses are read off the finished tree by index
-(`_inverses`).  A table closure that numbers more elements than the table
-has, or inverses that do not pair up, mean the table is not associative.  A
-group never changes after construction.  `mul_many` takes one right factor or
-an index array aligned with the left factors, so a batch of unrelated
-products (e.g. the next power of every class representative) is one call.
+throughout, and the inverses are read off the finished tree by index, one
+multiplier row per gather (`_inverses`).  A table closure that numbers more
+elements than the table has, or inverses that do not pair up, mean the table
+is not associative.  A group never changes after construction.  `mul_many`
+takes one right factor or an index array aligned with the left factors, so a
+batch of unrelated products (e.g. the next power of every class
+representative) is one call.
 
 Everything else that needs whole-group arithmetic is index gathers along the
 tree: the column of any element (`right_column`: its tree word composed), the
 conjugacy classes (connected components of the int32 conjugation permutations
-h -> t^-1 h t of the distinct generators t, found by min-label hooking with
-pointer jumping until every permutation maps the labels onto themselves) and,
+h -> t^-1 h t of the distinct generators t, found by min-label hooking in both
+directions with pointer jumping until every permutation maps the labels onto
+themselves) and,
 on demand for the regular representation, the dense multiplication table
 (`dense_table`: column h is column parent[h] gathered through the column of
 its multiplier).
@@ -108,10 +114,12 @@ class RowArith:
         self.row_bytes = entries * byte_width
         self._shifts = 8 * np.arange(byte_width - 1, -1, -1, dtype=np.int64)
         self._base, self._width, self._powers = base, width, None
-        if base**width < 2**63:
-            self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
         # byte keys: each row value as a big-endian unsigned int of 1, 2, 4 or 8 bytes
         self._key_dtype = np.dtype(f">u{1 << (_byte_width(base - 1) - 1).bit_length()}")
+        self.key_dtype = np.dtype((np.void, width * self._key_dtype.itemsize))
+        if base**width < 2**63:
+            self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+            self.key_dtype = np.dtype(np.int64)
         self.identity = self.rows([ident])
 
     def rows(self, elements) -> np.ndarray:
@@ -222,11 +230,11 @@ class RowArith:
         return data.astype(np.uint8).reshape(len(rows), self.row_bytes)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sortable keys in `encode()` order: the int64 base-`base` code of the row
-        where it fits, else the `np.void` view of its big-endian values."""
+        """Sortable keys in `encode()` order, of dtype `key_dtype`: the int64
+        base-`base` code of the row where it fits, else the `np.void` view of its
+        big-endian values."""
         if self._powers is None:
-            data = rows.astype(self._key_dtype)
-            return data.view(np.dtype((np.void, data.shape[1] * data.itemsize))).ravel()
+            return rows.astype(self._key_dtype).view(self.key_dtype).ravel()
         return rows @ self._powers
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
@@ -242,20 +250,44 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return pos, sorted_keys[pos] == keys
 
 
+def _pack_bits(keys: np.ndarray) -> int | None:
+    """The position bits b with which `_unique` packs `keys` (the bits of the
+    largest position), when they are non-negative int64 codes whose largest
+    key has at most 64 - b bits; else None."""
+    if keys.dtype != np.int64 or not keys.size:
+        return None
+    b = (keys.size - 1).bit_length()
+    return b if int(keys.max()).bit_length() + b <= 64 else None
+
+
 def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`np.unique(keys, return_index=True, return_inverse=True)` with an int32
-    inverse, computed from one argsort; the first index of a key is the least
-    position among its copies, so the sort need not be stable.  The caller's
-    `keys` is freed once sorted if it holds no other reference (a temporary
-    argument), and the sorted copy before the int32 ranks are formed."""
-    order = np.argsort(keys)
-    keys = keys[order]
+    inverse; `keys` is overwritten, and freed once sorted if the caller holds no
+    other reference (a temporary argument).  Where `_pack_bits` allows, the keys'
+    own buffer becomes the uint64 words key << b | position, sorted in place:
+    equal keys sort by position, so the head of each run is the key's first
+    index, and the order is the words' low b bits.  Other keys (`np.void`, or
+    too many bits) take one argsort and a sorted copy, with the first index the
+    least position among a key's copies, so that sort need not be stable."""
+    b = _pack_bits(keys)
+    if b is None:
+        order = np.argsort(keys)
+        keys = keys[order]
+    else:
+        keys = keys.view(np.uint64)
+        keys <<= b
+        keys |= np.arange(keys.size, dtype=np.uint32)
+        keys.sort()
+        order = np.empty(keys.size, dtype=np.int32)
+        np.bitwise_and(keys, (1 << b) - 1, out=order, casting="unsafe")
+        keys >>= b
+        keys = keys.view(np.int64)
     head = np.empty(keys.size, dtype=bool)
     head[:1] = True
     head[1:] = keys[1:] != keys[:-1]  # np.void has no `not_equal` loop, only `!=`
     uniq = keys[head]
     del keys
-    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    first = order[head] if b is not None else np.minimum.reduceat(order, np.flatnonzero(head))
     ranks = np.cumsum(head, dtype=np.int32)
     ranks -= 1
     inverse = np.empty(ranks.size, dtype=np.int32)
@@ -287,7 +319,9 @@ def _inverses(tree: GeneratorTree) -> np.ndarray:
     left[u, h] = index(t_u * g_h) of the multipliers t_u: from g_h = g_parent * t_via,
     left[:, h] = cols[via, left[:, parent]] and inv[h] = left[via^-1, inv[parent]],
     as g_h^-1 = t_via^-1 * g_parent^-1.  An element and its inverse share a
-    layer, so each layer reads only layers before it: two gathers per layer."""
+    layer, so each layer reads only layers before it.  Each layer gathers the
+    left columns one multiplier row at a time, so its index temporaries are one
+    layer long, then the inverses in one gather."""
     cols, via, parent = tree.cols, tree.via, tree.parent
     inv_of = np.argmax(cols[:, cols[:, 0]] == 0, axis=0)  # t_u * t_inv_of[u] = 1
     left = np.zeros_like(cols)  # zeros: outside a group a read may precede its write
@@ -295,7 +329,8 @@ def _inverses(tree: GeneratorTree) -> np.ndarray:
     inv = np.zeros(cols.shape[1], dtype=np.int32)
     for s, e in zip(tree.starts[1:], tree.starts[2:]):
         v, p = via[s:e], parent[s:e]
-        left[:, s:e] = cols[v, left[:, p]]
+        for row in left:
+            row[s:e] = cols[v, row[p]]
         inv[s:e] = left[inv_of[v], inv[p]]
     return inv
 
@@ -406,8 +441,15 @@ def _next_layer(arith: RowArith, mults, frontier, prev, cur, prev_start: int, st
     return, before the next layer sorts."""
     F, k = len(frontier), len(mults)
     times = arith.right_mul(mults, F * k)  # tables once a layer has p^m rows
-    # a temporary argument: `_unique` holds the only reference and frees it once sorted
-    uniq, first, slot = _unique(np.concatenate([arith.keys(times(frontier, u)) for u in range(k)]))
+
+    def product_keys() -> np.ndarray:  # the keys of frontier * t_u, multiplier-major
+        keys = np.empty(k * F, dtype=arith.key_dtype)
+        for u in range(k):
+            keys[u * F : (u + 1) * F] = arith.keys(times(frontier, u))
+        return keys
+
+    # a temporary argument: `_unique` holds the only reference and sorts it in place
+    uniq, first, slot = _unique(product_keys())
     pos_prev, in_prev = _find(prev, uniq)
     pos_cur, in_cur = _find(cur, uniq)
     fresh = ~(in_prev | in_cur)
@@ -459,16 +501,18 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         prev, prev_start, start = layer_keys[-1], start, start + F
         layer_keys.append(fresh)
 
-    cols = np.concatenate(cols, axis=1)
+    # one array at a time, each list freed as its array is made
     starts = np.cumsum([0] + [len(k) for k in layer_keys[:-1]])  # the last layer is empty
-    tree = GeneratorTree(
-        tuple(cols[:, 0].tolist()), cols, np.concatenate(via), np.concatenate(parent),
-        tuple(starts.tolist()),
-    )
+    keys = np.concatenate(layer_keys)
+    del layer_keys
+    cols = np.concatenate(cols, axis=1)
+    via = np.concatenate(via)
+    parent = np.concatenate(parent)
+    tree = GeneratorTree(tuple(cols[:, 0].tolist()), cols, via, parent, tuple(starts.tolist()))
     inv = _inverses(tree)
     if not np.array_equal(inv[inv], np.arange(len(inv))):
         raise NotInGroup("generators do not close to a group: inversion is not an involution")
-    return FiniteGroup(arith, np.concatenate(layer_keys), inv, tree, gen_rows)
+    return FiniteGroup(arith, keys, inv, tree, gen_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +549,9 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     t is its inverse permutation, so it adds no edge to the components, and the
     distinct generators are the first len(set(generator_indices)) multiplier
     columns of the tree (the identity among them if it is a generator).  Each
-    round hooks the label of every h onto the label of each conjugate of h when
-    that is smaller (a scatter-min), then jumps pointers (lab = lab[lab]) until
+    round hooks, for every h and each conjugate h' of h, the label of h onto
+    that of h' and the label of h' onto that of h, whichever is smaller (two
+    scatter-mins), then jumps pointers (lab = lab[lab]) until
     every label is a root.  Rounds repeat until every permutation maps the
     labels onto themselves (lab[pi] == lab, one gather each), so the labels are
     constant on every orbit.  Hooking labels rather than elements merges whole
@@ -521,7 +566,9 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     while True:
         for pi in perms:
             roots = lab.copy()
-            np.minimum.at(lab, roots, roots[pi])
+            image = roots[pi]
+            np.minimum.at(lab, roots, image)
+            np.minimum.at(lab, image, roots)
         jumped = lab[lab]
         while not np.array_equal(jumped, lab):
             lab, jumped = jumped, jumped[jumped]

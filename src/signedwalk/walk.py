@@ -4,18 +4,20 @@ All probabilities of the walk are dyadic rationals; the exact engine therefore
 keeps integer counts with denominator 2^n and never rounds.  The law is one
 (|G|, limbs) int64 array of base-2^32 limbs: a step is two row gathers, and a
 vectorized carry pass every 30 steps keeps each limb below 2^32 + 2^31, so no
-limb overflows.  Only a law that is read becomes exact Python ints, so one walk
-gives the law of every prefix.  The Monte-Carlo estimator needs no
-enumeration.  It cuts the n steps into blocks of k <= 8 steps and gives each
-distinct block word its 2^k signed products, so one `RowArith.right_mul` step
-per block, indexed by the block's k sign bits, multiplies every sample's row
-(a table gather for matrix row codes when the run pays for the tables, else a
-matmul or compose on entries).  The products are counted by their keys, which
-sort in `encode()` order, per thread task with `np.unique` and across tasks
-with `np.unique` and weighted sums; only the modal key is turned back into
-`encode()` bytes.  It is deterministic for a fixed (seed, samples) pair
-regardless of worker count: samples are processed in fixed-size batches whose
-bit streams come from a counter-based generator keyed by (seed, batch index).
+limb overflows.  A law that is read is normalized to limbs below 2^32, and its
+rho and support come from the limbs in numpy; only counts that are read become
+exact Python ints, so one walk gives the law of every prefix.  The Monte-Carlo
+estimator needs no enumeration.  It cuts the n steps into blocks of k <= 8 steps
+and gives each distinct block word its 2^k signed products, so one
+`RowArith.right_mul` step per block, indexed by the block's k sign bits,
+multiplies every sample's row (a table gather for matrix row codes when the run
+pays for the tables, else a matmul or compose on entries).  The products are
+counted by their keys, which sort in `encode()` order, per thread task with
+`np.unique` and across tasks with `np.unique` and weighted sums; only the modal
+key is turned back into `encode()` bytes.  It is deterministic for a fixed
+(seed, samples) pair regardless of worker count: samples are processed in
+fixed-size batches whose bit streams come from a counter-based generator keyed
+by (seed, batch index).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -116,34 +119,62 @@ class RhoResult:
         return float(self.fraction)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExactDistribution:
-    """Law of the signed product: integer counts over element indices, denominator 2^n."""
+    """Law of the signed product: integer counts over element indices, denominator 2^n.
 
-    counts: list[int]
+    The counts are the rows of `limbs`, a (|G|, limbs) int64 array of base-2^32
+    limbs, least significant first, normalized here to limbs below 2^32 (a copy:
+    the walk goes on with its own array).  `rho` and `support` read the limbs in
+    numpy; the Python-int `counts` are built on first read."""
+
+    limbs: np.ndarray
     denom_exp: int
 
+    def __post_init__(self) -> None:
+        limbs = self.limbs.copy()
+        while (limbs >> _LIMB_BITS).any():  # more than once if a carry fills a limb
+            limbs = _carry(limbs)
+        self.limbs = limbs
+
+    @cached_property
+    def counts(self) -> list[int]:
+        """Exact Python-int counts, from base-2^64 words (two limbs each)."""
+        limbs = np.pad(self.limbs, ((0, 0), (0, self.limbs.shape[1] % 2))).astype(np.uint64)
+        words = limbs[:, 1::2] << 32
+        words |= limbs[:, ::2]
+        counts = words[:, -1].tolist()
+        for k in range(words.shape[1] - 2, -1, -1):
+            counts = [(c << 64) + x for c, x in zip(counts, words[:, k].tolist())]
+        return counts
+
     def support(self) -> list[int]:
-        return [i for i, c in enumerate(self.counts) if c]
+        return np.flatnonzero(self.limbs.any(axis=1)).tolist()
 
     def rho(self) -> RhoResult:
-        best = max(self.counts)
-        maximizers = tuple(i for i, c in enumerate(self.counts) if c == best)
-        return RhoResult(best, self.denom_exp, maximizers)
+        """The largest count and its indices: with normalized limbs, the
+        lexicographic max of the rows read from the top limb down."""
+        best = np.arange(len(self.limbs))
+        for k in range(self.limbs.shape[1] - 1, -1, -1):
+            column = self.limbs[best, k]
+            best = best[column == column.max()]
+        count = sum(x << (_LIMB_BITS * k) for k, x in enumerate(self.limbs[best[0]].tolist()))
+        return RhoResult(count, self.denom_exp, tuple(best.tolist()))
 
     def write_json(self, G: FiniteGroup, fh) -> None:
         """Write {"denom_exp", "entries": [{"count", "element"}, ...]} over the
         support, byte for byte as json.dump(..., indent=2, sort_keys=True)
-        writes it, encoding `_DUMP_CHUNK` elements at a time."""
-        support = self.support()
+        writes it, encoding `_DUMP_CHUNK` elements at a time, each chunk by one
+        `%` template."""
+        support, counts = self.support(), self.counts
         fh.write(f'{{\n  "denom_exp": {self.denom_exp},\n  "entries": [')
+        entry = '\n    {\n      "count": "%d",\n      "element": "%s"\n    }'
         for start in range(0, len(support), _DUMP_CHUNK):
             chunk = support[start : start + _DUMP_CHUNK]
-            entries = ",".join(
-                f'\n    {{\n      "count": "{self.counts[i]}",\n      "element": "{h}"\n    }}'
-                for i, h in zip(chunk, G.hex_encodings(chunk))
-            )
-            fh.write(("," if start else "") + entries)
+            values = [None] * (2 * len(chunk))
+            values[::2] = [counts[i] for i in chunk]
+            values[1::2] = G.hex_encodings(chunk)
+            fh.write(("," if start else "") + ",".join([entry] * len(chunk)) % tuple(values))
         fh.write("\n  ]\n}" if support else "]\n}")
 
 
@@ -151,13 +182,13 @@ def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution
     """Exact law of A_1^{±1} ... A_n^{±1} by n convolution steps over G."""
     for limbs in _walk(G, seq):
         pass
-    return ExactDistribution(_counts(limbs), seq.n)
+    return ExactDistribution(limbs, seq.n)
 
 
 def prefix_distributions(G: FiniteGroup, seq: SignedSequence) -> Iterator[ExactDistribution]:
     """Exact law of every prefix A_1^{±1} ... A_k^{±1}, k = 1..n, from one walk."""
     for k, limbs in enumerate(_walk(G, seq), start=1):
-        yield ExactDistribution(_counts(limbs), k)
+        yield ExactDistribution(limbs, k)
 
 
 def _walk(G: FiniteGroup, seq: SignedSequence) -> Iterator[np.ndarray]:
@@ -198,15 +229,6 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
     if high[:, -1].any():
         limbs = np.concatenate([limbs, high[:, -1:]], axis=1)
     return limbs
-
-
-def _counts(limbs: np.ndarray) -> list[int]:
-    """Exact Python-int counts of a (|G|, limbs) array: the sum of its limbs
-    shifted by 32 bits per place, which needs no normalized limbs."""
-    counts = limbs[:, -1].tolist()
-    for k in range(limbs.shape[1] - 2, -1, -1):
-        counts = [(c << _LIMB_BITS) + x for c, x in zip(counts, limbs[:, k].tolist())]
-    return counts
 
 
 # ---------------------------------------------------------------------------

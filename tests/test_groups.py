@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedwalk import elements
+from signedwalk import elements, groups
 from signedwalk.elements import MatrixElement, MulTable, PermutationElement, TableElement
 from signedwalk.errors import CapExceeded, MixedVariants, NotInGroup, NotInvertible, SizeCap
 from signedwalk.groups import (
     ROW_TABLE_BOUND,
     GeneratorTree,
     RowArith,
+    _pack_bits,
     _unique,
     center_and_centralizer,
     close_generators,
@@ -466,11 +467,12 @@ def test_closure_and_classes_peak_memory():
     its buffers to tracemalloc), in MiB above what is traced at each call.
 
     `close_generators` read 20.8 when every layer kept the previous layer's
-    temporaries alive and the tree and inverses were int64, and 14.6 once
-    each layer's temporaries die before the next sort; the bound is 17.5.
+    temporaries alive and the tree and inverses were int64, 14.6 once each
+    layer's temporaries die before the next sort, and 11.9 with each layer's
+    keys packed with their positions and sorted in place; the bound is 13.
     `conjugacy_classes` added 15.4 with int64 conjugation permutations for all
-    8 multipliers, and 6.9 with int32 ones for the 4 distinct generators; the
-    bound is 11."""
+    8 multipliers, 6.9 with int32 ones for the 4 distinct generators, and 7.3
+    when each round hooks both directions; the bound is 11."""
     gens = generators_from_spec(SL2_49_SEED11)
     tracemalloc.start()
     try:
@@ -483,7 +485,7 @@ def test_closure_and_classes_peak_memory():
         classes_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert closure_peak < 17.5 * 2**20
+    assert closure_peak < 13 * 2**20
     assert classes_peak < 11 * 2**20
 
 
@@ -642,27 +644,61 @@ def test_row_arith_decode_inverts_keys(name):
     assert np.array_equal(arith.decode(keys[:0]), rows[:0])
 
 
+def _synthetic_keys(key_bits: int) -> np.ndarray:
+    """Int64 keys at 2^18 + 4096 positions (19 position bits), drawn with
+    duplicates in shuffled order, whose largest key has `key_bits` bits."""
+    rng = np.random.default_rng(key_bits)
+    pool = rng.integers(0, 2**key_bits, size=40_000)
+    pool[0] = 2**key_bits - 1
+    keys = pool[rng.integers(0, pool.size, size=2**18 + 4096)]
+    keys[rng.integers(keys.size)] = pool[0]
+    return keys
+
+
 @pytest.mark.parametrize(
     "name, copies",
-    [("matrix", None), ("wide_perm", None), ("matrix", 8), ("wide_perm", 8)],
-    ids=["matrix", "wide_perm", "matrix-8x", "wide_perm-8x"],
+    [
+        ("matrix", None), ("wide_perm", None), ("matrix", 8), ("wide_perm", 8),
+        ("int64", 45), ("int64", 46),
+    ],
+    ids=["matrix", "wide_perm", "matrix-8x", "wide_perm-8x", "int64-packs-64", "int64-65-bits"],
 )
 def test_unique_matches_numpy(name, copies):
     # random draws, or every key `copies` times in shuffled order: the first
-    # index of a key is its least position whatever order the sort leaves ties in
-    gens = KEY_FORM_CASES[name][0]()
-    arith = RowArith(gens[0])
-    rows = arith.rows(naive_close_generic(gens)[0])
-    rng = np.random.default_rng(2)
-    if copies is None:
-        draw = rng.integers(0, len(rows), size=3 * len(rows))
+    # index of a key is its least position whatever order the sort leaves ties in.
+    # The int64 cases pack into exactly 64 bits (a 45-bit largest key and 19
+    # position bits) or are one bit over and take the argsort path.
+    if name == "int64":
+        keys = _synthetic_keys(copies)
+        assert _pack_bits(keys) == (19 if copies + 19 <= 64 else None)
     else:
-        draw = rng.permutation(np.repeat(np.arange(len(rows)), copies))
-    keys = arith.keys(rows[draw])
-    uniq, first, inverse = _unique(keys)
+        gens = KEY_FORM_CASES[name][0]()
+        arith = RowArith(gens[0])
+        rows = arith.rows(naive_close_generic(gens)[0])
+        rng = np.random.default_rng(2)
+        if copies is None:
+            draw = rng.integers(0, len(rows), size=3 * len(rows))
+        else:
+            draw = rng.permutation(np.repeat(np.arange(len(rows)), copies))
+        keys = arith.keys(rows[draw])
     want = np.unique(keys, return_index=True, return_inverse=True)
+    uniq, first, inverse = _unique(keys.copy())  # `_unique` overwrites its argument
     assert np.array_equal(uniq, want[0]) and np.array_equal(first, want[1])
     assert inverse.dtype == np.int32 and np.array_equal(inverse, want[2])
+
+
+def test_seed11_sl2_49_closure_takes_the_packed_sort(monkeypatch):
+    # every layer's int64 keys pack; the largest layer, 446,880 products of
+    # 45-bit keys, needs 19 position bits, exactly 64 in all
+    bits = []
+
+    def spy(keys):
+        bits.append(_pack_bits(keys))
+        return bits[-1]
+
+    monkeypatch.setattr(groups, "_pack_bits", spy)
+    close_generators(generators_from_spec(SL2_49_SEED11))
+    assert bits and None not in bits and max(bits) == 19
 
 
 def test_closure_returns_a_complete_group(s7):

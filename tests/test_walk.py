@@ -126,19 +126,29 @@ def test_involution_walk_across_limb_boundaries(bench_groups, n):
     assert all(type(c) is int for c in d.counts)
 
 
+def _assert_law_is(d: ExactDistribution, counts: list[int]) -> None:
+    """rho, its maximizers and the support, read from the limbs, then the
+    counts, all as the Python ints `counts` give them."""
+    best = max(counts)
+    rho = d.rho()
+    assert rho.count == best and rho.maximizers == tuple(i for i, c in enumerate(counts) if c == best)
+    assert d.support() == [i for i, c in enumerate(counts) if c]
+    assert d.counts == counts
+
+
 @pytest.mark.parametrize("name", ["s4", "sl2_5"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_long_walks_match_naive_convolution(bench_groups, name, seed):
     rng = np.random.default_rng(seed)
     G = bench_groups[name]
     seq = random_sequence(G, int(rng.integers(60, 131)), rng)
-    assert exact_distribution(G, seq).counts == naive_exact_counts(G, seq)
+    _assert_law_is(exact_distribution(G, seq), naive_exact_counts(G, seq))
 
 
 def test_longest_walk_matches_naive_convolution(bench_groups):
     G = bench_groups["s4"]
     seq = random_sequence(G, walk.MAX_WALK_LENGTH, np.random.default_rng(4096))
-    assert exact_distribution(G, seq).counts == naive_exact_counts(G, seq)
+    _assert_law_is(exact_distribution(G, seq), naive_exact_counts(G, seq))
 
 
 @settings(max_examples=10, deadline=None)
@@ -412,7 +422,7 @@ def test_distribution_json_dump():
     assert payload["denom_exp"] == 2
     assert sum(int(e["count"]) for e in payload["entries"]) == 4
     empty = io.StringIO()
-    ExactDistribution([0] * G.order, 0).write_json(G, empty)
+    ExactDistribution(np.zeros((G.order, 1), dtype=np.int64), 0).write_json(G, empty)
     assert empty.getvalue() == json.dumps({"denom_exp": 0, "entries": []}, indent=2)
 
 
