@@ -60,6 +60,13 @@ def _random_invertible(rng: np.random.Generator, p: int, m: int) -> list[list[in
         return rows
 
 
+def sl2_49_inputs() -> tuple[dict, dict]:
+    """The seed-11 benchmark's SL2(49) spec and its walk sequence."""
+    rng = np.random.default_rng(BENCH_SEED)
+    spec, letters = inputs.sl2_49_spec(rng)
+    return spec, inputs.sl2_49_sequence(rng, letters, 4, 16)
+
+
 def write_inputs(d: Path) -> None:
     """Every input file of the command set, under d."""
 
@@ -119,10 +126,9 @@ def write_inputs(d: Path) -> None:
     put("many_letters_seq.json", {"kind": "matrix_mod_p", "p": 31,
                                   "elements": [_random_invertible(rng, 31, 2) for _ in range(40)]})
 
-    rng = np.random.default_rng(BENCH_SEED)
-    spec, letters = inputs.sl2_49_spec(rng)
+    spec, seq = sl2_49_inputs()
     put("sl2_49.json", spec)
-    put("sl2_49_seq.json", inputs.sl2_49_sequence(rng, letters, 4, 16))
+    put("sl2_49_seq.json", seq)
     put("s6.json", inputs.s6_spec(np.random.default_rng(BENCH_SEED)))
 
 
@@ -201,11 +207,14 @@ def commands() -> list[tuple[str, list[str]]]:
         "--n-max", "6", "--format", "csv")
     add("sweep_json", "sweep", "--group", "sl2_5.json", "--element", "[[1,1],[0,1]]",
         "--n-max", "6")
-    # the longest walk (counts past 1,000 digits) and 200 prefix laws of one walk
+    # the longest walk (counts past 1,000 digits), and constant walks on C12 up
+    # to the walk cap
     add("rho_s4_n4096", "rho", "--group", "s4.json", "--seq", "seq4096.json",
         "--dump-dist", "OUT/law.json")
     add("sweep_c12", "sweep", "--group", "c12.json", "--element", json.dumps(C12_CYCLE),
         "--n-max", "200")
+    add("sweep_c12_cap", "sweep", "--group", "c12.json", "--element", json.dumps(C12_CYCLE),
+        "--n-max", "4096")
     # deviation numerators of up to about 110 bits, some left to Pollard rho
     add("embed_hyperbolic", "embed", "--matrices", "hyperbolic_mats.json", "--n", "40")
     add("bad_json", "rho", "--group", "bad.json", "--seq", "seq.json")
@@ -221,6 +230,9 @@ def commands() -> list[tuple[str, list[str]]]:
     add("example2_empty_a", "example2", "--a", "")
 
     add("bench_closure_sl2_49", "closure", "--group", "sl2_49.json")
+    # the sequence's first element has order 48
+    add("bench_sweep_sl2_49", "sweep", "--group", "sl2_49.json",
+        "--element", json.dumps(sl2_49_inputs()[1]["elements"][0]), "--n-max", "256")
     add("bench_rho_sl2_49", "rho", "--group", "sl2_49.json", "--seq", "sl2_49_seq.json",
         "--dump-dist", "OUT/law.json")
     for t in ("1", "2", "4"):

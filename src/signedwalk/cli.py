@@ -395,10 +395,10 @@ def cmd_example2(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .walk import (
-        SignedSequence,
+        MAX_WALK_LENGTH,
         central_binomial_bound,
+        constant_walk_counts,
         order_length_bound,
-        prefix_distributions,
     )
 
     data = json.loads(args.element)
@@ -407,16 +407,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if gi == 0:
         raise ValueError("sweep element must be non-trivial")
     s = element_order(G, gi)  # >= 2: the element is non-trivial
+    if args.n_max > MAX_WALK_LENGTH:
+        raise CapExceeded(f"walk length capped at {MAX_WALK_LENGTH}")
     payload = []
-    seq = SignedSequence.constant(G.element(gi), args.n_max)
-    for n, dist in enumerate(prefix_distributions(G, seq), start=1):
-        rho = dist.rho()
+    for n, count in enumerate(constant_walk_counts(s, args.n_max), start=1):
         bound, vac = order_length_bound(s, n) if n >= 2 else (float("nan"), True)
         payload.append(
             {
                 "n": n,
-                "rho": _rho_json(rho),
-                "rho_value": rho.value,
+                "rho": {"count": str(count), "denom_exp": n},
+                "rho_value": float(Fraction(count, 1 << n)),
                 "binomial": float(central_binomial_bound(n)),
                 "order_length": bound,
                 "vacuous": vac,

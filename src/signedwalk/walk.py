@@ -6,7 +6,8 @@ keeps integer counts with denominator 2^n and never rounds.  The law is one
 vectorized carry pass every 30 steps keeps each limb below 2^32 + 2^31, so no
 limb overflows.  A law that is read is normalized to limbs below 2^32, and its
 rho and support come from the limbs in numpy; only counts that are read become
-exact Python ints, so one walk gives the law of every prefix.  The Monte-Carlo
+exact Python ints.  A constant walk needs no group: its law is the binomial law
+folded onto <A> = Z/s, s the order of A (`constant_walk_counts`).  The Monte-Carlo
 estimator needs no enumeration.  It cuts the n steps into blocks of k <= 8 steps
 and gives each distinct block word its 2^k signed products, so one
 `RowArith.right_mul` step per block, indexed by the block's k sign bits,
@@ -124,18 +125,16 @@ class ExactDistribution:
     """Law of the signed product: integer counts over element indices, denominator 2^n.
 
     The counts are the rows of `limbs`, a (|G|, limbs) int64 array of base-2^32
-    limbs, least significant first, normalized here to limbs below 2^32 (a copy:
-    the walk goes on with its own array).  `rho` and `support` read the limbs in
-    numpy; the Python-int `counts` are built on first read."""
+    limbs, least significant first, normalized here, in place, to limbs below
+    2^32.  `rho` and `support` read the limbs in numpy; the Python-int `counts`
+    are built on first read."""
 
     limbs: np.ndarray
     denom_exp: int
 
     def __post_init__(self) -> None:
-        limbs = self.limbs.copy()
-        while (limbs >> _LIMB_BITS).any():  # more than once if a carry fills a limb
-            limbs = _carry(limbs)
-        self.limbs = limbs
+        while (self.limbs >> _LIMB_BITS).any():  # more than once if a carry fills a limb
+            self.limbs = _carry(self.limbs)
 
     @cached_property
     def counts(self) -> list[int]:
@@ -179,20 +178,7 @@ class ExactDistribution:
 
 
 def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution:
-    """Exact law of A_1^{±1} ... A_n^{±1} by n convolution steps over G."""
-    for limbs in _walk(G, seq):
-        pass
-    return ExactDistribution(limbs, seq.n)
-
-
-def prefix_distributions(G: FiniteGroup, seq: SignedSequence) -> Iterator[ExactDistribution]:
-    """Exact law of every prefix A_1^{±1} ... A_k^{±1}, k = 1..n, from one walk."""
-    for k, limbs in enumerate(_walk(G, seq), start=1):
-        yield ExactDistribution(limbs, k)
-
-
-def _walk(G: FiniteGroup, seq: SignedSequence) -> Iterator[np.ndarray]:
-    """The (|G|, limbs) count array after each of the n convolution steps.
+    """Exact law of A_1^{±1} ... A_n^{±1} by n convolution steps over G.
 
     Step i sends mass from g to both g*A_i and g*A_i^{-1}.  Right
     multiplication is a bijection, so the step is two row gathers,
@@ -215,7 +201,18 @@ def _walk(G: FiniteGroup, seq: SignedSequence) -> Iterator[np.ndarray]:
         cur = np.take(cur, cols[G.inv(a)], axis=0) + np.take(cur, cols[a], axis=0)
         if step % _CARRY_EVERY == 0:
             cur = _carry(cur)
-        yield cur
+    return ExactDistribution(cur, seq.n)
+
+
+def constant_walk_counts(s: int, n_max: int) -> Iterator[int]:
+    """The largest count of A^{±1} ... A^{±1} (n factors, denominator 2^n) for
+    n = 1..n_max in turn, A of order s >= 2.  The walk stays in <A> = Z/s, so its
+    law is the binomial law folded mod s: f[k] is the count of A^k, and a step
+    sends f[k] to both k+1 and k-1 (one residue when s = 2, where A = A^{-1})."""
+    f = [1] + [0] * (s - 1)
+    for _ in range(n_max):
+        f = [f[k - 1] + f[(k + 1) % s] for k in range(s)]
+        yield max(f)
 
 
 def _carry(limbs: np.ndarray) -> np.ndarray:

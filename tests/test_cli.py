@@ -344,7 +344,7 @@ def test_sweep_rows_are_the_prefix_laws(specs, capsys):
 
 
 def test_sweep_past_walk_cap_exits_3(specs, capsys):
-    # one walk of length n_max, so the cap fires before any step runs
+    # n_max past MAX_WALK_LENGTH is refused once the element's order is known
     argv = ["sweep", "--group", specs["s3"], "--element", "[1,0,2]", "--n-max", "4097"]
     code, err = run_failing(capsys, *argv)
     assert code == 3

@@ -16,7 +16,10 @@ from signedwalk.walk import (
     ExactDistribution,
     SignedSequence,
     central_binomial_bound,
+    constant_walk_counts,
     exact_distribution,
+    order_length_bound,
+    rho_below_order_length_bound,
     rho_monte_carlo,
     sequence_from_spec,
 )
@@ -227,6 +230,24 @@ def test_torsion_lower_bound_all_equal():
         for n in (5, 12):
             r = exact_distribution(G, SignedSequence.constant(G.element(1), n)).rho()
             assert r.fraction >= Fraction(1, s)
+
+
+@pytest.mark.parametrize("s", range(2, 13))
+def test_constant_walk_fold_matches_exact_walk(s):
+    # s = 2 is the involution case, A = A^{-1}
+    G = cyclic(s)
+    for n, count in enumerate(constant_walk_counts(s, 64), start=1):
+        assert count == exact_distribution(G, SignedSequence.constant(G.element(1), n)).rho().count
+
+
+def test_constant_walk_meets_the_141_bound_where_it_is_not_vacuous():
+    s, n = 150, 20_000  # 141 / s < 1 and 141 / sqrt(n) < 1
+    for count in constant_walk_counts(s, n):  # counts of up to 20,000 bits, never made a str
+        pass
+    rho = Fraction(count, 1 << n)
+    assert not order_length_bound(s, n)[1]
+    assert rho_below_order_length_bound(rho, s, n)
+    assert rho >= Fraction(1, 75)  # n even: all mass on the 75 even residues of Z/150
 
 
 def test_element_not_in_group():
