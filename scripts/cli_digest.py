@@ -79,6 +79,9 @@ def write_inputs(d: Path) -> None:
     put("mats.json", [[[1, 1], [0, 1]]])
     put("c11.json", {"kind": "permutation", "degree": 11,
                      "generators": [[(i + 1) % 11 for i in range(11)]]})
+    # C3 x S3 on 6 points: C3 on {0, 1, 2}, S3 on {3, 4, 5}
+    put("c3_s3.json", {"kind": "permutation", "degree": 6, "generators": [
+        [1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3], [0, 1, 2, 4, 3, 5]]})
     put("seq9.json", {"elements": [1], "repeat": 9})
     put("c12.json", {"kind": "permutation", "degree": 12, "generators": [C12_CYCLE]})
     put("seq4096.json", {"elements": [1, 2, 3, 4], "repeat": 1024})
@@ -185,6 +188,11 @@ def commands() -> list[tuple[str, list[str]]]:
         add(f"irreps_{g}", "irreps", "--group", f"{g}.json", "--seed", "2024", "--dump-matrices")
     # C11: five pairs of complex-conjugate characters share first-pass eigenspaces
     add("irreps_c11", "irreps", "--group", "c11.json", "--seed", "1")
+    # the bases of those pairs, split through the antisymmetric half, are hashed;
+    # C3 x S3 has complex pairs of dimension 1 and 2 beside real ones
+    for g in ("c11", "c3_s3"):
+        add(f"irreps_{g}_dump", "irreps", "--group", f"{g}.json", "--seed", "1",
+            "--dump-matrices")
     for g in ("s3", "q8", "sl2_3", "sl2_5"):
         add(f"fourier_{g}", "fourier-check", "--group", f"{g}.json", "--count", "4", "--seed", "1")
     add("mult_bounds_sl2_5", "mult-bounds", "--group", "sl2_5.json")

@@ -51,8 +51,8 @@ h -> t^-1 h t of the distinct generators t, found by min-label hooking in both
 directions with pointer jumping until every permutation maps the labels onto
 themselves) and,
 on demand for the regular representation, the dense multiplication table
-(`dense_table`: column h is column parent[h] gathered through the column of
-its multiplier).
+(`dense_table`: row h is row parent[h] read through the left multiplication
+by its multiplier, one BFS layer of rows per gather).
 """
 
 from __future__ import annotations
@@ -413,14 +413,19 @@ class FiniteGroup:
         return col
 
     def dense_table(self) -> np.ndarray:
-        """The (|G|, |G|) int32 table[i, j] = index(g_i * g_j), filled column by
-        column along the generator tree: column h is column parent[h] gathered
-        through the column of its multiplier."""
-        n, tree = self.order, self.tree
+        """The (|G|, |G|) int32 table[i, j] = index(g_i * g_j), filled one BFS
+        layer of rows per gather: from g_i = g_parent * t, row i is row
+        parent[i] read through the left multiplication h -> t h, and the parents
+        lie in the layer before.  Rows, unlike columns, are written whole.  The
+        left multiplication by t is read off the column of t^-1, another
+        multiplier: t g_h = (g_h^-1 t^-1)^-1."""
+        n, tree, inv = self.order, self.tree, self._inv
+        inverse_mult = [tree.mults.index(int(inv[t])) for t in tree.mults]
+        left = inv[tree.cols[inverse_mult][:, inv]]
         table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = np.arange(n)
-        for h in range(1, n):
-            table[:, h] = tree.cols[tree.via[h]][table[:, tree.parent[h]]]
+        table[0] = np.arange(n)
+        for lo, hi in zip(tree.starts[1:-1], tree.starts[2:]):
+            table[lo:hi] = table[tree.parent[lo:hi, None], left[tree.via[lo:hi]]]
         return table
 
 

@@ -3,10 +3,12 @@
 A real matrix H averaged over the left-translation action lands in the
 commutant of the regular representation R.  The average needs no sum over the
 group: it commutes with every left translation, so `Ht[a, b] = f(a^{-1} b)`
-with `f(h) = mean_x H[x, x h]`, one gather of H through the multiplication
-table, one mean and one gather of f, O(|G|^2) in all.  It keeps H symmetric
-or antisymmetric, and the halves (H + H^T)/2 and (H - H^T)/2 of one Gaussian
-draw are independent.
+with `f(h) = mean_x H[x, x h]`, O(|G|^2) in all.  It keeps H symmetric or
+antisymmetric, and the halves (H + H^T)/2 and (H - H^T)/2 of one Gaussian draw
+are independent.  One pass over the draw, a block of rows at a time through the
+one multiplication table, gives both halves' functions as length-|G| vectors,
+f_sym(h) and f_anti(h) = mean_x (H[x, x h] +- H[x h, x]) / 2; the draw is then
+dropped, and a vector is spread into its |G| x |G| average only when needed.
 
 The first pass is one float64 `eigh` of the symmetric half's average.  On the
 d copies of an irreducible Phi of dimension d, it acts through a d x d matrix
@@ -24,30 +26,31 @@ an eigenspace V of the last two kinds, the antisymmetric half's average K
 gives V^T K V, real antisymmetric and commuting with the restricted action:
 i b on Phi and -i b on conj(Phi), or an imaginary quaternion q on the two
 copies of Phi (and 0 on a real-type eigenspace).  So the Hermitian i V^T K V
-has the two eigenvalues -+b, or -+|q|, each on one copy of Phi.  K is formed
-at most once per draw, from a replay of it, and only if an eigenspace is
-reducible.  A draw whose pieces are not all irreducible is replaced.
+has the two eigenvalues -+b, or -+|q|, each on one copy of Phi.  K is spread
+at most once per draw, only if an eigenspace is reducible, from f_anti and a
+rebuilt table: no table is held across the `eigh`.  A draw whose pieces are
+not all irreducible is replaced.
 
 Characters need no representation matrices: the projection P onto an invariant
 subspace commutes with R, so P[a, b] = p(a^{-1} b) for p = P[e], and chi(g) is
-|G| / |class of g| times the sum of p over the class of g, O(|G| d).  One Gram
-matrix of the pieces' characters sorts them into isomorphism classes.  One
-representative per class is tabulated down the generator tree, those of one
-dimension together: rho(t) = V^* R(t) V for each multiplier t by one gather,
-then rho(h) = rho(parent[h]) rho(t) for a whole BFS layer in one batched
-matmul, O(|G| d^3) per subspace (a gather per element would be O(|G|^2 d)).
+|G| / |class of g| times the sum of p over the class of g, O(|G| d).  The Gram
+matrix of the pieces' characters, a block of rows at a time, sorts them into
+isomorphism classes.  One representative per class is tabulated down the
+generator tree, those of one dimension together: rho(t) = V^* R(t) V for each
+multiplier t by one gather, then rho(h) = rho(parent[h]) rho(t) for a whole BFS
+layer in one batched matmul, O(|G| d^3) per subspace (a gather per element
+would be O(|G|^2 d)).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ImagTooLarge, IncompleteIrreps, SizeCap, SplitFailure
-from .groups import FiniteGroup, GeneratorTree, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes
 
 if TYPE_CHECKING:
     from .walk import SignedSequence
@@ -72,27 +75,52 @@ class UnitaryIrrep:
             raise ValueError("matrix block size does not match dim")
 
 
-def _average_hermitian(
-    H: np.ndarray, left_rows: np.ndarray, left_inv_rows: np.ndarray
-) -> np.ndarray:
-    """(1/|G|) sum_g R(g) H R(g)^*, i.e. Ht[a, b] = mean_g H[g^{-1} a, g^{-1} b].
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of consecutive rows, about 2^16 entries of an n-column array each,
+    so that a gather's index and value temporaries stay near a megabyte."""
+    step = max(1, (1 << 16) // n)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    Substituting x = g^{-1} a gives Ht[a, b] = f(a^{-1} b), f(h) = mean_x H[x, x h];
-    left_rows[x, h] is the index of x h and left_inv_rows[a, b] that of a^{-1} b.
-    """
+
+def _halves(H: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f_sym and f_anti, f(h) = mean_x (H[x, x h] +- H[x h, x]) / 2 with
+    table[x, h] the index of x h: the functions whose spreads are the averages
+    of the halves (H +- H^T) / 2.  One pass over H, a block of rows at a time.
+    Each half is summed one row at a time in index order from zero, as
+    `mean(axis=0)` of the whole gathered half sums, so the two agree bitwise."""
     n = H.shape[0]
-    f = H[np.arange(n)[:, None], left_rows].mean(axis=0)
-    return f[left_inv_rows]
+    f_sym = np.zeros(n, dtype=H.dtype)
+    f_anti = np.zeros(n, dtype=H.dtype)
+    for rows in _row_blocks(n):
+        x = np.arange(n)[rows, None]
+        xh = table[rows].astype(np.intp)
+        a, b = H[x, xh], H[xh, x]
+        for f, half in ((f_sym, a + b), (f_anti, a - b)):
+            half /= 2.0
+            for row in half:
+                f += row
+    return f_sym / n, f_anti / n
 
 
-def _tabulate(V: np.ndarray, tree: GeneratorTree, left_inv_rows: np.ndarray) -> np.ndarray:
+def _spread(f: np.ndarray, table: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The average Ht[a, b] = f(a^{-1} b) = f[table[inv[a], b]], a block of rows at a time."""
+    n = len(f)
+    out = np.empty((n, n), dtype=f.dtype)
+    for rows in _row_blocks(n):
+        np.take(f, table[inv[rows]], out=out[rows])
+    return out
+
+
+def _tabulate(V: np.ndarray, G: FiniteGroup) -> np.ndarray:
     """rho(g) = V^* R(g) V for every g, span(V) invariant with orthonormal
-    columns: a gather of V for each multiplier, then rho(h) =
+    columns: a gather of V for each multiplier t, (R(t) V)[a] = V[t^{-1} a]
+    with t^{-1} a = (a^{-1} t)^{-1} read off t's own column, then rho(h) =
     rho(parent[h]) rho(mults[via[h]]) one BFS layer at a time.  V is (|G|, d),
     or a stack (b, |G|, d) of such bases, tabulated together as (b, |G|, d, d)."""
     n, d = V.shape[-2:]
+    tree, inv = G.tree, G._inv
     Vh = V.conj().swapaxes(-1, -2)
-    at_mults = np.stack([Vh @ V.take(left_inv_rows[t], axis=-2) for t in tree.mults], axis=-3)
+    at_mults = np.stack([Vh @ V.take(inv[col[inv]], axis=-2) for col in tree.cols], axis=-3)
     mats = np.empty(V.shape[:-2] + (n, d, d), dtype=V.dtype)
     mats[..., 0, :, :] = np.eye(d)
     for lo, hi in zip(tree.starts[1:-1], tree.starts[2:]):
@@ -117,8 +145,6 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
         raise SizeCap(f"|G| = {n} exceeds the explicit-representation cap {REGULAR_SIZE_CAP}")
     cc = conjugacy_classes(G)
     sizes = np.array(cc.sizes, dtype=np.float64)
-    left_inv_rows = G.dense_table()[G._inv]  # row g: R(g) as a gather
-    left_rows = left_inv_rows[G._inv]
     by_class = np.argsort(cc.class_of, kind="stable")
     class_starts = np.cumsum(cc.sizes) - cc.sizes
     rng = np.random.default_rng(seed)
@@ -134,69 +160,83 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
             raise SplitFailure("character self-inner-product is not close to an integer")
         return round(norm) == 1
 
-    def averaged_half(gen: np.random.Generator, op: np.ufunc) -> np.ndarray:
-        """Average of the half op(H, H^T) / 2 of gen's next Gaussian draw H."""
-        H = gen.standard_normal((n, n))
-        return _average_hermitian(op(H, H.T) / 2.0, left_rows, left_inv_rows)
-
-    def pieces() -> list[tuple[np.ndarray, np.ndarray]]:
-        """The irreducible pieces of the next draw, each with its class character."""
-        replay = copy.deepcopy(rng)  # replays this draw for K: H need not outlive the eigh
-        evals, evecs = np.linalg.eigh(averaged_half(rng, np.add))  # eigh reads one triangle
+    def pieces() -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The irreducible pieces of the next draw and their class characters."""
+        table = G.dense_table()
+        f_sym, f_anti = _halves(rng.standard_normal((n, n)), table)
+        Ht = _spread(f_sym, table, G._inv)
+        del table
+        evals, evecs = np.linalg.eigh(Ht)  # eigh reads one triangle
+        del Ht
         K = None
-        out: list[tuple[np.ndarray, np.ndarray]] = []
+        bases: list[np.ndarray] = []
+        chars: list[np.ndarray] = []
         for sel in _cluster(evals):
             V = evecs[:, sel]
             chi = character(V)
             if is_irreducible(chi):
-                out.append((V, chi))
+                bases.append(V)
+                chars.append(chi)
                 continue
             if K is None:
-                K = averaged_half(replay, np.subtract)
+                K = _spread(f_anti, G.dense_table(), G._inv)
             kevals, E = np.linalg.eigh(1j * (V.T @ K @ V))
             for s in _cluster(kevals):
                 W = V @ E[:, s]
                 piece = character(W)
                 if not is_irreducible(piece):
                     raise SplitFailure("an eigenspace piece is reducible")
-                out.append((W, piece))
-        return out
+                bases.append(W)
+                chars.append(piece)
+        return bases, chars
 
     for attempt in range(_MAX_RETRIES):
         try:
-            blocks = pieces()
+            bases, chars = pieces()
             break
         except SplitFailure:
             if attempt == _MAX_RETRIES - 1:
                 raise
-    first = _first_isomorphic(np.array([chi for _, chi in blocks]), sizes)
-    members_count = np.bincount(first, minlength=len(blocks))
+    first = _first_isomorphic(np.array(chars), sizes)
+    del chars
+    members_count = np.bincount(first, minlength=len(bases))
 
-    heads = np.flatnonzero(first == np.arange(len(blocks)))
-    dims = np.array([blocks[b][0].shape[1] for b in heads])
+    heads = np.flatnonzero(first == np.arange(len(bases)))
+    dims = np.array([bases[b].shape[1] for b in heads])
     for b, d in zip(heads, dims):
         if members_count[b] != d:
             raise SplitFailure(f"isotypic multiplicity {members_count[b]} != dimension {d}")
+    reps = {b: bases[b] for b in heads.tolist()}
+    del bases  # the other members of each class
     irreps: list[UnitaryIrrep] = []
     for d in sorted(set(dims.tolist())):  # one tabulation for all classes of a dimension
-        bases = np.stack([blocks[b][0] for b in heads[dims == d]])
-        for mats in _tabulate(bases, G.tree, left_inv_rows).astype(np.complex128, copy=False):
+        stack = np.stack([reps.pop(b) for b in heads[dims == d].tolist()])
+        tables = _tabulate(stack, G).astype(np.complex128, copy=False)
+        del stack
+        for mats in tables:
             irreps.append(UnitaryIrrep(d, mats, np.einsum("gii->g", mats)))
     if sum(r.dim * r.dim for r in irreps) != n:
         raise SplitFailure("squared dimensions of the classes do not sum to |G|")
-    irreps.sort(key=lambda r: (r.dim, tuple(np.round(r.character.real, 6))))
+    # stably by the rounded real character in element order; at the identity it is the dimension
+    rounded = np.round([r.character.real for r in irreps], 6)
+    irreps = [irreps[i] for i in np.lexsort(rounded.T[::-1])]
     _validate_unitary(irreps)
     return irreps
 
 
 def _first_isomorphic(chars: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """For each irreducible character (a row of class values), the index of the
-    first row with inner product 1 with it, from one Gram matrix."""
-    gram = (chars * sizes) @ chars.conj().T / np.sum(sizes)
-    rounded = np.round(gram.real)
-    if np.max(np.abs(gram - rounded)) > _INTEGRALITY_TOL:
-        raise SplitFailure("isomorphism-class inner product not close to an integer")
-    return np.argmax(rounded == 1, axis=1)
+    first row with inner product 1 with it.  The Gram matrix is formed a block
+    of rows at a time and conjugated, (conj(chars) * sizes) @ chars^T, which
+    has the same real parts and needs no conjugated copy of all the rows."""
+    first = np.empty(len(chars), dtype=np.intp)
+    for rows in _row_blocks(len(chars)):
+        gram = (chars[rows].conj() * sizes) @ chars.T / np.sum(sizes)
+        rounded = np.round(gram.real)
+        if np.max(np.abs(gram - rounded)) > _INTEGRALITY_TOL:
+            raise SplitFailure("isomorphism-class inner product not close to an integer")
+        first[rows] = np.argmax(rounded == 1, axis=1)
+    return first
 
 
 def _cluster(evals: np.ndarray) -> list[np.ndarray]:

@@ -189,11 +189,16 @@ def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution
         idxs = [G.index_of(e) for e in seq.elements]
     except NotInGroup as exc:
         raise ElementNotInGroup(str(exc)) from exc
+    # intp step columns (numpy gathers through int32 indices on a slower path);
+    # an inverse's column is its letter's column inverted, h*a -> h
     cols: dict[int, np.ndarray] = {}
     for a in set(idxs):
-        for b in (a, G.inv(a)):
-            if b not in cols:
-                cols[b] = G.right_column(b)
+        if a not in cols:
+            cols[a] = G.right_column(a).astype(np.intp)
+        if G.inv(a) not in cols:
+            ci = np.empty(G.order, dtype=np.intp)
+            ci[cols[a]] = np.arange(G.order)
+            cols[G.inv(a)] = ci
 
     cur = np.zeros((G.order, 1), dtype=np.int64)
     cur[0, 0] = 1

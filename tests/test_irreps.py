@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from signedwalk import irreps as irreps_module
 from signedwalk.chartable import dixon_character_table
 from signedwalk.errors import SizeCap, SplitFailure
 from signedwalk.groups import group_from_spec
-from signedwalk.irreps import _average_hermitian, _tabulate, decompose_regular
+from signedwalk.irreps import _halves, _spread, _tabulate, decompose_regular
 
 from conftest import left_translation_rows, naive_average_hermitian, naive_tabulate
 from group_specs import SL2_9, cyclic, sl2, symmetric
@@ -122,12 +123,34 @@ def test_s6_agrees_with_dixon_table(s6):
 
 @pytest.mark.parametrize("name", ["s4", "sl2_5"])
 def test_average_hermitian_matches_sum_over_group(bench_groups, name):
+    """Each half's function, spread, is the average of that half of H."""
     G = bench_groups[name]
     rows, inv_rows = left_translation_rows(G)
+    inv = np.array([G.inv(g) for g in range(G.order)])
     rng = np.random.default_rng(3)
     H = rng.standard_normal((G.order, G.order)) + 1j * rng.standard_normal((G.order, G.order))
-    fast = _average_hermitian(H, rows, inv_rows)
-    assert np.max(np.abs(fast - naive_average_hermitian(H, inv_rows))) <= 1e-12
+    f_sym, f_anti = _halves(H, rows)
+    for f, half in ((f_sym, (H + H.T) / 2.0), (f_anti, (H - H.T) / 2.0)):
+        fast = _spread(f, rows, inv)
+        assert np.max(np.abs(fast - naive_average_hermitian(half, inv_rows))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["s4", "q8", "sl2_5", "c7", "s6"])
+def test_halves_equal_the_gathered_mean_bitwise(request, bench_groups, name):
+    """The one-pass halves equal the mean over axis 0 of each whole half
+    op(H, H^T) / 2 gathered through the table, bit for bit."""
+    if name == "s6":
+        G = request.getfixturevalue("s6")
+    elif name == "c7":
+        G = group_from_spec(cyclic(7))
+    else:
+        G = bench_groups[name]
+    table = G.dense_table()
+    H = np.random.default_rng(11).standard_normal((G.order, G.order))
+    halves = _halves(H, table)
+    x = np.arange(G.order)[:, None]
+    for op, f in zip((np.add, np.subtract), halves):
+        assert np.array_equal(f, (op(H, H.T) / 2.0)[x, table].mean(axis=0))
 
 
 def _coset_span(G):
@@ -147,7 +170,7 @@ def test_tabulate_on_reducible_subspace(bench_groups):
     rho = naive_tabulate(V, inv_rows)
     assert np.allclose(V @ rho, V[inv_rows], atol=1e-12)  # span(V) is invariant
     assert np.sum(np.abs(np.einsum("gii->g", rho)) ** 2) / G.order > 1.5  # and reducible
-    assert np.max(np.abs(_tabulate(V, G.tree, inv_rows) - rho)) <= 1e-12
+    assert np.max(np.abs(_tabulate(V, G) - rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["s4", "sl2_5", "s6"])
@@ -162,7 +185,7 @@ def test_tabulate_matches_naive_on_every_irreducible(request, bench_groups, name
     _, inv_rows = left_translation_rows(G)
     for rep in irreps:
         V = np.sqrt(rep.dim / G.order) * rep.matrices[:, :, 0].conj()
-        mats = _tabulate(V, G.tree, inv_rows)
+        mats = _tabulate(V, G)
         assert np.max(np.abs(mats - naive_tabulate(V, inv_rows))) <= 1e-12
         assert np.max(np.abs(mats - rep.matrices)) <= 1e-12
 
@@ -192,19 +215,44 @@ def test_groups_with_non_real_irreducibles_match_dixon(request, bench_groups, na
 
 def test_antisymmetric_half_only_for_reducible_eigenspaces(monkeypatch, bench_groups, s6):
     """S6 has only real-type irreducibles, so its first-pass eigenspaces are
-    irreducible and the antisymmetric half is never averaged; Q8 has a
+    irreducible and the antisymmetric half is never spread; Q8 has a
     quaternionic one, so it is, once."""
-    calls = []
+    antis, spread_antis = [], []
 
-    def spy(*args):
-        calls.append(1)
-        return _average_hermitian(*args)
+    def halves_spy(*args):
+        out = _halves(*args)
+        antis.append(out[1])
+        return out
 
-    monkeypatch.setattr(irreps_module, "_average_hermitian", spy)
-    for G, seed, expected in ((s6, 11, 1), (bench_groups["q8"], 2024, 2)):
-        calls.clear()
+    def spread_spy(f, *args):
+        spread_antis.extend(1 for anti in antis if f is anti)
+        return _spread(f, *args)
+
+    monkeypatch.setattr(irreps_module, "_halves", halves_spy)
+    monkeypatch.setattr(irreps_module, "_spread", spread_spy)
+    for G, seed, expected in ((s6, 11, 0), (bench_groups["q8"], 2024, 1)):
+        antis.clear()
+        spread_antis.clear()
         decompose_regular(G, seed=seed)
-        assert len(calls) == expected
+        assert len(antis) == 1  # one draw
+        assert len(spread_antis) == expected
+
+
+def test_decompose_regular_peak_memory(s6):
+    """Traced peak of `decompose_regular` on the seed-11 S6 (numpy reports its
+    buffers to tracemalloc), in MiB above what is traced at the call.  It read
+    17.5-18.2 with two int32 tables held across the first `eigh`, the whole
+    draw's halves and their int64 index copies formed at once, and every piece
+    kept until the tables were done, and 10.0-10.8 with the halves as vectors
+    from one pass over the draw and one table; the bound is 13."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decompose_regular(s6, seed=11)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
 
 
 def test_split_failure_after_the_retry_budget(monkeypatch, bench_groups):
