@@ -161,8 +161,13 @@ def commands() -> list[tuple[str, list[str]]]:
     add("rho_sl2_5", "rho", "--group", "sl2_5.json", "--seq", "seq.json",
         "--dump-dist", "OUT/law.json")
     add("rho_c11", "rho", "--group", "c11.json", "--seq", "seq9.json")
+    # past the cap rho exits 3 and refuses Monte-Carlo flags; mc takes the estimate
     add("rho_mc_fallback", "rho", "--group", "sl2_5.json", "--seq", "inline_seq.json",
         "--cap", "10", "--samples", "2000")
+    add("rho_over_cap", "rho", "--group", "sl2_5.json", "--seq", "inline_seq.json",
+        "--cap", "10")
+    add("mc_fallback_inputs", "mc", "--group", "sl2_5.json", "--seq", "inline_seq.json",
+        "--samples", "2000")
     for t in ("1", "4"):
         add(f"mc_sl2_5_t{t}", "mc", "--group", "sl2_5.json", "--seq", "seq.json",
             "--samples", "30000", "--seed", "5", "--threads", t)

@@ -89,15 +89,6 @@ def _group(args: argparse.Namespace) -> FiniteGroup:
     return group_from_spec(_load_json(args.group), cap=args.cap)
 
 
-def _group_under_cap(spec: dict, cap: int) -> FiniteGroup | None:
-    """The closure of the group spec, or None when it grows past cap (the
-    walk then runs on inline entries without enumeration)."""
-    try:
-        return group_from_spec(spec, cap=cap)
-    except CapExceeded:
-        return None
-
-
 def _bounds_payload(seq: SignedSequence, p: int | None) -> dict:
     from .walk import central_binomial_bound, order_length_bound, prime_order_length_bound
 
@@ -149,31 +140,23 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
-    from .walk import exact_distribution, rho_monte_carlo, sequence_from_spec
+    from .walk import exact_distribution, sequence_from_spec
 
-    seq_spec, group_spec = _load_json(args.seq), _load_json(args.group)
-    G = _group_under_cap(group_spec, args.cap)
-    seq = sequence_from_spec(seq_spec, G, group_spec)
-    if G is not None:
-        dist = exact_distribution(G, seq)
-        rho = dist.rho()
-        payload = {
-            "method": "exact",
-            "rho": _rho_json(rho),
-            "rho_value": rho.value,
-            "maximizers": G.hex_encodings(rho.maximizers),
-            "bounds": _bounds_payload(seq, G.p),
-        }
-        if args.dump_dist:
-            with open(args.dump_dist, "w", encoding="utf-8") as fh:
-                dist.write_json(G, fh)
-    else:
-        mc = rho_monte_carlo(seq, args.samples, args.seed, threads=args.threads)
-        payload = {
-            "method": "monte_carlo",
-            "rho": mc.to_json(),
-            "bounds": _bounds_payload(seq, None),
-        }
+    seq_spec = _load_json(args.seq)
+    G = _group(args)
+    seq = sequence_from_spec(seq_spec, G)
+    dist = exact_distribution(G, seq)
+    rho = dist.rho()
+    payload = {
+        "method": "exact",
+        "rho": _rho_json(rho),
+        "rho_value": rho.value,
+        "maximizers": G.hex_encodings(rho.maximizers),
+        "bounds": _bounds_payload(seq, G.p),
+    }
+    if args.dump_dist:
+        with open(args.dump_dist, "w", encoding="utf-8") as fh:
+            dist.write_json(G, fh)
     _emit(args, payload)
     return EXIT_OK
 
@@ -188,7 +171,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     seq_spec = _load_json(args.seq)
     # inline entries need only the spec's kind and p: enumerate for indices only
     if group_spec is not None and any(map(is_spec_int, spec_field(seq_spec, "elements", list))):
-        G = _group_under_cap(group_spec, args.cap)
+        G = group_from_spec(group_spec, cap=args.cap)
     seq = sequence_from_spec(seq_spec, G, group_spec)
     mc = rho_monte_carlo(seq, args.samples, args.seed, threads=args.threads)
     _emit(args, mc.to_json())
@@ -492,10 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("closure", cmd_closure, "group cap out", "enumerate the group generated by the spec")
     p.add_argument("--elements", action="store_true", help="include element encodings")
 
-    p = command(
-        "rho", cmd_rho, "group seq cap samples seed threads out",
-        "maximum point probability (exact, MC fallback)",
-    )
+    p = command("rho", cmd_rho, "group seq cap out", "exact maximum point probability")
     p.add_argument("--dump-dist", default=None, help="also write the full law to this path")
 
     p = command(

@@ -469,9 +469,10 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
     Deterministic element numbering: identity first, then layer by layer in
     canonical-encoding order (see the module docstring).  Raises CapExceeded
-    if the closure grows past `cap` (callers can fall back to the Monte-Carlo
-    path), MixedVariants if the generators do not share one family, NotInGroup
-    if a table that is not associative leaves the search inconsistent.
+    if the closure grows past `cap` (every CLI command that closes a group
+    then exits 3), MixedVariants if the generators do not share one family,
+    NotInGroup if a table that is not associative leaves the search
+    inconsistent.
     """
     gens = list(generators)
     if cap < 1:
@@ -584,18 +585,6 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     return ConjugacyClasses(
         class_of.astype(np.int64, copy=False), tuple(reps.tolist()), tuple(sizes.tolist())
     )
-
-
-def center_and_centralizer(G: FiniteGroup, g: GroupElement | int) -> tuple[tuple[int, ...], int]:
-    """(center as sorted element indices, order of the centralizer of g), read
-    off the conjugacy classes: the center is the union of the singleton
-    classes, and |C(g)| = |G| / |class of g|."""
-    i = g if isinstance(g, int) else G.index_of(g)
-    if not (0 <= i < G.order):
-        raise NotInGroup(f"index {i} out of range")
-    cc = conjugacy_classes(G)
-    sizes = np.array(cc.sizes)[cc.class_of]
-    return tuple(np.nonzero(sizes == 1)[0].tolist()), G.order // int(sizes[i])
 
 
 # ---------------------------------------------------------------------------

@@ -92,23 +92,35 @@ def test_rho_distribution_dump(specs, capsys, tmp_path):
     assert sum(int(e["count"]) for e in payload["entries"]) == 16
 
 
-def test_rho_mc_fallback(specs, capsys, tmp_path):
+def test_rho_over_cap_exits_3_and_mc_keeps_the_estimate(specs, capsys, tmp_path):
     seq = tmp_path / "inline_seq.json"
     seq.write_text(json.dumps({"elements": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}))
-    code, out = run(
-        capsys,
-        "rho",
-        "--group",
-        specs["sl2_5"],
-        "--seq",
-        str(seq),
-        "--cap",
-        "10",
-        "--samples",
-        "2000",
+    code, err = run_failing(
+        capsys, "rho", "--group", specs["sl2_5"], "--seq", str(seq), "--cap", "10"
     )
+    assert code == 3
+    assert err == "resource cap: closure exceeded cap 10\n"
+    # mc on the same files prints what rho's former Monte-Carlo fallback printed under "rho"
+    code, out = run(capsys, "mc", "--group", specs["sl2_5"], "--seq", str(seq), "--samples", "2000")
     assert code == 0
-    assert json.loads(out)["method"] == "monte_carlo"
+    assert json.loads(out) == {
+        "distinct_products": 4,
+        "max_count": 529,
+        "method": "plug-in",
+        "plugin_max_frequency": 0.2645,
+        "samples": 2000,
+        "seed": 0,
+        "stderr": 0.009862549112678731,
+        "top_element": "02010101",
+    }
+
+
+def test_mc_index_entries_over_cap_exit_3(specs, capsys):
+    code, err = run_failing(
+        capsys, "mc", "--group", specs["sl2_5"], "--seq", specs["seq"], "--cap", "10"
+    )
+    assert code == 3
+    assert err == "resource cap: closure exceeded cap 10\n"
 
 
 def test_mc_without_group_enumeration(capsys, tmp_path):
@@ -385,11 +397,10 @@ def test_repeat_below_one_is_an_input_error_on_both_paths(specs, capsys, tmp_pat
     seq.write_text(json.dumps({"elements": [[1, 0, 2]], "repeat": repeat}))
     for argv in (
         ["rho", "--group", specs["s3"], "--seq", str(seq)],  # enumerated group
-        ["mc", "--group", specs["s3"], "--seq", str(seq)],  # enumerated group
-        ["mc", "--seq", str(seq)],  # no enumeration
-        ["rho", "--group", specs["s3"], "--seq", str(seq), "--cap", "2"],  # closure over cap
+        ["mc", "--group", specs["s3"], "--seq", str(seq), "--samples", "100"],  # spec read only
+        ["mc", "--seq", str(seq), "--samples", "100"],  # no enumeration
     ):
-        code, err = run_failing(capsys, *argv, "--samples", "100")
+        code, err = run_failing(capsys, *argv)
         assert code == 2
         assert err == "input error: repeat must be >= 1\n"
 
@@ -399,7 +410,7 @@ def test_matrix_order_cap_exits_3(specs, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(elements, "_ORDER_CAP", 2)
     seq = tmp_path / "inline_seq.json"
     seq.write_text(json.dumps({"elements": [[[1, 1], [0, 1]]]}))
-    argv = ["rho", "--group", specs["sl2_5"], "--seq", str(seq), "--cap", "10", "--samples", "100"]
+    argv = ["rho", "--group", specs["sl2_5"], "--seq", str(seq)]
     code, err = run_failing(capsys, *argv)
     assert code == 3
     assert err == "resource cap: order loop exceeded cap\n"
@@ -753,8 +764,9 @@ def run_rejected(capsys, *argv) -> str:
         ["bounds", "--s", "3", "--n", "4", "--seed", "1"],
         ["mult-bounds", "--group", "{s3}", "--threads", "2"],
         ["order", "--group", "{s3}", "--element", "[1,0,2]", "--seq", "x.json"],
+        ["rho", "--group", "{s3}", "--seq", "{seq}", "--samples", "100"],
     ],
-    ids=["chartab-format", "bounds-seed", "mult-bounds-threads", "order-seq"],
+    ids=["chartab-format", "bounds-seed", "mult-bounds-threads", "order-seq", "rho-samples"],
 )
 def test_flags_a_command_does_not_read_are_rejected(specs, capsys, argv):
     err = run_rejected(capsys, *(arg.format(**specs) for arg in argv))
