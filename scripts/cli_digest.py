@@ -85,6 +85,7 @@ def write_inputs(d: Path) -> None:
     put("seq9.json", {"elements": [1], "repeat": 9})
     put("c12.json", {"kind": "permutation", "degree": 12, "generators": [C12_CYCLE]})
     put("seq4096.json", {"elements": [1, 2, 3, 4], "repeat": 1024})
+    put("long_repeat_seq.json", {"elements": [[1, 0, 2], [0, 2, 1]], "repeat": 2**62})
     put("hyperbolic_mats.json", [[[2, 1], [1, 1]]])
     put("inline_seq.json", {"elements": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]})
     put("raw_seq.json", {"elements": [[1, 2, 3, 0], [1, 0, 2, 3]], "repeat": 3})
@@ -228,6 +229,9 @@ def commands() -> list[tuple[str, list[str]]]:
         "--n-max", "200")
     add("sweep_c12_cap", "sweep", "--group", "c12.json", "--element", json.dumps(C12_CYCLE),
         "--n-max", "4096")
+    # 2 entries repeated 2^62 times pass the walk cap before the sequence is built
+    add("rho_long_repeat", "rho", "--group", "s3.json", "--seq", "long_repeat_seq.json")
+    add("mc_long_repeat", "mc", "--seq", "long_repeat_seq.json")
     # deviation numerators of up to about 110 bits, some left to Pollard rho
     add("embed_hyperbolic", "embed", "--matrices", "hyperbolic_mats.json", "--n", "40")
     add("bad_json", "rho", "--group", "bad.json", "--seq", "seq.json")

@@ -34,12 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ConsistencyFailure,
-    NonIntegralMultiplicity,
-    NoSuitablePrime,
-    TooManyClasses,
-)
+from .errors import CapExceeded, ConsistencyFailure
 from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
 from .modarith import (
     charpoly_mod,
@@ -123,9 +118,7 @@ def _find_table_prime(exponent: int, group_order: int) -> int:
         if ell * ell > 4 * group_order and is_prime(ell):
             return ell
         t += 1
-    raise NoSuitablePrime(
-        f"no prime = 1 (mod {exponent}) above {floor} below {_PRIME_SEARCH_BOUND}"
-    )
+    raise CapExceeded(f"no prime = 1 (mod {exponent}) above {floor} below {_PRIME_SEARCH_BOUND}")
 
 
 def _class_powers(G: FiniteGroup, cc: ConjugacyClasses):
@@ -203,15 +196,14 @@ def _eigenlines(G: FiniteGroup, cc: ConjugacyClasses, ell: int) -> list[np.ndarr
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     """Full complex character table of an enumerated group.
 
-    Raises TooManyClasses above `MAX_CLASSES` classes, NoSuitablePrime if the
-    working-field search fails and NonIntegralMultiplicity if a lifted
-    multiplicity row is not a partition of its degree.  Deterministic: no
-    randomness anywhere.
+    Raises CapExceeded above `MAX_CLASSES` classes or if the working-field
+    search fails, and ConsistencyFailure if a lifted multiplicity row is not a
+    partition of its degree.  Deterministic: no randomness anywhere.
     """
     cc = conjugacy_classes(G)
     r = cc.count
     if r > MAX_CLASSES:
-        raise TooManyClasses(f"{r} classes exceeds cap {MAX_CLASSES}")
+        raise CapExceeded(f"{r} classes exceeds cap {MAX_CLASSES}")
     class_orders, central_orders, power_map = _class_powers(G, cc)
     exponent = math.lcm(*class_orders)
     ell = _find_table_prime(exponent, G.order)
@@ -251,7 +243,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
         mults = matmul_mod(chibar[:, power_map[:kg, c]], T, ell) * inv_mod(kg, ell) % ell
         # residues are >= 0, so rows summing to the degrees bound every entry too
         if np.any(mults.sum(axis=1) != degrees):
-            raise NonIntegralMultiplicity("lifted multiplicities do not sum to the degree")
+            raise ConsistencyFailure("lifted multiplicities do not sum to the degree")
         multiplicities.append(mults)
         roots_of_unity = np.exp(2j * np.pi * np.arange(kg) / kg)
         values[:, c] = mults.astype(np.float64) @ roots_of_unity

@@ -1,9 +1,10 @@
 """Command-line surface: batch computation, verification suites, CSV/JSON emission.
 
-Exit codes: 0 success or verified pass, 1 verification failure, 2 input error,
-3 resource cap.  Output is deterministic for a fixed (config, seed) and BLAS
-thread count (the last bits of `eigh` depend on it); JSON is emitted with
-sorted keys and no timestamps, so such reruns are byte-identical.
+Exit codes: 0 success or verified pass, 1 verification failure, 2 input error
+(any `SignedWalkError`, `ValueError` or `OSError`), 3 resource cap (a
+`CapExceeded`; see `errors`).  Output is deterministic for a fixed (config,
+seed) and BLAS thread count (the last bits of `eigh` depend on it); JSON is
+emitted with sorted keys and no timestamps, so such reruns are byte-identical.
 Each subcommand accepts only the flags its handler reads; handlers take the
 parsed argparse namespace.  Of the engines only `groups` loads with this
 module; a handler imports the ones it runs (walk, chartable, irreps, spectral,
@@ -25,15 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .elements import same_family
-from .errors import (
-    CapExceeded,
-    NoSuitablePrime,
-    PowerCapExceeded,
-    PrimeSearchExhausted,
-    SignedWalkError,
-    SizeCap,
-    TooManyClasses,
-)
+from .errors import CapExceeded, SignedWalkError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     FiniteGroup,
@@ -52,16 +45,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-
-_RESOURCE_ERRORS = (
-    CapExceeded,
-    SizeCap,
-    TooManyClasses,
-    NoSuitablePrime,
-    PowerCapExceeded,
-    PrimeSearchExhausted,
-)
-
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -380,8 +363,8 @@ def cmd_example2(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .walk import (
-        MAX_WALK_LENGTH,
         central_binomial_bound,
+        check_walk_length,
         constant_walk_counts,
         order_length_bound,
     )
@@ -392,8 +375,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if gi == 0:
         raise ValueError("sweep element must be non-trivial")
     s = element_order(G, gi)  # >= 2: the element is non-trivial
-    if args.n_max > MAX_WALK_LENGTH:
-        raise CapExceeded(f"walk length capped at {MAX_WALK_LENGTH}")
+    check_walk_length(args.n_max)
     payload = []
     for n, count in enumerate(constant_walk_counts(s, args.n_max), start=1):
         bound, vac = order_length_bound(s, n) if n >= 2 else (float("nan"), True)
@@ -531,7 +513,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _RESOURCE_ERRORS as exc:
+    except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SignedWalkError, ValueError, OSError) as exc:

@@ -14,10 +14,10 @@ from math import gcd
 
 import numpy as np
 
-from .errors import MixedVariants, NotInvertible, PowerCapExceeded
+from .errors import CapExceeded, NotInGroup, NotInvertible
 
 
-_ORDER_CAP = 10**7  # products `_power_order` may take before PowerCapExceeded
+_ORDER_CAP = 10**7  # products `_power_order` may take before CapExceeded
 
 
 def _byte_width(max_value: int) -> int:
@@ -31,7 +31,7 @@ def _power_order(g: MatrixElement | TableElement) -> int:
         cur = cur.mul(g)
         k += 1
         if k > _ORDER_CAP:
-            raise PowerCapExceeded("order loop exceeded cap")
+            raise CapExceeded("order loop exceeded cap")
     return k
 
 
@@ -115,7 +115,7 @@ class MatrixElement:
 
     def mul(self, other: "MatrixElement") -> "MatrixElement":
         if not isinstance(other, MatrixElement) or other.family != self.family:
-            raise MixedVariants("matrix multiplication across different families")
+            raise NotInGroup("matrix multiplication across different families")
         m, p = self.m, self.p
         a, b = self.entries, other.entries
         out = [0] * (m * m)
@@ -186,7 +186,7 @@ class PermutationElement:
 
     def mul(self, other: "PermutationElement") -> "PermutationElement":
         if not isinstance(other, PermutationElement) or other.degree != self.degree:
-            raise MixedVariants("permutation product across different degrees")
+            raise NotInGroup("permutation product across different degrees")
         # (self * other)(x) = self(other(x))
         return PermutationElement(tuple(self.images[i] for i in other.images))
 
@@ -293,7 +293,7 @@ class TableElement:
 
     def mul(self, other: "TableElement") -> "TableElement":
         if not isinstance(other, TableElement) or other.table is not self.table:
-            raise MixedVariants("table elements from different tables")
+            raise NotInGroup("table elements from different tables")
         return TableElement(self.table, self.table.mul(self.index, other.index))
 
     def inv(self) -> "TableElement":
@@ -313,7 +313,7 @@ GroupElement = MatrixElement | PermutationElement | TableElement
 
 
 def same_family(elements) -> tuple:
-    """Common family key of a nonempty element collection; MixedVariants otherwise."""
+    """Common family key of a nonempty element collection; NotInGroup otherwise."""
     it = iter(elements)
     try:
         first = next(it)
@@ -322,5 +322,5 @@ def same_family(elements) -> tuple:
     fam = first.family
     for e in it:
         if e.family != fam:
-            raise MixedVariants(f"mixed element families: {fam} vs {e.family}")
+            raise NotInGroup(f"mixed element families: {fam} vs {e.family}")
     return fam

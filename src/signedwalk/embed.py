@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import MatrixElement, is_square
-from .errors import (
-    CapExceeded,
-    ConsistencyFailure,
-    NotInvertible,
-    NotNonTrivial,
-    PowerCapExceeded,
-    SignedWalkError,
-)
+from .errors import CapExceeded, ConsistencyFailure, NotInvertible, SignedWalkError
 from .primes import factorize, next_prime_outside
 
 POWER_CAP = 10**6  # matrix products one order computation may take
@@ -142,9 +135,9 @@ def _mat_pow(A: RationalMatrix, e: int, budget: _Budget) -> RationalMatrix:
 
 def rational_order(A: RationalMatrix) -> int | None:
     """Exact order of A over Q, or None when the order is infinite.  Raises
-    PowerCapExceeded after POWER_CAP matrix products."""
+    CapExceeded after POWER_CAP matrix products."""
     budget = _Budget(
-        POWER_CAP, PowerCapExceeded(f"power computation exceeded {POWER_CAP} multiplications")
+        POWER_CAP, CapExceeded(f"power computation exceeded {POWER_CAP} multiplications")
     )
     L = _finite_order_exponent(A.m)
     if not _mat_pow(A, L, budget).is_identity():
@@ -183,7 +176,7 @@ def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
     )
     for i, A in enumerate(matrices):
         if A.is_identity():
-            raise NotNonTrivial(f"matrix {i} is the identity")
+            raise SignedWalkError(f"matrix {i} is the identity")
         for e in A.entries:
             for q in factorize(e.denominator, rho_budget.spend):
                 report.add(q, f"denominator of entry in matrix {i}")
@@ -192,7 +185,7 @@ def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
             report.add(q, f"determinant numerator of matrix {i}")
         try:
             order = rational_order(A)
-        except PowerCapExceeded:
+        except CapExceeded:
             order = None  # inconclusive: treated as infinite, exponents up to n - 1
         report.orders.append(order)
         top = order if order is not None else n

@@ -1,79 +1,36 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one exit-code rule.
+
+The type decides the CLI exit code.  There are two bases: `CapExceeded`
+(exit 3, "resource cap") and every other `SignedWalkError` (exit 2, "input
+error", as are `ValueError` and `OSError`).  A subclass exists only where code
+catches it by name (`NotInvertible`, `SplitFailure`) or where it names a family
+of faults (`NotInGroup`, `ConsistencyFailure`); the message says which fault.
+"""
 
 
 class SignedWalkError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class MixedVariants(SignedWalkError):
-    """Elements of different kinds (or different ambient parameters) were combined."""
+    """Base class for all package-specific errors: an input error, exit 2."""
 
 
 class CapExceeded(SignedWalkError):
-    """A resource cap (closure size, walk length, distinct-product count) was hit."""
+    """A resource cap was hit (closure size, walk length, class count, prime
+    search, power or factoring budget, explicit-matrix size): exit 3."""
 
 
 class NotInGroup(SignedWalkError):
-    """An element does not belong to the enumerated group."""
-
-
-class ElementNotInGroup(NotInGroup):
-    """A sequence element does not belong to the enumerated group."""
-
-
-class NotNonTrivial(SignedWalkError):
-    """An identity element appeared where a non-trivial element is required."""
-
-
-class TooManyClasses(SignedWalkError):
-    """Character-table computation refused: class count above the supported cap."""
-
-
-class NoSuitablePrime(SignedWalkError):
-    """No working prime found within the search bound for the character-table field."""
-
-
-class ConsistencyFailure(SignedWalkError):
-    """A modular computation contradicted its own invariants (a class operator
-    that does not split, a degree out of range, characters that are not
-    orthogonal, a missing root of unity)."""
-
-
-class SplitFailure(SignedWalkError):
-    """Regular-representation splitting failed after the retry budget."""
-
-
-class SizeCap(SignedWalkError):
-    """Group too large for explicit representation matrices."""
-
-
-class IncompleteIrreps(SignedWalkError):
-    """Squared dimensions of the supplied irreducibles do not sum to |G|."""
-
-
-class ImagTooLarge(SignedWalkError):
-    """A quantity that must be real came out with a large imaginary part."""
-
-
-class NonIntegralMultiplicity(SignedWalkError):
-    """An eigenvalue multiplicity failed to round to an integer (bad character data)."""
-
-
-class NotUnitary(SignedWalkError):
-    """A matrix required to be unitary is not, within tolerance."""
-
-
-class NoConvergence(SignedWalkError):
-    """An iterative matrix factorization did not converge."""
-
-
-class PowerCapExceeded(SignedWalkError):
-    """Order detection hit its multiplication budget; result inconclusive."""
+    """An element is outside the group, or elements of different families
+    (kinds, sizes, primes, degrees) were combined."""
 
 
 class NotInvertible(SignedWalkError):
     """A matrix required to be invertible is singular."""
 
 
-class PrimeSearchExhausted(SignedWalkError):
-    """No admissible prime found below the search bound."""
+class ConsistencyFailure(SignedWalkError):
+    """A computation contradicted its own invariants (a class operator that
+    does not split, a degree out of range, characters that are not orthogonal,
+    a non-unitary or incomplete set of irreducibles, a failed factorization)."""
+
+
+class SplitFailure(ConsistencyFailure):
+    """Regular-representation splitting failed; `decompose_regular` retries."""

@@ -16,9 +16,9 @@ once per call, however many factors it multiplies in turn).  The key is the
 int64 code of the row (for row codes, the same number as the base-p code of
 the entries) when every key fits below 2^63, else the `np.void` view of the
 row's values as big-endian unsigned ints; either decodes back to its row.
-A group stores only the keys of its elements (in index order, and sorted for
-`searchsorted` lookups) and decodes rows on demand, so no group method
-branches on the variant.
+A group stores only the keys of its elements, in index order with their
+sorting permutation for `searchsorted` lookups, and decodes rows on demand,
+so no group method branches on the variant.
 
 `close_generators` numbers the elements in breadth-first order (identity at
 index 0); within a BFS layer the new elements are sorted by key, so indices
@@ -71,7 +71,7 @@ from .elements import (
     is_square,
     same_family,
 )
-from .errors import CapExceeded, NotInGroup, SizeCap
+from .errors import CapExceeded, NotInGroup
 from .primes import is_prime
 
 DEFAULT_CLOSURE_CAP = 4_000_000
@@ -94,7 +94,7 @@ class RowArith:
         if isinstance(template, MatrixElement):
             p, m = template.p, template.m
             if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
-                raise SizeCap(f"products of {m}x{m} matrices mod p={p} overflow int64")
+                raise CapExceeded(f"products of {m}x{m} matrices mod p={p} overflow int64")
             self.variant, self.p, self.m = "matrix_mod_p", p, m
             base, width, entries, top = p, m * m, m * m, p - 1
             if p**m <= ROW_TABLE_BOUND:
@@ -354,8 +354,7 @@ class FiniteGroup:
         self.variant, self.p, self.m, self.degree = arith.variant, arith.p, arith.m, arith.degree
         self.order = len(keys)
         self._keys = keys
-        self._key_perm = np.argsort(keys)
-        self._sorted_keys = keys[self._key_perm]
+        self._key_perm = np.argsort(keys)  # intp: an int32 sorter is cast on every lookup
         self._inv = inv
         self.tree = tree
         self.generator_indices = tuple(self._lookup(arith.keys(generator_rows)).tolist())
@@ -382,10 +381,11 @@ class FiniteGroup:
     # -- index arithmetic ------------------------------------------------
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        pos, found = _find(self._sorted_keys, keys)
-        if not np.all(found):
+        pos = np.searchsorted(self._keys, keys, sorter=self._key_perm)
+        idx = self._key_perm[np.minimum(pos, self.order - 1)]
+        if not np.all(self._keys[idx] == keys):
             raise NotInGroup("element not in enumerated group")
-        return self._key_perm[pos]
+        return idx
 
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_many(np.array([i]), j)[0])
@@ -470,9 +470,8 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     Deterministic element numbering: identity first, then layer by layer in
     canonical-encoding order (see the module docstring).  Raises CapExceeded
     if the closure grows past `cap` (every CLI command that closes a group
-    then exits 3), MixedVariants if the generators do not share one family,
-    NotInGroup if a table that is not associative leaves the search
-    inconsistent.
+    then exits 3), NotInGroup if the generators do not share one family or
+    a table that is not associative leaves the search inconsistent.
     """
     gens = list(generators)
     if cap < 1:

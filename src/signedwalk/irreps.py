@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ImagTooLarge, IncompleteIrreps, SizeCap, SplitFailure
+from .errors import CapExceeded, ConsistencyFailure, SplitFailure
 from .groups import FiniteGroup, conjugacy_classes
 
 if TYPE_CHECKING:
@@ -142,7 +142,7 @@ def decompose_regular(G: FiniteGroup, seed: int = 2024) -> list[UnitaryIrrep]:
     """
     n = G.order
     if n > REGULAR_SIZE_CAP:
-        raise SizeCap(f"|G| = {n} exceeds the explicit-representation cap {REGULAR_SIZE_CAP}")
+        raise CapExceeded(f"|G| = {n} exceeds the explicit-representation cap {REGULAR_SIZE_CAP}")
     cc = conjugacy_classes(G)
     sizes = np.array(cc.sizes, dtype=np.float64)
     by_class = np.argsort(cc.class_of, kind="stable")
@@ -265,7 +265,7 @@ def _validate_unitary(irreps: list[UnitaryIrrep]) -> None:
 
 def _check_complete(G: FiniteGroup, irreps) -> None:
     if sum(r.dim * r.dim for r in irreps) != G.order:
-        raise IncompleteIrreps("squared dimensions do not sum to |G|")
+        raise ConsistencyFailure("squared dimensions do not sum to |G|")
 
 
 def fourier_distribution(G: FiniteGroup, irreps, seq: SignedSequence) -> np.ndarray:
@@ -283,5 +283,5 @@ def fourier_distribution(G: FiniteGroup, irreps, seq: SignedSequence) -> np.ndar
     acc /= G.order
     worst = float(np.max(np.abs(acc.imag)))
     if worst > _IMAG_TOL:
-        raise ImagTooLarge(f"imaginary residue {worst:.2e} exceeds {_IMAG_TOL:.1e}")
+        raise ConsistencyFailure(f"imaginary residue {worst:.2e} exceeds {_IMAG_TOL:.1e}")
     return acc.real

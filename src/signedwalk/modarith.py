@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyFailure
+from .errors import CapExceeded, ConsistencyFailure
 
 
 def inv_mod(a: int, ell: int) -> int:
@@ -164,7 +164,7 @@ def poly_pow_mod(base: np.ndarray, e: int, mod: np.ndarray, ell: int) -> np.ndar
     has degree <= 2n - 2; its coefficients from x^n up are folded back in one
     matrix product with the rows x^n, ..., x^(2n-2) mod `mod`."""
     if ell * ell * len(mod) >= 2**63:
-        raise ValueError("modulus too large for int64 convolution")
+        raise CapExceeded("modulus too large for int64 convolution")
     n = len(mod) - 1
     fold = np.zeros((n - 1, n), dtype=np.int64)
     row = -mod[:n] * inv_mod(int(mod[n]), ell) % ell  # x^n mod `mod`

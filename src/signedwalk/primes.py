@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .errors import ConsistencyFailure, PrimeSearchExhausted
+from .errors import CapExceeded, ConsistencyFailure
 
 # Witnesses proving primality for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -139,11 +139,11 @@ def factorize(n: int, spend: Callable[[int], None] = lambda steps: None) -> dict
 
 def next_prime_outside(start: int, excluded: set[int]) -> int:
     """Smallest prime >= start that is not in `excluded`.  Only a skip past an
-    excluded prime to above PRIME_SEARCH_BOUND raises PrimeSearchExhausted, so a
+    excluded prime to above PRIME_SEARCH_BOUND raises CapExceeded, so a
     start above the bound still gets its first prime when that is admissible."""
     p = next_prime(start)
     while p in excluded:
         p = next_prime(p + 1)
         if p > PRIME_SEARCH_BOUND:
-            raise PrimeSearchExhausted(f"no admissible prime below {PRIME_SEARCH_BOUND}")
+            raise CapExceeded(f"no admissible prime below {PRIME_SEARCH_BOUND}")
     return p

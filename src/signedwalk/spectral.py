@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, NotUnitary
+from .errors import CapExceeded, ConsistencyFailure
 from .groups import FiniteGroup
 from .irreps import UnitaryIrrep
 from .walk import SignedSequence
@@ -45,13 +45,13 @@ def singular_values(M: np.ndarray) -> SingularProfile:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("need a square matrix")
     if M.shape[0] > SVD_SIZE_CAP:
-        raise ValueError(f"size {M.shape[0]} exceeds cap {SVD_SIZE_CAP}")
+        raise CapExceeded(f"size {M.shape[0]} exceeds cap {SVD_SIZE_CAP}")
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise ConsistencyFailure(str(exc)) from exc
     if np.any(s < -1e-12):
-        raise NoConvergence("factorization produced a negative singular value")
+        raise ConsistencyFailure("factorization produced a negative singular value")
     s = np.where(s < 0, 0.0, s)
     return SingularProfile(size=M.shape[0], values=tuple(float(x) for x in sorted(s, reverse=True)))
 
@@ -129,12 +129,12 @@ def product_singular_bounds(M: np.ndarray, M2: np.ndarray, rel_slack: float = 1e
 def cos_spectrum(U: np.ndarray) -> tuple[list[float], list[float], float]:
     """(|Re eigenvalues| sorted, singular values of (U + U^*)/2 sorted, max deviation).
 
-    For unitary U the two lists agree; NotUnitary if U fails the unitarity check.
+    For unitary U the two lists agree; ConsistencyFailure if U fails the unitarity check.
     """
     U = np.asarray(U, dtype=np.complex128)
     d = U.shape[0]
     if np.max(np.abs(U @ U.conj().T - np.eye(d))) > _UNITARY_TOL:
-        raise NotUnitary("input fails the unitarity tolerance")
+        raise ConsistencyFailure("input fails the unitarity tolerance")
     re = sorted((abs(float(lam.real)) for lam in np.linalg.eigvals(U)), reverse=True)
     sv = list(singular_values((U + U.conj().T) / 2.0).values)
     dev = max(abs(a - b) for a, b in zip(re, sv))

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .elements import GroupElement, same_family
-from .errors import CapExceeded, ElementNotInGroup, NotInGroup, NotNonTrivial
+from .errors import CapExceeded, SignedWalkError
 from .groups import (
     ROW_TABLE_BOUND,
     FiniteGroup,
@@ -61,6 +61,12 @@ _MC_TASK_BATCHES = 16  # most batches whose keys one thread task holds at once
 # ---------------------------------------------------------------------------
 
 
+def check_walk_length(n: int) -> None:
+    """CapExceeded for a walk of more than MAX_WALK_LENGTH steps."""
+    if n > MAX_WALK_LENGTH:
+        raise CapExceeded(f"walk length capped at {MAX_WALK_LENGTH}")
+
+
 @dataclass(frozen=True)
 class SignedSequence:
     """The tuple (A_1, ..., A_n) driving the walk; repetition allowed.
@@ -75,9 +81,8 @@ class SignedSequence:
             raise ValueError("sequence must contain at least one element")
         same_family(self.elements)
         if any(e.is_identity() for e in self.elements):
-            raise NotNonTrivial("sequence entries must be non-trivial")
-        if len(self.elements) > MAX_WALK_LENGTH:
-            raise CapExceeded(f"walk length capped at {MAX_WALK_LENGTH}")
+            raise SignedWalkError("sequence entries must be non-trivial")
+        check_walk_length(len(self.elements))
 
     @classmethod
     def constant(cls, element: GroupElement, n: int) -> "SignedSequence":
@@ -185,10 +190,7 @@ def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution
     nxt[h] = cur[h*A_i^{-1}] + cur[h*A_i], over the right-multiplication
     columns of G.  Counts are kept as base-2^32 limbs (see `_carry`).
     """
-    try:
-        idxs = [G.index_of(e) for e in seq.elements]
-    except NotInGroup as exc:
-        raise ElementNotInGroup(str(exc)) from exc
+    idxs = [G.index_of(e) for e in seq.elements]
     # intp step columns (numpy gathers through int32 indices on a slower path);
     # an inverse's column is its letter's column inverted, h*a -> h
     cols: dict[int, np.ndarray] = {}
@@ -441,7 +443,7 @@ def signed_sum_check(a_list, K: int | None = None) -> SignedSumResult:
     if n < 1:
         raise ValueError("need at least one term")
     if any(x == 0 for x in a):
-        raise NotNonTrivial("terms must be nonzero")
+        raise SignedWalkError("terms must be nonzero")
     maxabs = max(abs(x) for x in a)
     K = maxabs if K is None else int(K)
     if K < maxabs:
@@ -492,4 +494,6 @@ def sequence_from_spec(
     repeat = spec.get("repeat", 1)
     if not is_spec_int(repeat) or repeat < 1:
         raise ValueError("repeat must be >= 1")
-    return SignedSequence(tuple(elems) * repeat)
+    seq = SignedSequence(tuple(elems))  # the entries' own errors come first
+    check_walk_length(seq.n * repeat)  # before the repeated tuple is built
+    return SignedSequence(seq.elements * repeat)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedwalk.errors import NotNonTrivial
+from signedwalk.errors import SignedWalkError
 from signedwalk.walk import (
     central_binomial_bound,
     order_length_bound,
@@ -107,7 +107,7 @@ def test_signed_sum_two_terms():
 
 
 def test_signed_sum_rejects_zero():
-    with pytest.raises(NotNonTrivial):
+    with pytest.raises(SignedWalkError, match="terms must be nonzero"):
         signed_sum_check([1, 0, 2])
 
 

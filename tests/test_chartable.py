@@ -18,7 +18,7 @@ from signedwalk.chartable import (
     max_character_ratio,
 )
 from signedwalk.elements import PermutationElement
-from signedwalk.errors import ConsistencyFailure, NoSuitablePrime, TooManyClasses
+from signedwalk.errors import CapExceeded, ConsistencyFailure
 from signedwalk.groups import close_generators, conjugacy_classes, group_from_spec
 from signedwalk.irreps import REGULAR_SIZE_CAP, decompose_regular
 from signedwalk.modarith import inv_mod
@@ -83,7 +83,7 @@ def test_sl2_7_degree_squares():
 
 def test_class_count_cap(bench_groups, monkeypatch):
     monkeypatch.setattr(chartable, "MAX_CLASSES", 2)
-    with pytest.raises(TooManyClasses):
+    with pytest.raises(CapExceeded, match="classes exceeds cap 2"):
         dixon_character_table(bench_groups["s3"])
 
 
@@ -92,7 +92,7 @@ def test_prime_search_failure_names_the_real_floor(bench_groups, monkeypatch, ca
     # the first candidate, 7, is not below a search bound of 7
     monkeypatch.setattr(chartable, "_PRIME_SEARCH_BOUND", 7)
     message = "no prime = 1 (mod 6) above 4 below 7"
-    with pytest.raises(NoSuitablePrime) as exc:
+    with pytest.raises(CapExceeded) as exc:
         dixon_character_table(bench_groups["s3"])
     assert str(exc.value) == message
     spec = tmp_path / "s3.json"

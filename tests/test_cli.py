@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import signedwalk
-from signedwalk import chartable, elements, embed, groups, primes
+from signedwalk import chartable, cli, elements, embed, errors, groups, primes
 from signedwalk.cli import main
 from signedwalk.elements import MatrixElement, PermutationElement
 from signedwalk.groups import group_from_spec
@@ -403,6 +403,63 @@ def test_repeat_below_one_is_an_input_error_on_both_paths(specs, capsys, tmp_pat
         code, err = run_failing(capsys, *argv)
         assert code == 2
         assert err == "input error: repeat must be >= 1\n"
+
+
+@pytest.mark.parametrize("repeat", [2049, 2**62])
+def test_over_long_repeat_exits_3_before_the_sequence_is_built(specs, capsys, tmp_path, repeat):
+    # 2 entries repeated past MAX_WALK_LENGTH = 4096; 2^62 repeats would
+    # not fit in memory, so the length is checked before the tuple is built
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"elements": [[1, 0, 2], [0, 2, 1]], "repeat": repeat}))
+    for argv in (
+        ["rho", "--group", specs["s3"], "--seq", str(seq)],
+        ["mc", "--seq", str(seq)],
+    ):
+        code, err = run_failing(capsys, *argv)
+        assert code == 3
+        assert err == "resource cap: walk length capped at 4096\n"
+
+
+def test_repeat_up_to_the_walk_cap_runs(specs, capsys, tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"elements": [[1, 0, 2], [0, 2, 1]], "repeat": 2048}))
+    code, out = run(capsys, "rho", "--group", specs["s3"], "--seq", str(seq))
+    assert code == 0
+    assert json.loads(out)["rho"]["denom_exp"] == 4096
+
+
+def test_mc_index_entries_without_a_group_are_an_input_error(specs, capsys):
+    code, err = run_failing(capsys, "mc", "--seq", specs["seq"])
+    assert code == 2
+    assert err == "input error: index-based sequence entries need an enumerated group\n"
+
+
+# the exit code `main` gives each class that `errors` defines (a class added
+# there without an entry here fails the test below), and the builtin errors
+EXIT_CODES = {
+    "SignedWalkError": 2,
+    "CapExceeded": 3,
+    "NotInGroup": 2,
+    "NotInvertible": 2,
+    "ConsistencyFailure": 2,
+    "SplitFailure": 2,
+    "ValueError": 2,
+    "OSError": 2,
+}
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES + [ValueError, OSError], ids=lambda c: c.__name__)
+def test_the_exception_type_decides_the_exit_code(specs, capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("planted")
+
+    monkeypatch.setattr(cli, "_group", fail)
+    code, err = run_failing(capsys, "closure", "--group", specs["s3"])
+    assert code == EXIT_CODES[cls.__name__]
+    assert err == ("resource cap: planted\n" if code == 3 else "input error: planted\n")
 
 
 def test_matrix_order_cap_exits_3(specs, capsys, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from signedwalk.elements import (
     TableElement,
     same_family,
 )
-from signedwalk.errors import MixedVariants, NotInvertible
+from signedwalk.errors import NotInGroup, NotInvertible
 
 from conftest import (
     BENCH_NAMES,
@@ -135,9 +135,9 @@ def test_matrix_order_unipotent():
 def test_mixed_variants_rejected():
     a = MatrixElement.from_rows([[1, 1], [0, 1]], 5)
     b = MatrixElement.from_rows([[1, 1], [0, 1]], 7)
-    with pytest.raises(MixedVariants):
+    with pytest.raises(NotInGroup, match="matrix multiplication across different families"):
         a.mul(b)
-    with pytest.raises(MixedVariants):
+    with pytest.raises(NotInGroup, match="mixed element families"):
         same_family([a, b])
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from signedwalk import embed
 from signedwalk.embed import (
     RationalMatrix,
     bad_prime_set,
@@ -11,7 +12,7 @@ from signedwalk.embed import (
     rational_order,
     reduce_matrix_mod_p,
 )
-from signedwalk.errors import NotInvertible, NotNonTrivial
+from signedwalk.errors import CapExceeded, NotInvertible, SignedWalkError
 
 
 def test_rational_order_finite_cases():
@@ -58,7 +59,7 @@ def test_diag2_bad_primes_track_mersenne_factors():
 
 
 def test_identity_input_rejected():
-    with pytest.raises(NotNonTrivial):
+    with pytest.raises(SignedWalkError, match="matrix 0 is the identity"):
         bad_prime_set([RationalMatrix.identity(2)], 4)
 
 
@@ -134,3 +135,17 @@ def test_result_json_shape():
     assert payload["report"][0]["clause"] == "ii"
     assert payload["report"][0]["original_order"] is None
     assert "2" in payload["excluded_primes"]
+
+
+def test_inconclusive_order_is_treated_as_infinite(monkeypatch):
+    # the unipotent matrix needs more than one product to test A^12 = I, so a
+    # power budget of 1 leaves its order undecided; the exponents then run to
+    # n - 1, as for a known infinite order
+    unipotent = RationalMatrix.from_rows([[1, 1], [0, 1]])
+    conclusive = bad_prime_set([unipotent], 6)
+    monkeypatch.setattr(embed, "POWER_CAP", 1)
+    with pytest.raises(CapExceeded, match="power computation exceeded 1 multiplications"):
+        rational_order(unipotent)
+    report = bad_prime_set([unipotent], 6)
+    assert report.orders == conclusive.orders == [None]
+    assert report.primes == conclusive.primes and report.reasons == conclusive.reasons

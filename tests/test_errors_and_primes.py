@@ -5,12 +5,7 @@ import pytest
 
 from signedwalk import chartable, walk
 from signedwalk.chartable import dixon_character_table
-from signedwalk.errors import (
-    CapExceeded,
-    ImagTooLarge,
-    NonIntegralMultiplicity,
-    PrimeSearchExhausted,
-)
+from signedwalk.errors import CapExceeded, ConsistencyFailure
 from signedwalk.groups import group_from_spec
 from signedwalk.irreps import UnitaryIrrep, fourier_distribution
 from signedwalk.primes import factorize, is_prime, next_prime, next_prime_outside
@@ -40,7 +35,7 @@ def test_fourier_rejects_broken_representation_set(bench_groups, bench_irreps):
         character=bad.character * np.exp(0.7j),
     )
     seq = SignedSequence.constant(G.element(1), 3)
-    with pytest.raises(ImagTooLarge):
+    with pytest.raises(ConsistencyFailure, match="imaginary residue"):
         fourier_distribution(G, irreps, seq)
 
 
@@ -50,7 +45,7 @@ def test_non_integral_multiplicity_detected(bench_groups, monkeypatch):
     # multiplicities of any representation, and the lift must refuse them
     monkeypatch.setattr(chartable, "element_of_order", lambda order, ell: 1)
     for name in ("s3", "s4", "q8", "sl2_3", "sl2_5"):
-        with pytest.raises(NonIntegralMultiplicity):
+        with pytest.raises(ConsistencyFailure, match="lifted multiplicities do not sum"):
             dixon_character_table(bench_groups[name])
 
 
@@ -64,7 +59,7 @@ def test_is_prime_and_next_prime():
 def test_next_prime_outside_checks_the_bound_only_after_a_skip():
     # the first prime from a start past the bound is still returned when admissible
     assert next_prime_outside(10**9 + 8, set()) == 10**9 + 9
-    with pytest.raises(PrimeSearchExhausted):
+    with pytest.raises(CapExceeded, match="no admissible prime below"):
         next_prime_outside(999_999_937, {999_999_937})  # the next prime is 10^9 + 7
 
 

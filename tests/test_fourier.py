@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from signedwalk.elements import PermutationElement
-from signedwalk.errors import IncompleteIrreps
+from signedwalk.errors import ConsistencyFailure
 from signedwalk.groups import close_generators
 from signedwalk.irreps import fourier_distribution
 from signedwalk.walk import SignedSequence, exact_distribution
@@ -56,5 +56,5 @@ def test_matches_exact_distribution_everywhere(bench_groups, bench_irreps):
 def test_incomplete_irreps_rejected(bench_groups, bench_irreps):
     G = bench_groups["s3"]
     seq = SignedSequence.constant(G.element(1), 2)
-    with pytest.raises(IncompleteIrreps):
+    with pytest.raises(ConsistencyFailure, match="squared dimensions do not sum"):
         fourier_distribution(G, bench_irreps["s3"][:2], seq)

@@ -10,7 +10,7 @@ import pytest
 import signedwalk
 from signedwalk import irreps as irreps_module
 from signedwalk.chartable import dixon_character_table
-from signedwalk.errors import SizeCap, SplitFailure
+from signedwalk.errors import CapExceeded, SplitFailure
 from signedwalk.groups import group_from_spec
 from signedwalk.irreps import _halves, _spread, _tabulate, decompose_regular
 
@@ -290,5 +290,5 @@ def test_size_cap():
     irreps = decompose_regular(G)
     assert len(irreps) == 13 and sum(r.dim**2 for r in irreps) == 720
     big = group_from_spec(sl2(17))  # order 4896 > cap
-    with pytest.raises(SizeCap):
+    with pytest.raises(CapExceeded, match="exceeds the explicit-representation cap"):
         decompose_regular(big)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedwalk import chartable
+from signedwalk.errors import CapExceeded
 from signedwalk.modarith import (
     _row_reduce,
     charpoly_mod,
     element_of_order,
     inv_mod,
+    matmul_mod,
     nullspace_mod,
     poly_divmod,
     poly_gcd,
@@ -311,3 +313,26 @@ def test_element_of_order():
 
 def test_inv_mod():
     assert inv_mod(7, 151) * 7 % 151 == 1
+
+
+def test_matmul_mod_object_fallback_matches_python_ints():
+    # at ell = 2^31 - 1 a length-4 dot product can reach 4 (ell - 1)^2 > 2^63,
+    # so the product is taken in object arithmetic
+    ell = 2**31 - 1
+    rng = np.random.default_rng(5)
+    for a in (rng.integers(0, ell, size=(3, 4)), np.full((3, 4), ell - 1)):
+        b = rng.integers(0, ell, size=(4, 2))
+        got = matmul_mod(a, b, ell)
+        want = [
+            [sum(int(a[i, k]) * int(b[k, j]) for k in range(4)) % ell for j in range(2)]
+            for i in range(3)
+        ]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_poly_pow_mod_refuses_a_modulus_past_int64():
+    # ell^2 * len(mod) >= 2^63: the folded products would overflow int64
+    ell = 2**31 - 1
+    mod = np.array([1, 0, 1], dtype=np.int64)
+    with pytest.raises(CapExceeded, match="modulus too large for int64 convolution"):
+        poly_pow_mod(np.array([0, 1], dtype=np.int64), 5, mod, ell)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedwalk.errors import NotUnitary
+from signedwalk import spectral
+from signedwalk.errors import CapExceeded, ConsistencyFailure
 from signedwalk.spectral import (
     cascade_diagnostics,
     cos_spectrum,
@@ -16,6 +17,8 @@ from signedwalk.spectral import (
     trig_inequality_scan,
 )
 from signedwalk.elements import MatrixElement
+from signedwalk.groups import group_from_spec
+from signedwalk.irreps import UnitaryIrrep
 from signedwalk.walk import SignedSequence
 
 from conftest import random_sequence
@@ -124,7 +127,7 @@ def test_cos_spectrum_random_unitaries():
 
 
 def test_cos_spectrum_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ConsistencyFailure, match="input fails the unitarity tolerance"):
         cos_spectrum(np.diag([2.0, 1.0]))
 
 
@@ -146,6 +149,46 @@ def test_cascade_vacuous_when_l0_exceeds_dim(bench_groups, bench_irreps):
     assert diag.l0 == math.ceil(120 * 4 / 2)
     assert diag.l0 > diag.dim
     assert diag.cascade_predictions == []
+
+
+def test_cascade_predictions_fill_the_csv_past_l0():
+    # <diag(a, 1/a), quarter turn> mod 241 has order 480 (a = 7, a primitive
+    # root).  Its elements are monomial, so replacing each entry a^k by
+    # exp(2 pi i k / 240) is a unitary representation, irreducible of
+    # dimension 2.  Letters of order 240 give l0 = ceil(120 * 2 / 240) = 1 < 2.
+    p, a = 241, 7
+    torus = [[a, 0], [0, pow(a, -1, p)]]
+    G = group_from_spec(
+        {"kind": "matrix_mod_p", "p": p, "m": 2, "generators": [torus, [[0, p - 1], [1, 0]]]}
+    )
+    assert G.order == 480
+    log = {pow(a, k, p): k for k in range(p - 1)}
+    lift = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
+    mats = np.array(
+        [
+            [[lift[log[x]] if x else 0 for x in row] for row in G.element(i).rows()]
+            for i in range(G.order)
+        ]
+    )
+    for g in G.generator_indices:  # a homomorphism: rep(h g) = rep(h) rep(g)
+        assert np.allclose(mats[G.mul_many(np.arange(G.order), g)], mats @ mats[g])
+    rep = UnitaryIrrep(dim=2, matrices=mats, character=np.trace(mats, axis1=1, axis2=2))
+    n = 5
+    seq = SignedSequence.constant(MatrixElement.from_rows(torus, p), n)
+    diag = cascade_diagnostics(p, 2, G, rep, seq, 0)
+    assert diag.s == 240 and diag.l0 == 1 < diag.dim
+    # every B_i is cos(2 pi / 240) I, so both singular values are its n-th power
+    sv = f"{math.cos(2 * math.pi / 240) ** n:.6e}"
+    assert [row[:3] for row in diag.csv_rows()] == [
+        (1, sv, ""),
+        (2, sv, f"{math.exp(-n * 4 / (422.0 * 4)):.6e}"),
+    ]
+
+
+def test_singular_values_size_cap_is_a_resource_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "SVD_SIZE_CAP", 2)
+    with pytest.raises(CapExceeded, match="size 3 exceeds cap 2"):
+        singular_values(np.eye(3))
 
 
 def test_prefix_product_inequality_random(bench_groups, bench_irreps):
