@@ -39,8 +39,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import group_specs  # noqa: E402  (tests/group_specs.py)
 import inputs  # noqa: E402  (perfbench/inputs.py)
-from signedwalk.elements import MatrixElement  # noqa: E402
 from signedwalk.errors import NotInvertible  # noqa: E402
+from signedwalk.groups import matrix_from_rows  # noqa: E402
 
 BENCH_SEED = 11
 C12_CYCLE = [(i + 1) % 12 for i in range(12)]
@@ -54,7 +54,7 @@ def _random_invertible(rng: np.random.Generator, p: int, m: int) -> list[list[in
     while True:
         rows = rng.integers(0, p, size=(m, m)).tolist()
         try:
-            MatrixElement.from_rows(rows, p)
+            matrix_from_rows(rows, p)
         except NotInvertible:
             continue
         return rows

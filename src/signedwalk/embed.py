@@ -19,12 +19,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import MatrixElement, is_square
+from .elements import Element, is_square
 from .errors import CapExceeded, ConsistencyFailure, NotInvertible, SignedWalkError
-from .primes import factorize, next_prime_outside
+from .groups import RowArith, matrix_from_rows
+from .primes import (
+    FACTOR_CAP,  # Pollard-rho steps one bad-prime search may take
+    Budget,
+    factor_budget,
+    factorize,
+    next_prime_outside,
+    orders_dividing,
+)
 
 POWER_CAP = 10**6  # matrix products one order computation may take
-FACTOR_CAP = 5 * 10**6  # Pollard-rho steps one bad-prime search may take
 
 
 @dataclass(frozen=True)
@@ -91,18 +98,6 @@ class RationalMatrix:
         )
 
 
-class _Budget:
-    """`cap` units of work; the unit past it raises `error`."""
-
-    def __init__(self, cap: int, error: SignedWalkError) -> None:
-        self.left, self.error = cap, error
-
-    def spend(self, units: int = 1) -> None:
-        self.left -= units
-        if self.left < 0:
-            raise self.error
-
-
 def _finite_order_exponent(m: int) -> int:
     """lcm of all candidate finite orders of an m x m rational matrix.
 
@@ -119,7 +114,7 @@ def _finite_order_exponent(m: int) -> int:
     return L
 
 
-def _mat_pow(A: RationalMatrix, e: int, budget: _Budget) -> RationalMatrix:
+def _mat_pow(A: RationalMatrix, e: int, budget: Budget) -> RationalMatrix:
     acc = RationalMatrix.identity(A.m)
     base = A
     while e:
@@ -134,19 +129,15 @@ def _mat_pow(A: RationalMatrix, e: int, budget: _Budget) -> RationalMatrix:
 
 
 def rational_order(A: RationalMatrix) -> int | None:
-    """Exact order of A over Q, or None when the order is infinite.  Raises
-    CapExceeded after POWER_CAP matrix products."""
-    budget = _Budget(
+    """Exact order of A over Q, or None when the order is infinite: the primes
+    of L = `_finite_order_exponent` divided out of L while the power stays I,
+    the walk `RowArith.orders` takes on matrices mod p.  Raises CapExceeded
+    after POWER_CAP matrix products."""
+    budget = Budget(
         POWER_CAP, CapExceeded(f"power computation exceeded {POWER_CAP} multiplications")
     )
-    L = _finite_order_exponent(A.m)
-    if not _mat_pow(A, L, budget).is_identity():
-        return None
-    divisors = sorted(d for d in range(1, L + 1) if L % d == 0)
-    for d in divisors:
-        if _mat_pow(A, d, budget).is_identity():
-            return d
-    raise AssertionError("unreachable: A^L = I implies some divisor works")
+    factors = factorize(_finite_order_exponent(A.m))
+    return orders_dividing(factors, 1, lambda ks: [_mat_pow(A, ks[0], budget).is_identity()])[0]
 
 
 @dataclass
@@ -165,15 +156,15 @@ def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
 
     For inputs of finite order k the exponent range runs to k - 1 (so the
     image order cannot collapse to a proper divisor); for infinite order it
-    runs to n - 1.  Raises CapExceeded once the factorizations would take more
-    than FACTOR_CAP Pollard-rho steps.
+    runs to n - 1.  An order `rational_order` leaves undecided runs to n - 1
+    too, unless a power A^j = I (j < n) turns up first: j is then the order.
+    Raises CapExceeded once the factorizations would take more than FACTOR_CAP
+    Pollard-rho steps.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     report = BadPrimeReport(primes=set(), reasons={}, orders=[])
-    rho_budget = _Budget(
-        FACTOR_CAP, CapExceeded(f"factoring exceeded {FACTOR_CAP} Pollard-rho steps")
-    )
+    rho_budget = factor_budget(FACTOR_CAP)
     for i, A in enumerate(matrices):
         if A.is_identity():
             raise SignedWalkError(f"matrix {i} is the identity")
@@ -194,8 +185,9 @@ def bad_prime_set(matrices: list[RationalMatrix], n: int) -> BadPrimeReport:
             if j > 1:
                 power = power.mul(A)
             dev = _identity_deviation(power)
-            if dev == 0:
-                raise AssertionError("zero deviation below the detected order")
+            if dev == 0:  # only after an undecided order: A^j = I, so j is the order
+                report.orders[-1] = j
+                break
             for q in factorize(dev.numerator, rho_budget.spend):
                 report.add(q, f"deviation of matrix {i} at exponent {j}")
     return report
@@ -223,14 +215,17 @@ class EmbeddingEntry:
 @dataclass
 class EmbeddingResult:
     prime: int
-    images: list[MatrixElement]
+    images: list[Element]
     entries: list[EmbeddingEntry]
     excluded: dict[int, list[str]]
 
     def to_json(self) -> dict:
+        m = self.images[0].family[2]
         return {
             "prime": self.prime,
-            "images": [g.rows() for g in self.images],
+            "images": [
+                [list(g.values[i : i + m]) for i in range(0, m * m, m)] for g in self.images
+            ],
             "report": [
                 {
                     "original_order": e.original_order,
@@ -245,11 +240,11 @@ class EmbeddingResult:
         }
 
 
-def reduce_matrix_mod_p(A: RationalMatrix, p: int) -> MatrixElement:
+def reduce_matrix_mod_p(A: RationalMatrix, p: int) -> Element:
     rows = [
         [e.numerator * pow(e.denominator, -1, p) % p for e in row] for row in A.rows()
     ]
-    return MatrixElement.from_rows(rows, p)
+    return matrix_from_rows(rows, p)
 
 
 def embed_mod_p(
@@ -274,9 +269,9 @@ def embed_mod_p(
     p = next_prime_outside(p_min, report.primes)
 
     images = [reduce_matrix_mod_p(A, p) for A in matrices]
+    arith = RowArith(images[0])
     entries = []
-    for A, img, order in zip(matrices, images, report.orders):
-        image_order = img.order()
+    for order, image_order in zip(report.orders, arith.orders(arith.rows(images))):
         if order is not None:
             if image_order != order:
                 raise ConsistencyFailure(

@@ -2,12 +2,22 @@
 
 Every element is one row of small non-negative ints: a permutation's images, a
 table element's index, or an m x m matrix's m row codes (row i of the matrix
-read base p, in [0, p^m)).  A `RowArith` holds all that depends on the family:
-the product of aligned rows (matmul mod p, `take_along_axis`, or a table
-lookup), the product by fixed right factors (`right_mul`: a row code times a
-fixed matrix is a row code, so one gather through a p^m-entry table per
-factor), the byte encoder behind `encode()`, and a sortable key per row in
-`encode()` order.  Rows are row codes only for p^m <= ROW_TABLE_BOUND = 2^20
+read base p, in [0, p^m)).  A `RowArith` holds all that depends on the family,
+so this is the one module that decides how elements multiply: the product of
+aligned rows (matmul mod p, `take_along_axis`, or a table lookup), the product
+by fixed right factors (`right_mul`: a row code times a fixed matrix is a row
+code, so one gather through a p^m-entry table per factor), inverses (a
+Gauss-Jordan elimination mod p over a stack of matrices, an argsort of images,
+or the table's inverse column), identity tests, orders, the byte encoding of
+each row, and a sortable key per row in encoding order.  A matrix order comes
+from the exponent E = lcm(p^k - 1, k <= m) * p^e of GL_m(p), p^e >= m, whose
+factors are divided out of E while the power stays the identity, so it costs
+a few dozen batched powers, not one product per unit of the order; a
+permutation order is the lcm of its cycle lengths, a table order a walk along
+the element's own column.  The validating constructors (`matrix_element`,
+`matrix_from_rows`, `permutation`, `table_element`) live here too: a matrix is
+refused when its products would overflow int64 and then when it is singular.
+Rows are row codes only for p^m <= ROW_TABLE_BOUND = 2^20
 (above it a row is the m*m entries).  The k * p^m table entries of k factors
 are built only when they fit that bound (4 MB) and the caller will ask for at
 least as many row products, since a table entry costs about a tenth of one
@@ -57,22 +67,15 @@ by its multiplier, one BFS layer of rows per gather).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .elements import (
-    GroupElement,
-    MatrixElement,
-    MulTable,
-    PermutationElement,
-    TableElement,
-    _byte_width,
-    is_square,
-    same_family,
-)
-from .errors import CapExceeded, NotInGroup
-from .primes import is_prime
+from . import primes
+from .elements import Element, MulTable, _byte_width, is_square, same_family
+from .errors import CapExceeded, ConsistencyFailure, NotInGroup, NotInvertible
 
 DEFAULT_CLOSURE_CAP = 4_000_000
 ROW_TABLE_BOUND = 2**20  # most row codes p^m, and most entries of one product table
@@ -84,15 +87,16 @@ ROW_TABLE_BOUND = 2**20  # most row codes p^m, and most entries of one product t
 
 
 class RowArith:
-    """Rows, products, encodings and sort keys for the family of `template`;
-    matrix rows are row codes while p^m <= ROW_TABLE_BOUND (module docstring)."""
+    """Rows, products, inverses, identity tests, orders, encodings and sort keys
+    for the family of `template`; matrix rows are row codes while p^m <=
+    ROW_TABLE_BOUND (module docstring)."""
 
-    def __init__(self, template: GroupElement) -> None:
+    def __init__(self, template: Element) -> None:
         self.family = template.family
         self.p = self.m = self.degree = self.table = None
         self._digits = None  # p^(m-1), ..., p, 1 when matrix rows are row codes
-        if isinstance(template, MatrixElement):
-            p, m = template.p, template.m
+        if self.family[0] == "matrix":
+            _, p, m = self.family
             if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
                 raise CapExceeded(f"products of {m}x{m} matrices mod p={p} overflow int64")
             self.variant, self.p, self.m = "matrix_mod_p", p, m
@@ -100,15 +104,15 @@ class RowArith:
             if p**m <= ROW_TABLE_BOUND:
                 self._digits = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
                 base, width = p**m, m
-            ident = MatrixElement.identity(p, m)
-        elif isinstance(template, PermutationElement):
-            self.variant, self.degree = "permutation", template.degree
-            base = width = entries = template.degree
-            top, ident = base - 1, PermutationElement.identity(base)
+            ident = np.eye(m, dtype=np.int64)
+        elif self.family[0] == "perm":
+            self.variant, self.degree = "permutation", self.family[1]
+            base = width = entries = self.degree
+            top, ident = base - 1, np.arange(base)
         else:
             self.variant, self.table = "table", template.table
-            base, width, entries, top = template.table.size, 1, 1, 2**32 - 1  # 4-byte index
-            ident = TableElement(template.table, template.table.identity_index)
+            base, width, entries, top = self.table.size, 1, 1, 2**32 - 1  # 4-byte index
+            ident = np.array([self.table.identity_index])
         byte_width = _byte_width(top)
         self.entry_count = entries  # matrix entries, images or 1 per element
         self.row_bytes = entries * byte_width
@@ -120,19 +124,15 @@ class RowArith:
         if base**width < 2**63:
             self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
             self.key_dtype = np.dtype(np.int64)
-        self.identity = self.rows([ident])
+        self.identity = self._from_entries(ident.reshape(1, entries).astype(np.int64))
 
     def rows(self, elements) -> np.ndarray:
         """(len, width) int64 rows of elements of this family."""
-        out = []
-        for g in elements:
-            if g.family != self.family:
-                raise NotInGroup("element family does not match group")
-            if self.variant == "table":
-                out.append((g.index,))
-            else:
-                out.append(g.entries if self.variant == "matrix_mod_p" else g.images)
-        return self._from_entries(np.array(out, dtype=np.int64).reshape(len(out), -1))
+        elements = list(elements)
+        if any(g.family != self.family for g in elements):
+            raise NotInGroup("element family does not match group")
+        values = np.array([g.values for g in elements], dtype=np.int64)
+        return self._from_entries(values.reshape(len(elements), self.entry_count))
 
     def entries(self, rows: np.ndarray) -> np.ndarray:
         """(len, entries) int64: the matrix entries, images or index of each row."""
@@ -152,13 +152,8 @@ class RowArith:
             return entries
         return entries.reshape(len(entries), self.m, self.m) @ self._digits
 
-    def element(self, row: np.ndarray) -> GroupElement:
-        vals = tuple(self.entries(row[None])[0].tolist())
-        if self.variant == "matrix_mod_p":
-            return MatrixElement(self.p, self.m, vals)
-        if self.variant == "permutation":
-            return PermutationElement(vals)
-        return TableElement(self.table, vals[0])
+    def element(self, row: np.ndarray) -> Element:
+        return Element(self.family, tuple(self.entries(row[None])[0].tolist()), self.table)
 
     def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Rows of left[i] * right[i]; a one-row side broadcasts against the other."""
@@ -174,6 +169,83 @@ class RowArith:
         if self.variant == "permutation":  # (l * r)(x) = l(r(x))
             return np.take_along_axis(left, right, axis=1)
         return self.table.products[left, right]
+
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of the inverses: the argsort of the images, the table's inverse
+        column, or a Gauss-Jordan elimination mod p over the whole stack of
+        matrices (NotInvertible when one of them is singular)."""
+        if self.variant == "permutation":
+            return np.argsort(rows, axis=1)
+        if self.variant == "table":
+            return self.table.inverse[rows]
+        p, m, n = self.p, self.m, len(rows)
+        aug = np.zeros((n, m, 2 * m), dtype=np.int64)  # [A | I]; entries stay below p
+        aug[:, :, :m] = self.entries(rows).reshape(n, m, m)
+        aug[:, :, m:] = np.eye(m, dtype=np.int64)
+        at = np.arange(n)
+        for col in range(m):
+            pivot = col + np.argmax(aug[:, col:, col] != 0, axis=1)
+            row = aug[at, pivot]  # a copy: row col moves to the pivot's place
+            lead = row[:, col].tolist()
+            if 0 in lead:
+                raise NotInvertible("matrix is singular mod p")
+            aug[at, pivot] = aug[:, col]
+            row = row * np.array([pow(x, -1, p) for x in lead], dtype=np.int64)[:, None] % p
+            aug -= aug[:, :, col, None] * row[:, None]
+            aug %= p
+            aug[:, col] = row
+        return self._from_entries(aug[:, :, m:].reshape(n, m * m))
+
+    def is_identity(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row is the identity."""
+        return np.all(rows == self.identity, axis=1)
+
+    def _power(self, rows: np.ndarray, exps: list[int]) -> np.ndarray:
+        """Rows of rows[i] ** exps[i] (Python ints >= 0), by binary powering on entries."""
+        base = self.entries(rows)
+        acc = self.entries(np.repeat(self.identity, len(rows), axis=0))
+        for b in range(max(exps).bit_length()):
+            bit = np.array([e >> b & 1 for e in exps], dtype=bool)
+            acc[bit] = self._compose_entries(acc[bit], base[bit])
+            base = self._compose_entries(base, base)
+        return self._from_entries(acc)
+
+    @cached_property
+    def _exponent(self) -> dict[int, int]:
+        """E = lcm(p^k - 1, k <= m) * p^e, p^e the least power >= m, factored: a
+        multiple of every order in GL_m(p), as the semisimple part of g has order
+        dividing some p^k - 1 and the unipotent part u has (u - 1)^m = 0.
+        CapExceeded once the factoring takes more than FACTOR_CAP Pollard-rho steps."""
+        p, m = self.p, self.m
+        budget = primes.factor_budget(primes.FACTOR_CAP)
+        e = next(e for e in range(m) if p**e >= m)  # 2^(m-1) >= m: range(m) holds it
+        out = {p: e} if e else {}
+        for k in range(1, m + 1):
+            for q, a in primes.factorize(p**k - 1, budget.spend).items():
+                out[q] = max(out.get(q, 0), a)
+        return out
+
+    def orders(self, rows: np.ndarray) -> list[int]:
+        """Order of each row: for matrices, E (`_exponent`) with each prime divided
+        out while the power stays the identity; for permutations, the lcm of the
+        cycle lengths; for table elements, a walk along each one's own column."""
+        if self.variant == "matrix_mod_p":
+
+            def is_one(ks: list[int]) -> list[bool]:
+                return self.is_identity(self._power(rows, ks)).tolist()
+
+            out = primes.orders_dividing(self._exponent, len(rows), is_one)
+            if None in out:
+                raise ConsistencyFailure("an element order does not divide the exponent of GL_m(p)")
+            return out
+        if self.variant == "permutation":
+            return _cycle_lcms(rows)
+        index, ident = rows[:, 0], self.table.identity_index
+        out, cur, k = np.zeros(len(rows), dtype=np.int64), index, 1
+        while not out.all():  # at most the table's size steps
+            out[(out == 0) & (cur == ident)] = k
+            cur, k = self.table.products[cur, index], k + 1
+        return out.tolist()
 
     def tables_fit(self, factors: int, work: int) -> bool:
         """Whether `right_mul` of `factors` right factors, asked for `work` row
@@ -224,13 +296,14 @@ class RowArith:
         return gathered
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        """(len, row_bytes) uint8: each row's `encode()` bytes, entries big-endian."""
+        """(len, row_bytes) uint8: each row's encoding, its entries big-endian in
+        the bytes of the family's largest entry (a table index in 4 bytes)."""
         entries = self.entries(rows)
         data = (entries[:, :, None] >> self._shifts) & 0xFF
         return data.astype(np.uint8).reshape(len(rows), self.row_bytes)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sortable keys in `encode()` order, of dtype `key_dtype`: the int64
+        """Sortable keys in `encode` order, of dtype `key_dtype`: the int64
         base-`base` code of the row where it fits, else the `np.void` view of its
         big-endian values."""
         if self._powers is None:
@@ -242,6 +315,22 @@ class RowArith:
         if self._powers is None:
             return keys.view(self._key_dtype).reshape(len(keys), self._width).astype(np.int64)
         return keys[:, None] // self._powers % self._base
+
+
+def _cycle_lcms(images: np.ndarray) -> list[int]:
+    """The lcm of the cycle lengths of each row of images: pointer doubling
+    labels every point with the least point of its cycle, and a cycle's length
+    is the count of its label."""
+    n, d = images.shape
+    step = (images + d * np.arange(n)[:, None]).ravel()
+    low = np.arange(n * d)
+    for _ in range((d - 1).bit_length()):
+        low, step = np.minimum(low, low[step]), step[step]
+    heads = np.flatnonzero(low == np.arange(n * d))
+    out = [1] * n
+    for r, length in zip((heads // d).tolist(), np.bincount(low)[heads].tolist()):
+        out[r] = math.lcm(out[r], length)
+    return out
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,16 +453,16 @@ class FiniteGroup:
     def _decode(self, idxs) -> np.ndarray:
         return self._arith.decode(self._keys[np.reshape(idxs, -1)])
 
-    def element(self, i: int) -> GroupElement:
+    def element(self, i: int) -> Element:
         if not (0 <= i < self.order):
             raise NotInGroup(f"index {i} out of range")
         return self._arith.element(self._decode(i)[0])
 
-    def index_of(self, g: GroupElement) -> int:
+    def index_of(self, g: Element) -> int:
         return int(self._lookup(self._arith.keys(self._arith.rows([g])))[0])
 
     def hex_encodings(self, idxs) -> list[str]:
-        """`element(i).encode().hex()` for every i in idxs, without building elements."""
+        """The hex encoding (`RowArith.encode`) of every element i in idxs."""
         data = self._arith.encode(self._decode(np.asarray(idxs, dtype=np.int64))).tobytes().hex()
         k = 2 * self._arith.row_bytes
         return [data[i : i + k] for i in range(0, len(data), k)]
@@ -479,7 +568,7 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     same_family(gens)
     arith = RowArith(gens[0])
     gen_rows = arith.rows(gens)
-    both = np.concatenate([gen_rows, arith.rows([g.inv() for g in gens])])
+    both = np.concatenate([gen_rows, arith.inverse(gen_rows)])
     mults = both[np.sort(np.unique(arith.keys(both), return_index=True)[1])]
 
     # Layer k holds indices [start, start + F).  Layer 0 stands in for its own
@@ -525,12 +614,13 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def element_order(G: FiniteGroup, g: GroupElement | int) -> int:
+def element_order(G: FiniteGroup, g: Element | int) -> int:
     """Smallest k >= 1 with g^k = identity, for an index or a member of G."""
     if isinstance(g, int):
-        return G.element(g).order()
-    G.index_of(g)  # NotInGroup unless g is a member
-    return g.order()
+        g = G.element(g)
+    else:
+        G.index_of(g)  # NotInGroup unless g is a member
+    return G._arith.orders(G._arith.rows([g]))[0]
 
 
 @dataclass(frozen=True)
@@ -611,33 +701,71 @@ def spec_field(spec, key: str, of_type: type | None = None):
 def spec_prime(spec) -> int:
     """The modulus "p" of a matrix_mod_p spec; ValueError unless it is a prime."""
     p = spec_field(spec, "p", int)
-    if not is_prime(p):
+    if not primes.is_prime(p):
         raise ValueError(f"spec 'p' must be a prime, not {p}")
     return p
 
 
+def matrix_element(p: int, m: int, entries) -> Element:
+    """The m x m matrix mod p with these row-major entries.  ValueError for a bad
+    size or an entry outside [0, p), CapExceeded when its products would
+    overflow int64 (checked before invertibility), NotInvertible when it is
+    singular mod p."""
+    entries = tuple(entries)
+    if p < 2 or m < 1:
+        raise ValueError("need p >= 2 and m >= 1")
+    if len(entries) != m * m:
+        raise ValueError("entry count does not match matrix size")
+    if any(not (0 <= e < p) for e in entries):
+        raise ValueError("entries must be residues in [0, p)")
+    g = Element(("matrix", p, m), entries)
+    arith = RowArith(g)
+    arith.inverse(arith.rows([g]))
+    return g
+
+
+def matrix_from_rows(rows, p: int) -> Element:
+    """`matrix_element` of a square list of int rows, each entry reduced mod p."""
+    return matrix_element(p, len(rows), (int(x) % p for row in rows for x in row))
+
+
+def permutation(images) -> Element:
+    """The permutation x -> images[x] of {0, ..., degree-1}."""
+    images = tuple(images)
+    if not images or sorted(images) != list(range(len(images))):
+        raise ValueError("images must be a bijection on {0,...,degree-1}")
+    return Element(("perm", len(images)), images)
+
+
+def table_element(table: MulTable, index: int) -> Element:
+    """Element `index` of the multiplication table."""
+    if not (0 <= index < table.size):
+        raise ValueError("index outside table")
+    return Element(("table", id(table)), (index,), table)
+
+
 def element_from_entry(
     kind: str, entry, p: int | None = None, table: MulTable | None = None
-) -> GroupElement:
+) -> Element:
     """One inline element of a group-spec kind: a square list of int lists
     reduced mod p (matrix_mod_p), a list of ints (permutation images) or one int
     (table index).  ValueError when the entry does not have that shape."""
     if kind == "matrix_mod_p":
         if not is_square(entry):
             raise ValueError("a matrix_mod_p entry must be a square list of int lists")
-        return MatrixElement.from_rows(entry, p)
+        return matrix_from_rows(entry, p)
     if kind == "permutation":
         if not (isinstance(entry, (list, tuple)) and all(map(is_spec_int, entry))):
             raise ValueError("a permutation entry must be a list of ints")
-        return PermutationElement(tuple(entry))
+        return permutation(entry)
     if kind == "table":
         if not is_spec_int(entry):
             raise ValueError("a table entry must be one int")
-        return TableElement(table, entry)
+        return table_element(table, entry)
     raise ValueError(f"unknown group kind: {kind!r}")
 
 
-def generators_from_spec(spec: dict) -> list[GroupElement]:
+def generators_from_spec(spec: dict) -> list[Element]:
     """Parse a group-spec dict into a generator list."""
     kind = spec_field(spec, "kind")
     p = table = None
@@ -651,13 +779,13 @@ def generators_from_spec(spec: dict) -> list[GroupElement]:
         if not is_spec_int(size) or size != table.size:
             raise ValueError("table size mismatch")
         if spec.get("generators") is None:
-            return [TableElement(table, i) for i in range(table.size)]
+            return [table_element(table, i) for i in range(table.size)]
     else:
         raise ValueError(f"unknown group kind: {kind!r}")
     gens = [element_from_entry(kind, e, p, table) for e in spec_field(spec, "generators", list)]
-    if kind == "matrix_mod_p" and any(g.m != m for g in gens):
+    if kind == "matrix_mod_p" and any(g.family != ("matrix", p, m) for g in gens):
         raise ValueError("generator size does not match 'm'")
-    if kind == "permutation" and any(g.degree != degree for g in gens):
+    if kind == "permutation" and any(g.family != ("perm", degree) for g in gens):
         raise ValueError("generator degree does not match 'degree'")
     return gens
 
@@ -666,6 +794,6 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     return close_generators(generators_from_spec(spec), cap=cap)
 
 
-def element_from_spec(G: FiniteGroup, data) -> GroupElement:
+def element_from_spec(G: FiniteGroup, data) -> Element:
     """Inline element spec of G's kind: matrix rows, permutation image list, or table index."""
     return element_from_entry(G.variant, data, G.p, G._arith.table)

@@ -1,7 +1,9 @@
-"""Primality testing, factorization, and prime search (pure integer arithmetic).
+"""Primality testing, factorization, prime search and orders from a factored
+exponent (pure integer arithmetic).
 
 Deterministic Miller-Rabin with the standard 64-bit base set, plus Brent-cycle
-Pollard rho for the composite cofactors that survive trial division.
+Pollard rho for the composite cofactors that survive trial division; a
+`Budget` of FACTOR_CAP steps stops a search that runs too long.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .errors import CapExceeded, ConsistencyFailure
+from .errors import CapExceeded, ConsistencyFailure, SignedWalkError
 
 # Witnesses proving primality for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -17,6 +19,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIME_BOUND = 1000
 _TRIAL_DIVISION_BOUND = 10**6  # trial divisors up to here, then Pollard rho
 PRIME_SEARCH_BOUND = 10**9  # largest prime `next_prime_outside` skips to
+FACTOR_CAP = 5 * 10**6  # Pollard-rho steps one budgeted factoring may take
 _small_primes: list[int] = []
 
 
@@ -68,6 +71,23 @@ def next_prime(n: int) -> int:
     while not is_prime(c):
         c += 1
     return c
+
+
+class Budget:
+    """`cap` units of work; the unit past it raises `error`."""
+
+    def __init__(self, cap: int, error: SignedWalkError) -> None:
+        self.left, self.error = cap, error
+
+    def spend(self, units: int = 1) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise self.error
+
+
+def factor_budget(cap: int) -> Budget:
+    """A budget of `cap` Pollard-rho steps for `factorize`'s `spend`."""
+    return Budget(cap, CapExceeded(f"factoring exceeded {cap} Pollard-rho steps"))
 
 
 def _pollard_rho(n: int, spend: Callable[[int], None]) -> int:
@@ -147,3 +167,25 @@ def next_prime_outside(start: int, excluded: set[int]) -> int:
         if p > PRIME_SEARCH_BOUND:
             raise CapExceeded(f"no admissible prime below {PRIME_SEARCH_BOUND}")
     return p
+
+
+def orders_dividing(
+    factors: dict[int, int], count: int, is_one: Callable[[list[int]], list[bool]]
+) -> list[int | None]:
+    """Orders of `count` group elements from E = prod q^a over `factors`:
+    None where g^E is not the identity, else, from k = E, each prime q is divided
+    out of k while g^(k/q) stays the identity.  `is_one(ks)` says, for each
+    element i, whether g_i^ks[i] is the identity (ks[i] = 0 for elements that
+    need no answer); it is called once for E and at most a + 1 times per q."""
+    E = math.prod(q**a for q, a in factors.items())
+    ks = [E if one else None for one in is_one([E] * count)]
+    for q in factors:
+        live = [k is not None for k in ks]
+        while True:
+            live = [alive and k % q == 0 for alive, k in zip(live, ks)]
+            if not any(live):
+                break
+            trial = [k // q if alive else 0 for alive, k in zip(live, ks)]
+            live = [alive and one for alive, one in zip(live, is_one(trial))]
+            ks = [t if alive else k for alive, t, k in zip(live, trial, ks)]
+    return ks

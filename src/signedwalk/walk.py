@@ -7,15 +7,18 @@ vectorized carry pass every 30 steps keeps each limb below 2^32 + 2^31, so no
 limb overflows.  A law that is read is normalized to limbs below 2^32, and its
 rho and support come from the limbs in numpy; only counts that are read become
 exact Python ints.  A constant walk needs no group: its law is the binomial law
-folded onto <A> = Z/s, s the order of A (`constant_walk_counts`).  The Monte-Carlo
+folded onto <A> = Z/s, s the order of A (`constant_walk_counts`).  Element
+orders, inverses and the identity test of a sequence's entries are batched
+`RowArith` row operations; a matrix order comes from the factored exponent of
+GL_m(p), so it is found without enumerating <A>.  The Monte-Carlo
 estimator needs no enumeration.  It cuts the n steps into blocks of k <= 8 steps
 and gives each distinct block word its 2^k signed products, so one
 `RowArith.right_mul` step per block, indexed by the block's k sign bits,
 multiplies every sample's row (a table gather for matrix row codes when the run
 pays for the tables, else a matmul or compose on entries).  The products are
-counted by their keys, which sort in `encode()` order, per thread task with
+counted by their keys, which sort in encoding order, per thread task with
 `np.unique` and across tasks with `np.unique` and weighted sums; only the modal
-key is turned back into `encode()` bytes.  It is deterministic for a fixed
+key is turned back into encoded bytes.  It is deterministic for a fixed
 (seed, samples) pair regardless of worker count: samples are processed in
 fixed-size batches whose bit streams come from a counter-based generator keyed
 by (seed, batch index).
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elements import GroupElement, same_family
+from .elements import Element, same_family
 from .errors import CapExceeded, SignedWalkError
 from .groups import (
     ROW_TABLE_BOUND,
@@ -74,18 +77,19 @@ class SignedSequence:
     Every entry must be non-trivial.
     """
 
-    elements: tuple[GroupElement, ...]
+    elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
         if len(self.elements) < 1:
             raise ValueError("sequence must contain at least one element")
         same_family(self.elements)
-        if any(e.is_identity() for e in self.elements):
+        arith = RowArith(self.elements[0])
+        if arith.is_identity(arith.rows(self.elements)).any():
             raise SignedWalkError("sequence entries must be non-trivial")
         check_walk_length(len(self.elements))
 
     @classmethod
-    def constant(cls, element: GroupElement, n: int) -> "SignedSequence":
+    def constant(cls, element: Element, n: int) -> "SignedSequence":
         return cls((element,) * n)
 
     @property
@@ -94,7 +98,9 @@ class SignedSequence:
 
     def orders(self) -> tuple[int, ...]:
         """Order of each entry, computed once per distinct entry."""
-        by_entry = {e: e.order() for e in dict.fromkeys(self.elements)}
+        distinct = list(dict.fromkeys(self.elements))
+        arith = RowArith(distinct[0])
+        by_entry = dict(zip(distinct, arith.orders(arith.rows(distinct))))
         return tuple(by_entry[e] for e in self.elements)
 
     @property
@@ -311,7 +317,8 @@ def rho_monte_carlo(
     k = _block_length(arith, ids, samples)
     blocks = [tuple(ids[j : j + k]) for j in range(0, n, k)]
     words = list(dict.fromkeys(blocks[: n // k]))  # the distinct full blocks
-    pairs = arith.rows([x for e in letters for x in (e.inv(), e)])  # A_i^-1, A_i at 2i, 2i + 1
+    rows = arith.rows(letters)  # pairs: A_i^-1 and A_i at 2i and 2i + 1
+    pairs = np.stack([arith.inverse(rows), rows], axis=1).reshape(2 * len(rows), -1)
     factors = np.concatenate(
         [_signed_products(arith, pairs, np.array(g)) for g in (words, blocks[n // k :]) if g]
     )

@@ -11,16 +11,17 @@ import itertools
 import numpy as np
 import pytest
 
-from signedwalk.elements import (
-    MatrixElement,
-    MulTable,
-    PermutationElement,
-    TableElement,
-    _byte_width,
-    _inv_entries,
+from signedwalk.elements import Element, MulTable, _byte_width
+from signedwalk.errors import NotInGroup, NotInvertible
+from signedwalk.groups import (
+    ConjugacyClasses,
+    FiniteGroup,
+    close_generators,
+    group_from_spec,
+    matrix_element,
+    permutation,
+    table_element,
 )
-from signedwalk.errors import NotInGroup
-from signedwalk.groups import ConjugacyClasses, FiniteGroup, close_generators, group_from_spec
 from signedwalk.irreps import decompose_regular
 from signedwalk.modarith import charpoly_mod, matmul_mod, nullspace_mod, roots_mod, solve_in_span
 from signedwalk.walk import _MC_BATCH, ExactDistribution, SignedSequence
@@ -62,14 +63,14 @@ def sl2_49_seed11():
 
 @pytest.fixture(scope="session")
 def trivial():
-    return close_generators([PermutationElement.identity(3)])
+    return close_generators([permutation(range(3))])
 
 
 @pytest.fixture(scope="session")
 def d6_reflections():
     """D6 from two reflections of the hexagon: each multiplier is its own inverse."""
     return close_generators(
-        [PermutationElement((0, 5, 4, 3, 2, 1)), PermutationElement((1, 0, 5, 4, 3, 2))]
+        [permutation((0, 5, 4, 3, 2, 1)), permutation((1, 0, 5, 4, 3, 2))]
     )
 
 
@@ -104,7 +105,7 @@ def sl2_7():
 def z6():
     """Z/6 as a table group generated by 1."""
     table = MulTable([[(i + j) % 6 for j in range(6)] for i in range(6)])
-    return close_generators([TableElement(table, 1)])
+    return close_generators([table_element(table, 1)])
 
 
 # two non-associative 5-element loops (latin squares with identity 0), each
@@ -120,7 +121,7 @@ LOOP_GENERATORS = {
 def s7():
     """S7 (|G| = 5040) from (0 1) and (0 1 2 3 4 5 6)."""
     return close_generators(
-        [PermutationElement((1, 0, 2, 3, 4, 5, 6)), PermutationElement((1, 2, 3, 4, 5, 6, 0))]
+        [permutation((1, 0, 2, 3, 4, 5, 6)), permutation((1, 2, 3, 4, 5, 6, 0))]
     )
 
 
@@ -129,8 +130,111 @@ def s6():
     """S6 from the transposition (0 1) and the 6-cycle (0 1 2 3 4 5), both
     relabelled by i -> [3, 1, 4, 5, 2, 0][i] (the benchmark's seed-11 input)."""
     return close_generators(
-        [PermutationElement((0, 3, 2, 1, 4, 5)), PermutationElement((3, 4, 0, 1, 5, 2))]
+        [permutation((0, 3, 2, 1, 4, 5)), permutation((3, 4, 0, 1, 5, 2))]
     )
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic on single elements, independent of `RowArith`
+# ---------------------------------------------------------------------------
+
+
+def ref_inv_entries(entries: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
+    """Inverse mod p by Gauss-Jordan elimination on [A | I]; NotInvertible if singular."""
+    rows = [
+        list(entries[i * m : (i + 1) * m]) + [int(i == j) for j in range(m)]
+        for i in range(m)
+    ]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] % p), None)
+        if pivot is None:
+            raise NotInvertible("matrix is singular mod p")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
+    return tuple(rows[i][m + j] for i in range(m) for j in range(m))
+
+
+def ref_mul(a: Element, b: Element) -> Element:
+    """a * b: the matrix product mod p, the composition x -> a(b(x)), or the
+    table entry."""
+    if a.family != b.family:
+        raise NotInGroup("reference product across families")
+    kind = a.family[0]
+    if kind == "matrix":
+        _, p, m = a.family
+        x, y = a.values, b.values
+        values = tuple(
+            sum(x[i * m + k] * y[k * m + j] for k in range(m)) % p
+            for i in range(m)
+            for j in range(m)
+        )
+    elif kind == "perm":
+        values = tuple(a.values[i] for i in b.values)
+    else:
+        values = (int(a.table.products[a.values[0], b.values[0]]),)
+    return Element(a.family, values, a.table)
+
+
+def ref_identity(g: Element) -> Element:
+    """The identity of g's family."""
+    kind, n = g.family[0], len(g.values)
+    if kind == "matrix":
+        m = g.family[2]
+        values = tuple(int(i == j) for i in range(m) for j in range(m))
+    else:
+        values = tuple(range(n)) if kind == "perm" else (g.table.identity_index,)
+    return Element(g.family, values, g.table)
+
+
+def ref_inv(g: Element) -> Element:
+    """g^-1: `ref_inv_entries`, the inverted image list, or the table entry whose
+    product with g is the identity."""
+    kind = g.family[0]
+    if kind == "matrix":
+        _, p, m = g.family
+        values = ref_inv_entries(g.values, m, p)
+    elif kind == "perm":
+        out = [0] * len(g.values)
+        for i, img in enumerate(g.values):
+            out[img] = i
+        values = tuple(out)
+    else:
+        row = g.table.products[g.values[0]].tolist()
+        values = (row.index(g.table.identity_index),)
+    return Element(g.family, values, g.table)
+
+
+def ref_order(g: Element) -> int:
+    """Smallest k >= 1 with g^k = identity, by repeated `ref_mul`."""
+    k, cur, ident = 1, g, ref_identity(g)
+    while cur != ident:
+        cur, k = ref_mul(cur, g), k + 1
+    return k
+
+
+def ref_encode(g: Element) -> bytes:
+    """Canonical bytes: matrix entries or images big-endian, each in the bytes of
+    the family's largest value (p - 1 or degree - 1), a table index in 4 bytes."""
+    kind = g.family[0]
+    if kind == "table":
+        return g.values[0].to_bytes(4, "big")
+    w = _byte_width(g.family[1] - 1)
+    return b"".join(v.to_bytes(w, "big") for v in g.values)
+
+
+def matrix_identity(p: int, m: int) -> Element:
+    return matrix_element(p, m, (int(i == j) for i in range(m) for j in range(m)))
+
+
+def matrix_rows(g: Element) -> list[list[int]]:
+    """The rows of a matrix element."""
+    m = g.family[2]
+    return [list(g.values[i * m : (i + 1) * m]) for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +335,7 @@ def naive_batch_inverse(mats: np.ndarray, p: int) -> np.ndarray:
         out = np.empty_like(a)
         for idx in range(a.shape[0]):
             ent = tuple(int(x) for x in a[idx].reshape(-1))
-            out[idx] = np.array(_inv_entries(ent, m, p), dtype=np.int64).reshape(m, m)
+            out[idx] = np.array(ref_inv_entries(ent, m, p), dtype=np.int64).reshape(m, m)
         return out
     dets = det_stack(a)
     if np.any(dets == 0):
@@ -254,14 +358,14 @@ def _mat_codes(mats: np.ndarray, p: int) -> np.ndarray:
     return flat @ (p ** np.arange(k - 1, -1, -1, dtype=np.int64))
 
 
-def naive_close_matrix(gens: list[MatrixElement]) -> tuple[np.ndarray, np.ndarray]:
+def naive_close_matrix(gens: list[Element]) -> tuple[np.ndarray, np.ndarray]:
     """(matrices in index order, inverse indices) from a BFS that materializes every
     product of a layer, tests membership in a Python set of codes, and inverts all
     elements after closure."""
-    p, m = gens[0].p, gens[0].m
+    _, p, m = gens[0].family
     mult_mats, seen = [], set()
-    for g in gens + [g.inv() for g in gens]:
-        arr = np.array(g.rows(), dtype=np.int64)
+    for g in gens + [ref_inv(g) for g in gens]:
+        arr = np.array(matrix_rows(g), dtype=np.int64)
         code = int(_mat_codes(arr[None, :, :], p)[0])
         if code not in seen:
             seen.add(code)
@@ -288,36 +392,31 @@ def naive_close_generic(gens) -> tuple[list, np.ndarray]:
     """(elements in index order, inverse indices) from a BFS over single elements:
     a dict of canonical encodings holds every element found so far, each layer's
     new elements are sorted by encoding, and every inverse is looked up by
-    encoding after closure.  Works for any element family."""
-    ident = gens[0].mul(gens[0].inv())
+    encoding after closure.  Works for any element family, through the
+    reference arithmetic."""
+    ident = ref_identity(gens[0])
     elements = [ident]
-    index = {ident.encode(): 0}
-    multipliers = list({g.encode(): g for g in gens + [g.inv() for g in gens]}.values())
+    index = {ref_encode(ident): 0}
+    multipliers = list({ref_encode(g): g for g in gens + [ref_inv(g) for g in gens]}.values())
     frontier = [ident]
     while frontier:
         discovered = {}
         for g in frontier:
             for t in multipliers:
-                h = g.mul(t)
-                k = h.encode()
+                h = ref_mul(g, t)
+                k = ref_encode(h)
                 if k not in index and k not in discovered:
                     discovered[k] = h
         frontier = [discovered[k] for k in sorted(discovered)]
         for h in frontier:
-            index[h.encode()] = len(elements)
+            index[ref_encode(h)] = len(elements)
             elements.append(h)
-    return elements, np.array([index[e.inv().encode()] for e in elements], dtype=np.int64)
+    return elements, np.array([index[ref_encode(ref_inv(e))] for e in elements], dtype=np.int64)
 
 
 def element_rows(elements) -> np.ndarray:
     """Matrix entries, permutation images or the table index, one row per element."""
-    rows = [
-        e.entries if isinstance(e, MatrixElement)
-        else e.images if isinstance(e, PermutationElement)
-        else (e.index,)
-        for e in elements
-    ]
-    return np.array(rows, dtype=np.int64)
+    return np.array([e.values for e in elements], dtype=np.int64)
 
 
 def group_rows(G: FiniteGroup) -> np.ndarray:
@@ -326,27 +425,27 @@ def group_rows(G: FiniteGroup) -> np.ndarray:
     return G._arith.entries(G._arith.decode(G._keys))
 
 
-def decode_matrix(data: bytes, p: int, m: int) -> MatrixElement:
-    """The matrix mod p whose `encode()` is data: m*m big-endian entries."""
+def decode_matrix(data: bytes, p: int, m: int) -> Element:
+    """The matrix mod p whose `ref_encode` is data: m*m big-endian entries."""
     w = _byte_width(p - 1)
     if len(data) != w * m * m:
         raise ValueError("encoded length does not match matrix parameters")
-    return MatrixElement(
+    return matrix_element(
         p, m, tuple(int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(m * m))
     )
 
 
-def decode_permutation(data: bytes, degree: int) -> PermutationElement:
-    """The permutation whose `encode()` is data: `degree` big-endian images."""
+def decode_permutation(data: bytes, degree: int) -> Element:
+    """The permutation whose `ref_encode` is data: `degree` big-endian images."""
     w = _byte_width(degree - 1) if degree > 1 else 1
-    return PermutationElement(
+    return permutation(
         tuple(int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(degree))
     )
 
 
-def decode_table(data: bytes, table: MulTable) -> TableElement:
-    """The table element whose `encode()` is data: one 4-byte big-endian index."""
-    return TableElement(table, int.from_bytes(data, "big"))
+def decode_table(data: bytes, table: MulTable) -> Element:
+    """The table element whose `ref_encode` is data: one 4-byte big-endian index."""
+    return table_element(table, int.from_bytes(data, "big"))
 
 
 def naive_conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
@@ -571,10 +670,10 @@ def naive_mc(seq: SignedSequence, samples: int, seed: int) -> tuple[int, int, st
     """(max count, distinct products, hex encoding of the modal product) of the
     Monte-Carlo estimator, replayed element by element: batch b draws the same
     Philox sign bits as `rho_monte_carlo`, each sample multiplies A_i or A_i^-1
-    left to right with scalar `mul` (each distinct (product, factor) pair is
-    multiplied once), and products are counted by `encode()`."""
-    inverses = [e.inv() for e in seq.elements]
-    ident = seq.elements[0].mul(inverses[0])
+    left to right with `ref_mul` (each distinct (product, factor) pair is
+    multiplied once), and products are counted by `ref_encode`."""
+    inverses = [ref_inv(e) for e in seq.elements]
+    ident = ref_identity(seq.elements[0])
     counts: dict[bytes, int] = {}
     step: dict = {}
     for b in range(-(-samples // _MC_BATCH)):
@@ -584,8 +683,8 @@ def naive_mc(seq: SignedSequence, samples: int, seed: int) -> tuple[int, int, st
             cur = ident
             for s, a, a_inv in zip(signs, seq.elements, inverses):
                 f = a if s else a_inv
-                cur = step.get((cur, f)) or step.setdefault((cur, f), cur.mul(f))
-            key = cur.encode()
+                cur = step.get((cur, f)) or step.setdefault((cur, f), ref_mul(cur, f))
+            key = ref_encode(cur)
             counts[key] = counts.get(key, 0) + 1
     best = max(counts.values())
     return best, len(counts), min(k for k, c in counts.items() if c == best).hex()

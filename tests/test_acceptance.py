@@ -31,7 +31,7 @@ from signedwalk.walk import (
 )
 from signedwalk.embed import RationalMatrix, embed_mod_p
 
-from conftest import BENCH_NAMES, random_sequence
+from conftest import BENCH_NAMES, random_sequence, ref_order
 from group_specs import BENCH, SL2_149_TORUS, cyclic
 
 # rho values produced by earlier criteria, consumed by the bound consistency check
@@ -236,12 +236,7 @@ def test_criterion_10_embedding_examples():
     diag2 = embed_mod_p([RationalMatrix.from_rows([[2, 0], [0, 1]])], 6, p_min=2)
 
     def img_order(res):  # recompute orders in GL_m(p) independently of the library path
-        g = res.images[0]
-        k, cur = 1, g
-        while not cur.is_identity():
-            cur = cur.mul(g)
-            k += 1
-        return k
+        return ref_order(res.images[0])
 
     ok = (
         uni.prime == 5

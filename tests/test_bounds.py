@@ -74,16 +74,15 @@ def test_prime_order_length_rejects_composite():
 
 def test_order_length_bound_with_partial_order_count():
     """The bound also applies with N = #elements of order >= sigma in place of n."""
-    from signedwalk.elements import PermutationElement
-    from signedwalk.groups import group_from_spec
+    from signedwalk.groups import group_from_spec, permutation
     from signedwalk.walk import SignedSequence, exact_distribution
 
     from group_specs import symmetric
 
     G = group_from_spec(symmetric(4))
 
-    swap = G.element(G.index_of(PermutationElement((1, 0, 2, 3))))
-    cycle = G.element(G.index_of(PermutationElement((1, 2, 3, 0))))
+    swap = G.element(G.index_of(permutation((1, 0, 2, 3))))
+    cycle = G.element(G.index_of(permutation((1, 2, 3, 0))))
     seq = SignedSequence((swap, cycle, cycle, swap, cycle, cycle, cycle, cycle))
     sigma = 4
     N = sum(k >= sigma for k in seq.orders())

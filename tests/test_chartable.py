@@ -17,9 +17,9 @@ from signedwalk.chartable import (
     eigenvalue_multiplicities,
     max_character_ratio,
 )
-from signedwalk.elements import PermutationElement
+from signedwalk.elements import Element
 from signedwalk.errors import CapExceeded, ConsistencyFailure
-from signedwalk.groups import close_generators, conjugacy_classes, group_from_spec
+from signedwalk.groups import close_generators, conjugacy_classes, group_from_spec, permutation
 from signedwalk.irreps import REGULAR_SIZE_CAP, decompose_regular
 from signedwalk.modarith import inv_mod
 
@@ -101,13 +101,13 @@ def test_prime_search_failure_names_the_real_floor(bench_groups, monkeypatch, ca
     assert capsys.readouterr().err == f"resource cap: {message}\n"
 
 
-def _cycles(lengths) -> list[PermutationElement]:
+def _cycles(lengths) -> list[Element]:
     """One cycle per length, on disjoint blocks of consecutive points."""
     gens, start, degree = [], 0, sum(lengths)
     for k in lengths:
         images = list(range(degree))
         images[start : start + k] = [start + (i + 1) % k for i in range(k)]
-        gens.append(PermutationElement(tuple(images)))
+        gens.append(permutation(tuple(images)))
         start += k
     return gens
 

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import signedwalk
-from signedwalk import chartable, cli, elements, embed, errors, groups, primes
+from signedwalk import chartable, cli, embed, errors, groups, primes
 from signedwalk.cli import main
-from signedwalk.elements import MatrixElement, PermutationElement
-from signedwalk.groups import group_from_spec
+from signedwalk.groups import group_from_spec, matrix_from_rows, permutation
 from signedwalk.walk import SignedSequence, exact_distribution
 
-from conftest import LOOP_GENERATORS, naive_class_powers
+from conftest import LOOP_GENERATORS, matrix_identity, naive_class_powers, ref_encode
 from group_specs import BENCH, cyclic, sl2, symmetric
 
 
@@ -348,7 +347,7 @@ def test_sweep_rows_are_the_prefix_laws(specs, capsys):
     )
     assert code == 0
     G = group_from_spec(sl2(5))
-    a = MatrixElement.from_rows([[1, 1], [0, 1]], 5)
+    a = matrix_from_rows([[1, 1], [0, 1]], 5)
     for n, row in enumerate(json.loads(out), start=1):
         rho = exact_distribution(G, SignedSequence.constant(a, n)).rho()
         assert row["n"] == n
@@ -462,19 +461,21 @@ def test_the_exception_type_decides_the_exit_code(specs, capsys, monkeypatch, cl
     assert err == ("resource cap: planted\n" if code == 3 else "input error: planted\n")
 
 
-def test_matrix_order_cap_exits_3(specs, capsys, tmp_path, monkeypatch):
-    # the walk bounds need every element order; a budget of 2 products stops at order 5
-    monkeypatch.setattr(elements, "_ORDER_CAP", 2)
-    seq = tmp_path / "inline_seq.json"
-    seq.write_text(json.dumps({"elements": [[[1, 1], [0, 1]]]}))
-    argv = ["rho", "--group", specs["sl2_5"], "--seq", str(seq)]
+def test_matrix_order_factoring_budget_exits_3(capsys, tmp_path, monkeypatch):
+    # the image of the unipotent matrix mod p = 1000000103 has its order found
+    # from the factored exponent of GL_2(p); p^2 - 1 = 2^4 3 83 6024097 41666671
+    # leaves two factors above the trial bound, so Pollard rho runs
+    monkeypatch.setattr(primes, "FACTOR_CAP", 1)
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1, 1], [0, 1]]]))
+    argv = ["embed", "--matrices", str(mats), "--n", "3", "--p-min", "1000000103"]
     code, err = run_failing(capsys, *argv)
     assert code == 3
-    assert err == "resource cap: order loop exceeded cap\n"
+    assert err == "resource cap: factoring exceeded 1 Pollard-rho steps\n"
 
 
-def test_table_order_cap_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(elements, "_ORDER_CAP", 1)
+def test_table_order(capsys, tmp_path):
+    # the orders of 1 and 2 in Z/6 are walked along the table, so the bound uses s = 3
     group = tmp_path / "z6.json"
     group.write_text(
         json.dumps(
@@ -483,9 +484,9 @@ def test_table_order_cap_exits_3(capsys, tmp_path, monkeypatch):
     )
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"elements": [1, 2]}))
-    code, err = run_failing(capsys, "rho", "--group", str(group), "--seq", str(seq))
-    assert code == 3
-    assert err == "resource cap: order loop exceeded cap\n"
+    code, out = run(capsys, "rho", "--group", str(group), "--seq", str(seq))
+    assert code == 0
+    assert json.loads(out)["bounds"]["order_length"]["s"] == 3
 
 
 @pytest.mark.parametrize(
@@ -497,7 +498,7 @@ def test_table_order_cap_exits_3(capsys, tmp_path, monkeypatch):
 )
 def test_embedding_order_mismatch_exits_2(capsys, tmp_path, monkeypatch, matrix, message):
     # a reduction that collapses everything to the identity contradicts both clauses
-    monkeypatch.setattr(embed, "reduce_matrix_mod_p", lambda A, p: MatrixElement.identity(p, A.m))
+    monkeypatch.setattr(embed, "reduce_matrix_mod_p", lambda A, p: matrix_identity(p, A.m))
     mats = tmp_path / "mats.json"
     mats.write_text(json.dumps([matrix]))
     code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
@@ -514,6 +515,22 @@ def test_factorization_failure_exits_2(capsys, tmp_path, monkeypatch):
     code, err = run_failing(capsys, "embed", "--matrices", str(mats), "--n", "3")
     assert code == 2
     assert err == "input error: rho factorization failed for 1000003\n"
+
+
+def test_embed_finds_an_undecided_finite_order_below_n(capsys, tmp_path, monkeypatch):
+    # one product cannot decide (-I)^12 = I, so the order of -I is undecided and
+    # its exponents run towards n = 4; (-I)^2 = I on the way gives the order 2
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[-1, 0], [0, -1]]]))
+    argv = ["embed", "--matrices", str(mats), "--n", "4"]
+    conclusive = run(capsys, *argv)
+    monkeypatch.setattr(embed, "POWER_CAP", 1)
+    with pytest.raises(errors.CapExceeded):
+        embed.rational_order(embed.RationalMatrix.from_rows([[-1, 0], [0, -1]]))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["report"] == [{"clause": "i", "image_order": 2, "original_order": 2}]
+    assert (code, out) == conclusive
 
 
 def test_factoring_budget_exits_3(capsys, tmp_path, monkeypatch):
@@ -548,7 +565,7 @@ def test_mc_on_a_degree_300_permutation(capsys, tmp_path):
     seq.write_text(json.dumps({"elements": [list(images)]}))
     code, out = run(capsys, "mc", "--seq", str(seq), "--samples", "500")
     assert code == 0
-    assert json.loads(out)["top_element"] == PermutationElement(images).encode().hex()
+    assert json.loads(out)["top_element"] == ref_encode(permutation(images)).hex()
 
 
 def test_closure_of_a_small_group_of_wide_matrices(capsys, tmp_path):
@@ -561,8 +578,8 @@ def test_closure_of_a_small_group_of_wide_matrices(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["order"] == 2
     assert payload["elements"] == [
-        MatrixElement.identity(17, 4).encode().hex(),
-        MatrixElement.from_rows(MINUS_I_MOD_17, 17).encode().hex(),
+        ref_encode(matrix_identity(17, 4)).hex(),
+        ref_encode(matrix_from_rows(MINUS_I_MOD_17, 17)).hex(),
     ]
 
 

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from signedwalk.elements import (
-    MatrixElement,
-    MulTable,
-    PermutationElement,
-    TableElement,
-    same_family,
-)
+from signedwalk.elements import MulTable, same_family
 from signedwalk.errors import NotInGroup, NotInvertible
+from signedwalk.groups import (
+    RowArith,
+    matrix_element,
+    matrix_from_rows,
+    permutation,
+    table_element,
+)
 
 from conftest import (
     BENCH_NAMES,
@@ -20,19 +21,39 @@ from conftest import (
     decode_matrix,
     decode_permutation,
     decode_table,
+    matrix_rows,
     naive_det_mod,
+    ref_inv,
+    ref_mul,
+    ref_order,
 )
 
 
+def _encoded(g) -> bytes:
+    arith = RowArith(g)
+    return arith.encode(arith.rows([g])).tobytes()
+
+
+def _random_invertible(seed: int, count: int = 6) -> list:
+    rng = np.random.default_rng(seed)
+    mats = []
+    while len(mats) < count:
+        try:
+            mats.append(matrix_from_rows(rng.integers(0, 7, size=(3, 3)).tolist(), 7))
+        except NotInvertible:
+            pass
+    return mats
+
+
 def test_matrix_roundtrip_and_reduction():
-    g = MatrixElement.from_rows([[1, -1], [0, 1]], 5)
-    assert g.entries == (1, 4, 0, 1)
-    assert decode_matrix(g.encode(), 5, 2) == g
+    g = matrix_from_rows([[1, -1], [0, 1]], 5)
+    assert g.values == (1, 4, 0, 1)
+    assert decode_matrix(_encoded(g), 5, 2) == g
 
 
 def test_matrix_singular_rejected():
     with pytest.raises(NotInvertible):
-        MatrixElement.from_rows([[1, 2], [2, 4]], 5)
+        matrix_from_rows([[1, 2], [2, 4]], 5)
 
 
 @pytest.mark.parametrize(
@@ -42,27 +63,23 @@ def test_matrix_singular_rejected():
 )
 def test_public_construction_still_validates(p, m, entries, error):
     with pytest.raises(error):
-        MatrixElement(p, m, entries)
+        matrix_element(p, m, entries)
 
 
 def test_product_skips_validation_and_equals_the_checked_matrix(monkeypatch):
-    rng = np.random.default_rng(4)
-    mats = []
-    while len(mats) < 6:
-        try:
-            mats.append(MatrixElement.from_rows(rng.integers(0, 7, size=(3, 3)).tolist(), 7))
-        except NotInvertible:
-            pass
-    checked = []
-    monkeypatch.setattr(MatrixElement, "__post_init__", lambda self: checked.append(self))
-    for a in mats:
-        for b in mats:
-            prod = a.mul(b)
-            want = (np.array(a.rows()) @ np.array(b.rows()) % 7).ravel().tolist()
-            checked_prod = MatrixElement(7, 3, tuple(want))
-            assert prod.entries == tuple(want) and isinstance(prod.entries[0], int)
-            assert prod == checked_prod and hash(prod) == hash(checked_prod)
-    assert len(checked) == len(mats) ** 2  # one per explicit construction, none per product
+    mats = _random_invertible(4)
+    arith = RowArith(mats[0])
+    rows = arith.rows(mats)
+    checked = {(a, b): matrix_element(7, 3, ref_mul(a, b).values) for a in mats for b in mats}
+    validated = []
+    monkeypatch.setattr(RowArith, "inverse", lambda self, rows: validated.append(rows))
+    for a, ra in zip(mats, rows):
+        for b, rb in zip(mats, rows):
+            prod = arith.element(arith.compose(ra[None], rb[None])[0])
+            want = (np.array(matrix_rows(a)) @ np.array(matrix_rows(b)) % 7).ravel().tolist()
+            assert prod.values == tuple(want) and type(prod.values[0]) is int
+            assert prod == checked[a, b] and hash(prod) == hash(checked[a, b])
+    assert not validated  # a decoded product is never checked for invertibility again
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 257])
@@ -75,7 +92,7 @@ def test_matrix_refused_exactly_when_the_determinant_is_zero(p):
         entries = tuple((rng.integers(0, p, size=m * m) * (rng.random(m * m) < 0.6)).tolist())
         singular = naive_det_mod(entries, m, p) == 0
         try:
-            MatrixElement(p, m, entries)
+            matrix_element(p, m, entries)
         except NotInvertible as exc:
             assert singular and str(exc) == "matrix is singular mod p"
             refused += 1
@@ -84,102 +101,102 @@ def test_matrix_refused_exactly_when_the_determinant_is_zero(p):
     assert 0 < refused < 200
 
 
-def test_inverse_skips_validation(monkeypatch):
-    rng = np.random.default_rng(5)
-    mats = []
-    while len(mats) < 6:
-        try:
-            mats.append(MatrixElement.from_rows(rng.integers(0, 7, size=(3, 3)).tolist(), 7))
-        except NotInvertible:
-            pass
-    checked = []
-    monkeypatch.setattr(MatrixElement, "__post_init__", lambda self: checked.append(self))
-    for g in mats:
-        inv = g.inv()
-        assert isinstance(inv.entries[0], int) and g.mul(inv).is_identity()
-        checked_inv = MatrixElement(7, 3, inv.entries)
+def test_inverse_skips_validation():
+    mats = _random_invertible(5)
+    arith = RowArith(mats[0])
+    inverses = arith.inverse(arith.rows(mats))
+    for g, row in zip(mats, inverses):
+        inv = arith.element(row)
+        assert type(inv.values[0]) is int and inv == ref_inv(g)
+        checked_inv = matrix_element(7, 3, inv.values)
         assert inv == checked_inv and hash(inv) == hash(checked_inv)
-    assert len(checked) == len(mats)  # one per explicit construction, none per inverse
+
+
+def _assert_inverse_pairs(mats) -> None:
+    """RowArith's batched inverses against the reference, both sides a unit."""
+    arith = RowArith(mats[0])
+    rows = arith.rows(mats)
+    inv = arith.inverse(rows)
+    assert arith.is_identity(arith.compose(rows, inv)).all()
+    assert arith.is_identity(arith.compose(inv, rows)).all()
+    assert [arith.element(r) for r in inv] == [ref_inv(g) for g in mats]
 
 
 def test_matrix_inverse_small_and_large():
     for m, p in [(2, 7), (3, 5), (4, 7), (5, 11)]:
         rows = [[(i * m + j + 1) % p for j in range(m)] for i in range(m)]
         rows = [[1 if i == j else rows[i][j] if i < j else 0 for j in range(m)] for i in range(m)]
-        g = MatrixElement.from_rows(rows, p)
-        assert g.mul(g.inv()).is_identity()
-        assert g.inv().mul(g).is_identity()
+        _assert_inverse_pairs([matrix_from_rows(rows, p)])
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 257])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_matrix_inverse_of_random_invertible_matrices(m, p):
     rng = np.random.default_rng(1000 * m + p)
-    found = 0
-    while found < 10:
+    found = []
+    while len(found) < 10:
         rows = rng.integers(0, p, size=(m, m)).tolist()
         try:
-            g = MatrixElement.from_rows(rows, p)
+            found.append(matrix_from_rows(rows, p))
         except NotInvertible:
             continue
-        found += 1
-        assert g.mul(g.inv()).is_identity()
-        assert g.inv().mul(g).is_identity()
+    _assert_inverse_pairs(found)
 
 
 def test_matrix_order_unipotent():
-    g = MatrixElement.from_rows([[1, 1], [0, 1]], 5)
-    assert g.order() == 5
+    g = matrix_from_rows([[1, 1], [0, 1]], 5)
+    arith = RowArith(g)
+    assert arith.orders(arith.rows([g])) == [5]
 
 
 def test_mixed_variants_rejected():
-    a = MatrixElement.from_rows([[1, 1], [0, 1]], 5)
-    b = MatrixElement.from_rows([[1, 1], [0, 1]], 7)
-    with pytest.raises(NotInGroup, match="matrix multiplication across different families"):
-        a.mul(b)
+    a = matrix_from_rows([[1, 1], [0, 1]], 5)
+    b = matrix_from_rows([[1, 1], [0, 1]], 7)
+    with pytest.raises(NotInGroup, match="element family does not match group"):
+        RowArith(a).rows([a, b])
     with pytest.raises(NotInGroup, match="mixed element families"):
         same_family([a, b])
 
 
 @given(st.permutations(list(range(6))))
 def test_permutation_roundtrip_and_inverse(images):
-    g = PermutationElement(tuple(images))
-    assert decode_permutation(g.encode(), 6) == g
-    assert g.mul(g.inv()).is_identity()
-    # order computed by cycle type equals order by iteration
-    k, cur = 1, g
-    while not cur.is_identity():
-        cur = cur.mul(g)
-        k += 1
-    assert g.order() == k
+    g = permutation(images)
+    assert decode_permutation(_encoded(g), 6) == g
+    arith = RowArith(g)
+    row = arith.rows([g])
+    assert arith.is_identity(arith.compose(row, arith.inverse(row))).all()
+    # order by cycle type equals order by iteration
+    assert arith.orders(row) == [ref_order(g)]
 
 
 def test_permutation_composition_convention():
     # (f * g)(x) = f(g(x))
-    f = PermutationElement((1, 0, 2))
-    g = PermutationElement((0, 2, 1))
-    assert f.mul(g).images == (1, 2, 0)
+    f = permutation((1, 0, 2))
+    g = permutation((0, 2, 1))
+    arith = RowArith(f)
+    assert arith.element(arith.compose(arith.rows([f]), arith.rows([g]))[0]).values == (1, 2, 0)
 
 
 def test_table_identity_and_inverse():
     rows = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     t = MulTable(rows)
     assert t.identity_index == 0
-    g = TableElement(t, 1)
-    assert g.order() == 4
-    assert g.mul(g.inv()).is_identity()
-    assert decode_table(g.encode(), t) == g
+    g = table_element(t, 1)
+    arith = RowArith(g)
+    row = arith.rows([g])
+    assert arith.orders(row) == [4]
+    assert arith.is_identity(arith.compose(row, arith.inverse(row))).all()
+    assert decode_table(_encoded(g), t) == g
 
 
 def test_table_keeps_one_read_only_array():
     rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     t = MulTable(rows)
     assert t.products.dtype == np.int64 and t.products.tolist() == rows
-    with pytest.raises(ValueError):
-        t.products[0, 0] = 1
-    for i in range(5):
-        for j in range(5):
-            assert type(t.mul(i, j)) is int and t.mul(i, j) == rows[i][j]
+    assert t.inverse.tolist() == [0, 4, 3, 2, 1]
+    for array in (t.products, t.inverse):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def _z2_times(loop):

@@ -14,6 +14,8 @@ from signedwalk.embed import (
 )
 from signedwalk.errors import CapExceeded, NotInvertible, SignedWalkError
 
+from conftest import ref_mul
+
 
 def test_rational_order_finite_cases():
     assert rational_order(RationalMatrix.from_rows([[-1, 0], [0, -1]])) == 2
@@ -104,7 +106,7 @@ def test_embed_homomorphism_residues():
     for _ in range(100):
         i, j = (int(x) for x in rng.integers(0, 2, size=2))
         lhs = reduce_matrix_mod_p(mats[i].mul(mats[j]), p)
-        rhs = imgs[i].mul(imgs[j])
+        rhs = ref_mul(imgs[i], imgs[j])
         assert lhs == rhs
 
 

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from signedwalk.elements import PermutationElement
 from signedwalk.errors import ConsistencyFailure
-from signedwalk.groups import close_generators
+from signedwalk.groups import close_generators, permutation
 from signedwalk.irreps import fourier_distribution
 from signedwalk.walk import SignedSequence, exact_distribution
 
-from conftest import random_sequence
+from conftest import random_sequence, ref_encode
 
 
 def test_three_cycle_squared_probability(bench_groups, bench_irreps):
     G = bench_groups["s3"]
-    a = G.element(G.index_of(PermutationElement((1, 2, 0))))
+    a = G.element(G.index_of(permutation((1, 2, 0))))
     seq = SignedSequence((a, a))
     p = fourier_distribution(G, bench_irreps["s3"], seq)[0]
     assert p == pytest.approx(0.5, abs=1e-10)
@@ -20,12 +19,12 @@ def test_three_cycle_squared_probability(bench_groups, bench_irreps):
 
 def test_zero_outside_generated_subgroup(bench_groups, bench_irreps):
     G = bench_groups["s4"]
-    rot = PermutationElement((1, 2, 3, 0))
+    rot = permutation((1, 2, 3, 0))
     seq = SignedSequence.constant(G.element(G.index_of(rot)), 5)
     sub = close_generators([rot])
-    sub_encodings = {sub.element(i).encode() for i in range(sub.order)}
+    sub_encodings = {ref_encode(sub.element(i)) for i in range(sub.order)}
     outside = next(
-        b for b in range(G.order) if G.element(b).encode() not in sub_encodings
+        b for b in range(G.order) if ref_encode(G.element(b)) not in sub_encodings
     )
     p = fourier_distribution(G, bench_irreps["s4"], seq)[outside]
     assert abs(p) <= 1e-9

@@ -16,12 +16,11 @@ from signedwalk.spectral import (
     trace_vs_singular_sum,
     trig_inequality_scan,
 )
-from signedwalk.elements import MatrixElement
-from signedwalk.groups import group_from_spec
+from signedwalk.groups import group_from_spec, matrix_from_rows
 from signedwalk.irreps import UnitaryIrrep
 from signedwalk.walk import SignedSequence
 
-from conftest import random_sequence
+from conftest import matrix_rows, random_sequence
 
 
 def test_singular_values_diagonal():
@@ -142,7 +141,7 @@ def test_cascade_vacuous_when_l0_exceeds_dim(bench_groups, bench_irreps):
     G = bench_groups["sl2_5"]
     rep = next(r for r in bench_irreps["sl2_5"] if r.dim == 4)
     minus_i = G.index_of(
-        MatrixElement.from_rows([[-1, 0], [0, -1]], 5)
+        matrix_from_rows([[-1, 0], [0, -1]], 5)
     )
     seq = SignedSequence.constant(G.element(minus_i), 4)  # s = 2
     diag = cascade_diagnostics(5, 2, G, rep, seq, 0)
@@ -166,7 +165,7 @@ def test_cascade_predictions_fill_the_csv_past_l0():
     lift = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
     mats = np.array(
         [
-            [[lift[log[x]] if x else 0 for x in row] for row in G.element(i).rows()]
+            [[lift[log[x]] if x else 0 for x in row] for row in matrix_rows(G.element(i))]
             for i in range(G.order)
         ]
     )
@@ -174,7 +173,7 @@ def test_cascade_predictions_fill_the_csv_past_l0():
         assert np.allclose(mats[G.mul_many(np.arange(G.order), g)], mats @ mats[g])
     rep = UnitaryIrrep(dim=2, matrices=mats, character=np.trace(mats, axis1=1, axis2=2))
     n = 5
-    seq = SignedSequence.constant(MatrixElement.from_rows(torus, p), n)
+    seq = SignedSequence.constant(matrix_from_rows(torus, p), n)
     diag = cascade_diagnostics(p, 2, G, rep, seq, 0)
     assert diag.s == 240 and diag.l0 == 1 < diag.dim
     # every B_i is cos(2 pi / 240) I, so both singular values are its n-th power
@@ -205,7 +204,7 @@ def test_order_two_entries_give_unit_prefix(bench_groups, bench_irreps):
     G = bench_groups["sl2_5"]
     rep = next(r for r in bench_irreps["sl2_5"] if r.dim == 4)
     minus_i = G.index_of(
-        MatrixElement.from_rows([[-1, 0], [0, -1]], 5)
+        matrix_from_rows([[-1, 0], [0, -1]], 5)
     )
     seq = SignedSequence.constant(G.element(minus_i), 6)
     diag = cascade_diagnostics(5, 2, G, rep, seq, 0)

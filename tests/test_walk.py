@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedwalk import walk
-from signedwalk.elements import MatrixElement, PermutationElement
+from signedwalk.elements import MulTable
 from signedwalk.errors import CapExceeded, NotInGroup, NotInvertible, SignedWalkError
-from signedwalk.groups import RowArith, close_generators, group_from_spec
+from signedwalk.groups import (
+    RowArith,
+    close_generators,
+    group_from_spec,
+    matrix_from_rows,
+    permutation,
+    table_element,
+)
 from signedwalk.walk import (
     ExactDistribution,
     SignedSequence,
@@ -30,6 +37,9 @@ from conftest import (
     naive_exact_counts,
     naive_mc,
     random_sequence,
+    ref_encode,
+    ref_inv,
+    ref_mul,
 )
 from group_specs import cyclic as cyclic_spec, sl2, symmetric
 
@@ -40,19 +50,19 @@ def cyclic(k):
 
 def test_orders_computes_each_distinct_entry_once(monkeypatch):
     calls = []
-    order = MatrixElement.order
+    orders = RowArith.orders
 
-    def counted(self):
-        calls.append(self)
-        return order(self)
+    def counted(self, rows):
+        calls.append(self.entries(rows).tolist())
+        return orders(self, rows)
 
-    monkeypatch.setattr(MatrixElement, "order", counted)
+    monkeypatch.setattr(RowArith, "orders", counted)
     # equal entries built separately still count as one
     u, w = ([[1, 1], [0, 1]], [[0, 1], [4, 0]])
-    entries = [MatrixElement.from_rows(rows, 5) for rows in (u, w, u, u, w, u)]
+    entries = [matrix_from_rows(rows, 5) for rows in (u, w, u, u, w, u)]
     seq = SignedSequence(tuple(entries))
     assert seq.orders() == (5, 4, 5, 5, 4, 5)
-    assert sorted(e.entries for e in calls) == sorted(e.entries for e in entries[:2])
+    assert calls == [[list(e.values) for e in entries[:2]]]  # one batch, each entry once
 
 
 def test_sequence_rejects_identity():
@@ -63,8 +73,8 @@ def test_sequence_rejects_identity():
 
 def test_sequence_order_statistics():
     G = group_from_spec(symmetric(4))
-    transposition = G.index_of(PermutationElement((1, 0, 2, 3)))
-    four_cycle = G.index_of(PermutationElement((1, 2, 3, 0)))
+    transposition = G.index_of(permutation((1, 0, 2, 3)))
+    four_cycle = G.index_of(permutation((1, 2, 3, 0)))
     seq = SignedSequence(
         (G.element(transposition), G.element(four_cycle), G.element(four_cycle))
     )
@@ -121,7 +131,7 @@ def test_involution_walk_across_limb_boundaries(bench_groups, n):
     # counts of exactly 2^n cross the 2^32 and 2^64 limb edges; at n = 4096 the
     # last carry is 16 steps back, so 2^4096 is 128 limbs with a top limb of 2^32
     G = bench_groups["s4"]
-    t = G.index_of(PermutationElement((1, 0, 2, 3)))
+    t = G.index_of(permutation((1, 0, 2, 3)))
     d = exact_distribution(G, SignedSequence.constant(G.element(t), n))
     expected = [0] * G.order
     expected[0 if n % 2 == 0 else t] = 2**n
@@ -161,7 +171,7 @@ def test_inverting_entries_leaves_law_unchanged(bench_groups, seed):
     G = bench_groups["sl2_5"]
     seq = random_sequence(G, int(rng.integers(1, 70)), rng)
     flipped = SignedSequence(
-        tuple(e.inv() if rng.integers(2) else e for e in seq.elements)
+        tuple(ref_inv(e) if rng.integers(2) else e for e in seq.elements)
     )
     assert exact_distribution(G, flipped).counts == exact_distribution(G, seq).counts
 
@@ -173,7 +183,7 @@ def test_conjugating_entries_conjugates_law(bench_groups, seed):
     G = bench_groups[["s4", "sl2_5"][int(rng.integers(2))]]
     seq = random_sequence(G, int(rng.integers(1, 70)), rng)
     g = G.element(int(rng.integers(G.order)))
-    conj = SignedSequence(tuple(g.mul(e).mul(g.inv()) for e in seq.elements))
+    conj = SignedSequence(tuple(ref_mul(ref_mul(g, e), ref_inv(g)) for e in seq.elements))
     law = exact_distribution(G, seq).counts
     law_conj = exact_distribution(G, conj).counts
     gi = G.index_of(g)
@@ -184,13 +194,13 @@ def test_conjugating_entries_conjugates_law(bench_groups, seed):
 
 def test_support_inside_generated_subgroup(bench_groups):
     G = bench_groups["s4"]
-    four_cycle = PermutationElement((1, 2, 3, 0))
+    four_cycle = permutation((1, 2, 3, 0))
     seq = SignedSequence.constant(G.element(G.index_of(four_cycle)), 6)
     sub = close_generators([four_cycle])
-    sub_encodings = {sub.element(i).encode() for i in range(sub.order)}
+    sub_encodings = {ref_encode(sub.element(i)) for i in range(sub.order)}
     d = exact_distribution(G, seq)
     for i in d.support():
-        assert G.element(i).encode() in sub_encodings
+        assert ref_encode(G.element(i)) in sub_encodings
 
 
 def test_reversal_symmetry(bench_groups):
@@ -252,7 +262,7 @@ def test_constant_walk_meets_the_141_bound_where_it_is_not_vacuous():
 
 def test_element_not_in_group():
     G = cyclic(5)
-    alien = PermutationElement((1, 2, 3, 4, 0, 5))
+    alien = permutation((1, 2, 3, 4, 0, 5))
     with pytest.raises(NotInGroup, match="element family does not match group"):
         exact_distribution(G, SignedSequence((alien,)))
 
@@ -327,14 +337,14 @@ def _mc_sequence(name: str, bench_groups) -> SignedSequence:
     if name == "torus_normalizer_31":  # 40 of the 59 non-identity diag(a, 1/a), [[0, a], [-1/a, 0]]
         mats = [[[a, 0], [0, pow(a, -1, 31)]] for a in range(2, 31)]
         mats += [[[0, a], [-pow(a, -1, 31), 0]] for a in range(1, 31)]
-        return SignedSequence(tuple(MatrixElement.from_rows(mats[i], 31) for i in rng.permutation(59)[:40]))
+        return SignedSequence(tuple(matrix_from_rows(mats[i], 31) for i in rng.permutation(59)[:40]))
     if name == "perm10":
-        return SignedSequence(tuple(PermutationElement(tuple(rng.permutation(10).tolist())) for _ in range(12)))
+        return SignedSequence(tuple(permutation(tuple(rng.permutation(10).tolist())) for _ in range(12)))
     p, m = (1031, 2) if name == "mod1031" else (17, 4)
     letters = []
     while len(letters) < (7 if name == "mod17_seven" else 3):
         try:
-            letters.append(MatrixElement.from_rows(rng.integers(0, p, size=(m, m)).tolist(), p))
+            letters.append(matrix_from_rows(rng.integers(0, p, size=(m, m)).tolist(), p))
         except NotInvertible:
             pass
     if name == "mod17":
@@ -342,8 +352,8 @@ def _mc_sequence(name: str, bench_groups) -> SignedSequence:
     if name == "mod17_seven":
         return SignedSequence(tuple(letters))
     a = pow(2, (p - 1) // 5, p)  # order 5, with the quarter turn: the closure test's group
-    letters[:2] = [MatrixElement.from_rows([[a, 0], [0, pow(a, -1, p)]], p),
-                   MatrixElement.from_rows([[0, 1], [-1, 0]], p)]
+    letters[:2] = [matrix_from_rows([[a, 0], [0, pow(a, -1, p)]], p),
+                   matrix_from_rows([[0, 1], [-1, 0]], p)]
     return SignedSequence(tuple(letters) * 3)
 
 
@@ -407,7 +417,7 @@ def test_monte_carlo_matches_scalar_replay(monkeypatch, mc_replay, name, threads
 
 def test_monte_carlo_wide_permutation_bytes_path():
     # degree > 15 permutations fall back to byte-keyed accumulation
-    cyc = PermutationElement(tuple((i + 1) % 17 for i in range(17)))
+    cyc = permutation(tuple((i + 1) % 17 for i in range(17)))
     G = close_generators([cyc])
     seq = SignedSequence.constant(G.element(G.index_of(cyc)), 9)
     mc = rho_monte_carlo(seq, samples=40_000, seed=3, threads=2)
@@ -418,17 +428,15 @@ def test_monte_carlo_wide_permutation_bytes_path():
 
 def test_monte_carlo_permutation_and_table_paths():
     Gp = group_from_spec(symmetric(4))
-    seqp = SignedSequence.constant(Gp.element(Gp.index_of(PermutationElement((1, 2, 3, 0)))), 4)
+    seqp = SignedSequence.constant(Gp.element(Gp.index_of(permutation((1, 2, 3, 0)))), 4)
     mcp = rho_monte_carlo(seqp, samples=20_000, seed=3)
     exact = exact_distribution(Gp, seqp).rho().value
     assert abs(mcp.plugin_max_frequency - exact) <= 5 * mcp.stderr + 1e-12
 
     rows = [[(i + j) % 8 for j in range(8)] for i in range(8)]
-    from signedwalk.elements import MulTable, TableElement
-
     t = MulTable(rows)
-    seqt = SignedSequence.constant(TableElement(t, 1), 6)
-    Gt = close_generators([TableElement(t, 1)])
+    seqt = SignedSequence.constant(table_element(t, 1), 6)
+    Gt = close_generators([table_element(t, 1)])
     mct = rho_monte_carlo(seqt, samples=20_000, seed=3)
     exact_t = exact_distribution(Gt, seqt).rho().value
     assert abs(mct.plugin_max_frequency - exact_t) <= 5 * mct.stderr + 1e-12
@@ -462,4 +470,4 @@ def test_sequence_from_spec_indices_and_inline():
     G = group_from_spec(sl2(5))
     seq = sequence_from_spec({"elements": [1, [[1, 1], [0, 1]]], "repeat": 2}, G)
     assert seq.n == 4
-    assert seq.elements[1] == MatrixElement.from_rows([[1, 1], [0, 1]], 5)
+    assert seq.elements[1] == matrix_from_rows([[1, 1], [0, 1]], 5)
