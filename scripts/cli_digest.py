@@ -158,6 +158,12 @@ def commands() -> list[tuple[str, list[str]]]:
         add(f"closure_{g}", "closure", "--group", f"{g}.json", "--elements")
         add(f"chartab_{g}", "chartab", "--group", f"{g}.json")
     add("closure_wide", "closure", "--group", "wide.json", "--elements")
+    # the law dump of a table group (4-byte indices) and of 4x4 matrices mod 17
+    # (row codes with byte keys)
+    add("rho_z6_table", "rho", "--group", "z6_table.json", "--seq", "seq9.json",
+        "--dump-dist", "OUT/law.json")
+    add("rho_wide", "rho", "--group", "wide.json", "--seq", "seq9.json",
+        "--dump-dist", "OUT/law.json")
     add("closure_cap", "closure", "--group", "sl2_5.json", "--cap", "10")
     add("rho_sl2_5", "rho", "--group", "sl2_5.json", "--seq", "seq.json",
         "--dump-dist", "OUT/law.json")

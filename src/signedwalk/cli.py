@@ -138,7 +138,7 @@ def cmd_rho(args: argparse.Namespace) -> int:
         "bounds": _bounds_payload(seq, G.p),
     }
     if args.dump_dist:
-        with open(args.dump_dist, "w", encoding="utf-8") as fh:
+        with open(args.dump_dist, "wb") as fh:
             dist.write_json(G, fh)
     _emit(args, payload)
     return EXIT_OK
@@ -324,8 +324,14 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    from .walk import central_binomial_bound, order_length_bound, prime_order_length_bound
+    from .walk import (
+        central_binomial_bound,
+        check_binomial_length,
+        order_length_bound,
+        prime_order_length_bound,
+    )
 
+    check_binomial_length(args.n)  # first: sqrt(n) overflows a float past 10^308
     value, vacuous = order_length_bound(args.s, args.n)
     payload = {
         "binomial": _fraction_json(central_binomial_bound(args.n)),
@@ -338,12 +344,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
-    from .walk import signed_sum_check
+    from .walk import check_signed_sum_size, signed_sum_check
 
     if args.a is not None:
         res = signed_sum_check([int(x) for x in args.a.split(",")], K=args.k)
     else:
         K = 3 if args.k is None else args.k
+        check_signed_sum_size(args.n, K)  # before the n terms are drawn
         rng = np.random.default_rng(args.seed)
         signs = rng.integers(0, 2, size=args.n) * 2 - 1
         mags = rng.integers(1, K + 1, size=args.n)

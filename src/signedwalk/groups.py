@@ -9,7 +9,9 @@ by fixed right factors (`right_mul`: a row code times a fixed matrix is a row
 code, so one gather through a p^m-entry table per factor), inverses (a
 Gauss-Jordan elimination mod p over a stack of matrices, an argsort of images,
 or the table's inverse column), identity tests, orders, the byte encoding of
-each row, and a sortable key per row in encoding order.  A matrix order comes
+each row, its hex text (`hex_text`: one gather through a per-family table of
+the text of every row code, or of every byte of the encoding), and a sortable
+key per row in encoding order.  A matrix order comes
 from the exponent E = lcm(p^k - 1, k <= m) * p^e of GL_m(p), p^e >= m, whose
 factors are divided out of E while the power stays the identity, so it costs
 a few dozen batched powers, not one product per unit of the order; a
@@ -17,6 +19,9 @@ permutation order is the lcm of its cycle lengths, a table order a walk along
 the element's own column.  The validating constructors (`matrix_element`,
 `matrix_from_rows`, `permutation`, `table_element`) live here too: a matrix is
 refused when its products would overflow int64 and then when it is singular.
+The parsers read a spec's or a sequence's entries with `elements_from_entries`,
+which checks every entry's shape in turn and then all the matrices'
+invertibility in one batched `inverse`, raising the first failing entry's error.
 Rows are row codes only for p^m <= ROW_TABLE_BOUND = 2^20
 (above it a row is the m*m entries).  The k * p^m table entries of k factors
 are built only when they fit that bound (4 MB) and the caller will ask for at
@@ -39,17 +44,23 @@ tested against the keys of layers k-1 and k only.  A product's index is then
 its layer's start plus its position among that layer's sorted keys, so the
 same pass writes the generator tree: the right-multiplication columns of the
 multipliers, the start of every layer and, for every h >= 1, the first product
-g * t that found h, with g < h its parent in the layer before.  Each layer
+g * t that found h, with g < h its parent in the layer before.  The
+multipliers' `right_mul` tables are built once per closure, by the first layer
+that pays for them, and serve every later layer.  Each layer
 writes its product keys into one buffer and deduplicates them (`_unique`):
 int64 keys whose bits leave room for the product's position are packed as
 key << b | position into that same buffer and sorted in place, so equal keys
-meet in product order and no argsort or sorted copy is made.  Each layer
-decodes the rows of its new elements from their keys, and its temporaries
-are freed before the next layer sorts its products; the tree is int32
-throughout, and the inverses are read off the finished tree by index, one
-multiplier row per gather (`_inverses`).  A table closure that numbers more
+meet in product order and no argsort or sorted copy is made; the index of
+each unique key reaches its products by one scatter through that order.
+Each layer decodes the rows of its new elements from their keys, and its
+temporaries are freed before the next layer sorts its products; the tree is
+int32 throughout.  The inverses are read off the finished tree by index, one
+multiplier row per gather (`_inverses`), on first read (`FiniteGroup._inv`):
+`closure` and `rho` never pay for them.  A table closure that numbers more
 elements than the table has, or inverses that do not pair up, mean the table
-is not associative.  A group never changes after construction.  `mul_many`
+is not associative, so `close_generators` reads the inverses of every table
+group (both guards).  A group never changes after construction but for that
+cached read, which is safe across threads (`FiniteGroup`).  `mul_many`
 takes one right factor or an index array aligned with the left factors, so a
 batch of unrelated products (e.g. the next power of every class
 representative) is one call.
@@ -75,10 +86,11 @@ import numpy as np
 
 from . import primes
 from .elements import Element, MulTable, _byte_width, is_square, same_family
-from .errors import CapExceeded, ConsistencyFailure, NotInGroup, NotInvertible
+from .errors import CapExceeded, ConsistencyFailure, NotInGroup, NotInvertible, SignedWalkError
 
 DEFAULT_CLOSURE_CAP = 4_000_000
 ROW_TABLE_BOUND = 2**20  # most row codes p^m, and most entries of one product table
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +109,7 @@ class RowArith:
         self._digits = None  # p^(m-1), ..., p, 1 when matrix rows are row codes
         if self.family[0] == "matrix":
             _, p, m = self.family
-            if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
-                raise CapExceeded(f"products of {m}x{m} matrices mod p={p} overflow int64")
+            _check_int64(p, m)
             self.variant, self.p, self.m = "matrix_mod_p", p, m
             base, width, entries, top = p, m * m, m * m, p - 1
             if p**m <= ROW_TABLE_BOUND:
@@ -297,10 +308,35 @@ class RowArith:
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """(len, row_bytes) uint8: each row's encoding, its entries big-endian in
-        the bytes of the family's largest entry (a table index in 4 bytes)."""
-        entries = self.entries(rows)
+        the bytes of the family's largest entry (a table index in 4 bytes).
+        Printed text does not come from here but from `hex_text`, which looks
+        the same bytes up in hex."""
+        return self._bytes(self.entries(rows))
+
+    def _bytes(self, entries: np.ndarray) -> np.ndarray:
+        """(len, k * byte width) uint8: the k entries of each row, big-endian."""
         data = (entries[:, :, None] >> self._shifts) & 0xFF
-        return data.astype(np.uint8).reshape(len(rows), self.row_bytes)
+        return data.astype(np.uint8).reshape(len(entries), entries.shape[1] * self._shifts.size)
+
+    @cached_property
+    def _text(self) -> np.ndarray:
+        """The family's hex table, one `np.void` item of ASCII per value: the hex
+        of the m entries of every row code where rows are row codes (p^m items
+        of 2 m bytes each: 2401 x 8 B for 4 x 4 matrices mod 7), else of every
+        byte (256 items of 2 B), looked up in `encode`'s output."""
+        if self._digits is None:
+            data = np.arange(256, dtype=np.uint8)[:, None]
+        else:
+            data = self._bytes(np.arange(self._base)[:, None] // self._digits % self.p)
+        text = _HEX_DIGITS[np.stack([data >> 4, data & 15], axis=-1)].reshape(len(data), -1)
+        return text.view(np.dtype((np.void, text.shape[1]))).ravel()
+
+    def hex_text(self, rows: np.ndarray) -> np.ndarray:
+        """(len, 2 * row_bytes) uint8: the lowercase ASCII hex of each row's
+        `encode`, one gather through `_text`: each row code gathers its bytes,
+        with no entry divided out; other rows are encoded first."""
+        values = rows if self._digits is not None else self.encode(rows)
+        return self._text[values].view(np.uint8).reshape(len(rows), 2 * self.row_bytes)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """Sortable keys in `encode` order, of dtype `key_dtype`: the int64
@@ -315,6 +351,12 @@ class RowArith:
         if self._powers is None:
             return keys.view(self._key_dtype).reshape(len(keys), self._width).astype(np.int64)
         return keys[:, None] // self._powers % self._base
+
+
+def _check_int64(p: int, m: int) -> None:
+    """CapExceeded when products of m x m matrices mod p overflow int64."""
+    if m * (p - 1) ** 2 >= 2**63:  # the largest entry of an int64 matmul
+        raise CapExceeded(f"products of {m}x{m} matrices mod p={p} overflow int64")
 
 
 def _cycle_lcms(images: np.ndarray) -> list[int]:
@@ -335,7 +377,8 @@ def _cycle_lcms(images: np.ndarray) -> list[int]:
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position of each key in the nonempty sorted_keys, whether it is there)."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    pos = np.searchsorted(sorted_keys, keys)
+    np.minimum(pos, sorted_keys.size - 1, out=pos)
     return pos, sorted_keys[pos] == keys
 
 
@@ -349,15 +392,18 @@ def _pack_bits(keys: np.ndarray) -> int | None:
     return b if int(keys.max()).bit_length() + b <= 64 else None
 
 
-def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`np.unique(keys, return_index=True, return_inverse=True)` with an int32
-    inverse; `keys` is overwritten, and freed once sorted if the caller holds no
-    other reference (a temporary argument).  Where `_pack_bits` allows, the keys'
-    own buffer becomes the uint64 words key << b | position, sorted in place:
-    equal keys sort by position, so the head of each run is the key's first
-    index, and the order is the words' low b bits.  Other keys (`np.void`, or
-    too many bits) take one argsort and a sorted copy, with the first index the
-    least position among a key's copies, so that sort need not be stable."""
+def _unique(keys: np.ndarray):
+    """`np.unique(keys, return_index=True)` and `spread`, which takes one value
+    per unique key to one per key, values[inverse] for numpy's `return_inverse`,
+    by one scatter through the sort order (`spread(np.arange(len(uniq)))` is
+    that inverse).  `keys` is overwritten, and freed once sorted if the caller
+    holds no other reference (a temporary argument).  Where `_pack_bits`
+    allows, the keys' own buffer becomes the uint64 words key << b | position,
+    sorted in place: equal keys sort by position, so the head of each run is
+    the key's first index, and the order is the words' low b bits.  Other keys
+    (`np.void`, or too many bits) take one argsort and a sorted copy, with the
+    first index the least position among a key's copies, so that sort need not
+    be stable."""
     b = _pack_bits(keys)
     if b is None:
         order = np.argsort(keys)
@@ -377,11 +423,17 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     uniq = keys[head]
     del keys
     first = order[head] if b is not None else np.minimum.reduceat(order, np.flatnonzero(head))
-    ranks = np.cumsum(head, dtype=np.int32)
-    ranks -= 1
-    inverse = np.empty(ranks.size, dtype=np.int32)
-    inverse[order] = ranks
-    return uniq, first, inverse
+
+    def spread(values: np.ndarray) -> np.ndarray:
+        ranks = np.cumsum(head, dtype=np.int32)  # the unique key at each sorted place
+        ranks -= 1
+        in_order = values[ranks]  # ranks only grow: a sequential gather
+        del ranks
+        out = np.empty(order.size, dtype=values.dtype)
+        out[order] = in_order  # the one scatter
+        return out
+
+    return uniq, first, spread
 
 
 @dataclass(frozen=True)
@@ -433,20 +485,34 @@ class FiniteGroup:
     """Finite group enumerated from generators; all queries are index-based.
 
     Element i has key `_keys[i]` under the group's `RowArith`; its row is
-    decoded from the key when needed.  Built complete by `close_generators`
-    (keys, inverses, generator indices and generator tree) and never changed
-    afterwards, so it is safe to share across threads.
+    decoded from the key when needed.  Built by `close_generators` (keys,
+    generator indices and generator tree) and never changed afterwards, except
+    that the inverses `_inv` are computed on first read: a command that never
+    reads them (`closure`, `rho`) skips that whole-group pass.  A concurrent
+    first read may compute them twice, and every reader gets equal arrays, so
+    the group is safe to share across threads.
     """
 
-    def __init__(self, arith: RowArith, keys, inv, tree: GeneratorTree, generator_rows) -> None:
+    def __init__(self, arith: RowArith, keys, tree: GeneratorTree, generator_rows) -> None:
         self._arith = arith
         self.variant, self.p, self.m, self.degree = arith.variant, arith.p, arith.m, arith.degree
+        self.table = arith.table
         self.order = len(keys)
         self._keys = keys
         self._key_perm = np.argsort(keys)  # intp: an int32 sorter is cast on every lookup
-        self._inv = inv
         self.tree = tree
         self.generator_indices = tuple(self._lookup(arith.keys(generator_rows)).tolist())
+
+    @cached_property
+    def _inv(self) -> np.ndarray:
+        """inv[h] = index of g_h^-1, read off the tree (`_inverses`) on first
+        read; NotInGroup when inversion is not an involution, which only a
+        table that is not associative can cause (`close_generators` reads the
+        inverses of every table group, so that it refuses such a table)."""
+        inv = _inverses(self.tree)
+        if not np.array_equal(inv[inv], np.arange(len(inv))):
+            raise NotInGroup("generators do not close to a group: inversion is not an involution")
+        return inv
 
     # -- element access ------------------------------------------------
 
@@ -461,11 +527,16 @@ class FiniteGroup:
     def index_of(self, g: Element) -> int:
         return int(self._lookup(self._arith.keys(self._arith.rows([g])))[0])
 
+    def hex_text(self, idxs) -> np.ndarray:
+        """(len, 2 * row_bytes) uint8: the ASCII hex encoding of every element
+        i in idxs (`RowArith.hex_text`)."""
+        return self._arith.hex_text(self._decode(np.asarray(idxs, dtype=np.int64)))
+
     def hex_encodings(self, idxs) -> list[str]:
-        """The hex encoding (`RowArith.encode`) of every element i in idxs."""
-        data = self._arith.encode(self._decode(np.asarray(idxs, dtype=np.int64))).tobytes().hex()
-        k = 2 * self._arith.row_bytes
-        return [data[i : i + k] for i in range(0, len(data), k)]
+        """`hex_text` as one str per element: each ASCII byte widened to a UCS-4
+        code unit, so numpy's str dtype makes the strings."""
+        text = self.hex_text(idxs)
+        return text.astype(np.uint32).view(f"U{text.shape[1]}").ravel().tolist()
 
     # -- index arithmetic ------------------------------------------------
 
@@ -523,18 +594,19 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def _next_layer(arith: RowArith, mults, frontier, prev, cur, prev_start: int, start: int):
+def _next_layer(arith: RowArith, times, k: int, frontier, prev, cur, prev_start: int, start: int):
     """One BFS step from `frontier`, the rows of layer k with sorted keys `cur`
-    (indices from `start`); `prev` holds the sorted keys of layer k-1 (indices
-    from `prev_start`).  Returns the (multipliers, F) int32 columns of the
+    (indices from `start`), through `times`, the `right_mul` of the k
+    multipliers; `prev` holds the sorted keys of layer k-1 (indices from
+    `prev_start`).  Returns the (multipliers, F) int32 columns of the
     frontier's products, the parent's position in the frontier and the
     multiplier of the first product that found each new element (int32), and
     the new elements' sorted keys.  Each unique product key is numbered by its
     layer's start plus its position in the sorted keys of layer k-1, k or (new)
-    k+1, which starts at start + F.  Every temporary of the layer dies on
-    return, before the next layer sorts."""
-    F, k = len(frontier), len(mults)
-    times = arith.right_mul(mults, F * k)  # tables once a layer has p^m rows
+    k+1, which starts at start + F, and the numbers reach the products by one
+    scatter (`_unique`).  Every temporary of the layer dies on return, before
+    the next layer sorts."""
+    F = len(frontier)
 
     def product_keys() -> np.ndarray:  # the keys of frontier * t_u, multiplier-major
         keys = np.empty(k * F, dtype=arith.key_dtype)
@@ -543,14 +615,27 @@ def _next_layer(arith: RowArith, mults, frontier, prev, cur, prev_start: int, st
         return keys
 
     # a temporary argument: `_unique` holds the only reference and sorts it in place
-    uniq, first, slot = _unique(product_keys())
-    pos_prev, in_prev = _find(prev, uniq)
-    pos_cur, in_cur = _find(cur, uniq)
-    fresh = ~(in_prev | in_cur)
-    index = np.where(in_cur, start + pos_cur, prev_start + pos_prev).astype(np.int32)
+    uniq, first, spread = _unique(product_keys())
+    index, fresh = _index_known(uniq, prev, cur, prev_start, start)
     pick = first[fresh].astype(np.int32)
     index[fresh] = np.arange(start + F, start + F + pick.size, dtype=np.int32)
-    return index[slot].reshape(k, F), pick % F, pick // F, uniq[fresh]
+    new_keys = uniq[fresh]
+    del uniq, first, fresh  # before the scatter allocates a product's length again
+    return spread(index).reshape(k, F), pick % F, pick // F, new_keys
+
+
+def _index_known(uniq, prev, cur, prev_start: int, start: int):
+    """(int32 index of each of the sorted keys `uniq` found in the sorted keys
+    `prev` of layer k-1 or `cur` of layer k, whether it is in neither), one
+    layer's lookup at a time, each written in place."""
+    index = np.empty(uniq.size, dtype=np.int32)
+    known = np.zeros(uniq.size, dtype=bool)
+    for keys, offset in ((prev, prev_start), (cur, start)):
+        pos, found = _find(keys, uniq)
+        pos += offset
+        np.copyto(index, pos, casting="unsafe", where=found)
+        known |= found
+    return index, ~known
 
 
 def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -578,10 +663,14 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     zero = np.zeros(1, dtype=np.int32)
     cols, via, parent = [], [zero], [zero]
     prev, prev_start, start = layer_keys[0], 0, 0
+    n_mults, tabled = len(mults), False
     while len(frontier):
         F = len(frontier)
+        if not tabled:  # the first layer of p^m rows builds the tables every later one reads
+            work = F * n_mults
+            times, tabled = arith.right_mul(mults, work), arith.tables_fit(n_mults, work)
         layer_cols, g, t, fresh = _next_layer(
-            arith, mults, frontier, prev, layer_keys[-1], prev_start, start
+            arith, times, n_mults, frontier, prev, layer_keys[-1], prev_start, start
         )
         total = start + F + fresh.size
         if arith.table is not None and total > arith.table.size:  # a key numbered twice
@@ -603,10 +692,10 @@ def close_generators(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     via = np.concatenate(via)
     parent = np.concatenate(parent)
     tree = GeneratorTree(tuple(cols[:, 0].tolist()), cols, via, parent, tuple(starts.tolist()))
-    inv = _inverses(tree)
-    if not np.array_equal(inv[inv], np.arange(len(inv))):
-        raise NotInGroup("generators do not close to a group: inversion is not an involution")
-    return FiniteGroup(arith, keys, inv, tree, gen_rows)
+    G = FiniteGroup(arith, keys, tree, gen_rows)
+    if arith.table is not None:  # a loop can close with inverses that do not pair up
+        G._inv  # read for its involution check
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +800,11 @@ def matrix_element(p: int, m: int, entries) -> Element:
     size or an entry outside [0, p), CapExceeded when its products would
     overflow int64 (checked before invertibility), NotInvertible when it is
     singular mod p."""
+    return _check_invertible([_matrix(p, m, entries)])[0]
+
+
+def _matrix(p: int, m: int, entries) -> Element:
+    """`matrix_element` without the invertibility check."""
     entries = tuple(entries)
     if p < 2 or m < 1:
         raise ValueError("need p >= 2 and m >= 1")
@@ -718,10 +812,21 @@ def matrix_element(p: int, m: int, entries) -> Element:
         raise ValueError("entry count does not match matrix size")
     if any(not (0 <= e < p) for e in entries):
         raise ValueError("entries must be residues in [0, p)")
-    g = Element(("matrix", p, m), entries)
-    arith = RowArith(g)
-    arith.inverse(arith.rows([g]))
-    return g
+    _check_int64(p, m)
+    return Element(("matrix", p, m), entries)
+
+
+def _check_invertible(elements: list[Element]) -> list[Element]:
+    """`elements`, once every matrix among them is invertible: one batched
+    `RowArith.inverse` per matrix family (NotInvertible when one is singular)."""
+    families: dict[tuple, list[Element]] = {}
+    for g in elements:
+        if g.family[0] == "matrix":
+            families.setdefault(g.family, []).append(g)
+    for same in families.values():
+        arith = RowArith(same[0])
+        arith.inverse(arith.rows(same))
+    return elements
 
 
 def matrix_from_rows(rows, p: int) -> Element:
@@ -744,16 +849,42 @@ def table_element(table: MulTable, index: int) -> Element:
     return Element(("table", id(table)), (index,), table)
 
 
-def element_from_entry(
-    kind: str, entry, p: int | None = None, table: MulTable | None = None
-) -> Element:
-    """One inline element of a group-spec kind: a square list of int lists
-    reduced mod p (matrix_mod_p), a list of ints (permutation images) or one int
-    (table index).  ValueError when the entry does not have that shape."""
+def elements_from_entries(
+    kind: str,
+    entries,
+    p: int | None = None,
+    table: MulTable | None = None,
+    group: FiniteGroup | None = None,
+) -> list[Element]:
+    """The inline elements of a group-spec kind, one per entry: a square list of
+    int lists reduced mod p (matrix_mod_p), a list of ints (permutation images)
+    or one int (table index); with `group`, an int entry is instead the index
+    of one of its elements.  ValueError when an entry does not have its kind's
+    shape.  Each entry's shape and values are checked in turn, then the
+    invertibility of all the matrices in one batch (`_check_invertible`).  The
+    error raised is still the first failing entry's, as if each entry were
+    checked in full in turn: an entry that fails its own checks first has the
+    matrices before it checked."""
+    out: list[Element] = []
+    for entry in entries:
+        try:
+            if group is not None and is_spec_int(entry):
+                out.append(group.element(entry))
+            else:
+                out.append(_entry(kind, entry, p, table))
+        except (ValueError, SignedWalkError):
+            _check_invertible(out)  # an earlier singular matrix is the first error
+            raise
+    return _check_invertible(out)
+
+
+def _entry(kind: str, entry, p: int | None, table: MulTable | None) -> Element:
+    """One inline element of `elements_from_entries`, a matrix unchecked for
+    invertibility."""
     if kind == "matrix_mod_p":
         if not is_square(entry):
             raise ValueError("a matrix_mod_p entry must be a square list of int lists")
-        return matrix_from_rows(entry, p)
+        return _matrix(p, len(entry), (int(x) % p for row in entry for x in row))
     if kind == "permutation":
         if not (isinstance(entry, (list, tuple)) and all(map(is_spec_int, entry))):
             raise ValueError("a permutation entry must be a list of ints")
@@ -782,7 +913,7 @@ def generators_from_spec(spec: dict) -> list[Element]:
             return [table_element(table, i) for i in range(table.size)]
     else:
         raise ValueError(f"unknown group kind: {kind!r}")
-    gens = [element_from_entry(kind, e, p, table) for e in spec_field(spec, "generators", list)]
+    gens = elements_from_entries(kind, spec_field(spec, "generators", list), p, table)
     if kind == "matrix_mod_p" and any(g.family != ("matrix", p, m) for g in gens):
         raise ValueError("generator size does not match 'm'")
     if kind == "permutation" and any(g.family != ("perm", degree) for g in gens):
@@ -796,4 +927,4 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 def element_from_spec(G: FiniteGroup, data) -> Element:
     """Inline element spec of G's kind: matrix rows, permutation image list, or table index."""
-    return element_from_entry(G.variant, data, G.p, G._arith.table)
+    return elements_from_entries(G.variant, [data], G.p, G.table)[0]

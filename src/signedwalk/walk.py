@@ -6,7 +6,12 @@ keeps integer counts with denominator 2^n and never rounds.  The law is one
 vectorized carry pass every 30 steps keeps each limb below 2^32 + 2^31, so no
 limb overflows.  A law that is read is normalized to limbs below 2^32, and its
 rho and support come from the limbs in numpy; only counts that are read become
-exact Python ints.  A constant walk needs no group: its law is the binomial law
+exact Python ints.  Each step reads the column of its letter's inverse, the
+letter's column inverted, so the walk never reads the group's inverses.  The
+law dump (`ExactDistribution.write_json`) writes bytes: each chunk of support
+elements is one `%` template whose fixed-width lines carry every element's hex
+text from `FiniteGroup.hex_text`, so Python formats only the counts.  A
+constant walk needs no group: its law is the binomial law
 folded onto <A> = Z/s, s the order of A (`constant_walk_counts`).  Element
 orders, inverses and the identity test of a sequence's entries are batched
 `RowArith` row operations; a matrix order comes from the factored exponent of
@@ -40,8 +45,7 @@ from .groups import (
     ROW_TABLE_BOUND,
     FiniteGroup,
     RowArith,
-    element_from_entry,
-    element_from_spec,
+    elements_from_entries,
     is_spec_int,
     spec_field,
     spec_prime,
@@ -49,6 +53,13 @@ from .groups import (
 from .primes import is_prime
 
 MAX_WALK_LENGTH = 4096
+# exact C(n, n // 2) took 9.3 s at n = 10^6, 32 s at 2 * 10^6 and 87 s at
+# 3 * 10^6 (2-core VM): the cap keeps `bounds` inside a minute
+MAX_BINOMIAL_N = 2_000_000
+# `signed_sum_check` scans 2nK + 1 coefficients of a (n + 8) * 2nK-bit integer,
+# about 0.6 ns per unit of (nK)^2 (n + 8): 4.8 s at n = 1000 and 46 s at
+# n = 2000 (K = 3), 321 s at n = 4000; the cap keeps it inside a minute
+MAX_SIGNED_SUM_WORK = 10**11
 _MC_BATCH = 4096
 _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -68,6 +79,19 @@ def check_walk_length(n: int) -> None:
     """CapExceeded for a walk of more than MAX_WALK_LENGTH steps."""
     if n > MAX_WALK_LENGTH:
         raise CapExceeded(f"walk length capped at {MAX_WALK_LENGTH}")
+
+
+def check_binomial_length(n: int) -> None:
+    """CapExceeded for a central binomial C(n, n // 2) past MAX_BINOMIAL_N."""
+    if n > MAX_BINOMIAL_N:
+        raise CapExceeded(f"binomial length capped at {MAX_BINOMIAL_N}")
+
+
+def check_signed_sum_size(n: int, K: int) -> None:
+    """CapExceeded for a signed sum of n terms bounded by K whose exact law
+    (`signed_sum_check`) costs more than MAX_SIGNED_SUM_WORK units (nK)^2 (n + 8)."""
+    if (n * K) ** 2 * (n + 8) > MAX_SIGNED_SUM_WORK:
+        raise CapExceeded(f"signed sum capped at (n K)^2 (n + 8) = {MAX_SIGNED_SUM_WORK}")
 
 
 @dataclass(frozen=True)
@@ -173,19 +197,26 @@ class ExactDistribution:
 
     def write_json(self, G: FiniteGroup, fh) -> None:
         """Write {"denom_exp", "entries": [{"count", "element"}, ...]} over the
-        support, byte for byte as json.dump(..., indent=2, sort_keys=True)
-        writes it, encoding `_DUMP_CHUNK` elements at a time, each chunk by one
-        `%` template."""
+        support to the binary file fh, byte for byte as json.dump(..., indent=2,
+        sort_keys=True) writes it.  Each `_DUMP_CHUNK` support elements are one
+        `%` template: an array of fixed-width entry lines, each with its
+        element's hex text (`FiniteGroup.hex_text`) in place, so only the counts
+        are formatted by Python, and at most one chunk's bytes are held."""
         support, counts = self.support(), self.counts
-        fh.write(f'{{\n  "denom_exp": {self.denom_exp},\n  "entries": [')
-        entry = '\n    {\n      "count": "%d",\n      "element": "%s"\n    }'
+        fh.write(b'{\n  "denom_exp": %d,\n  "entries": [' % self.denom_exp)
+        head = np.frombuffer(b',\n    {\n      "count": "%d",\n      "element": "', np.uint8)
+        tail = np.frombuffer(b'"\n    }', np.uint8)
         for start in range(0, len(support), _DUMP_CHUNK):
             chunk = support[start : start + _DUMP_CHUNK]
-            values = [None] * (2 * len(chunk))
-            values[::2] = [counts[i] for i in chunk]
-            values[1::2] = G.hex_encodings(chunk)
-            fh.write(("," if start else "") + ",".join([entry] * len(chunk)) % tuple(values))
-        fh.write("\n  ]\n}" if support else "]\n}")
+            text = G.hex_text(chunk)
+            lines = np.concatenate(
+                [np.broadcast_to(head, (len(chunk), head.size)), text,
+                 np.broadcast_to(tail, (len(chunk), tail.size))],
+                axis=1,
+            )
+            template = lines.ravel()[0 if start else 1 :].tobytes()  # the first entry has no comma
+            fh.write(template % tuple([counts[i] for i in chunk]))
+        fh.write(b"\n  ]\n}" if support else b"]\n}")
 
 
 def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution:
@@ -198,20 +229,22 @@ def exact_distribution(G: FiniteGroup, seq: SignedSequence) -> ExactDistribution
     """
     idxs = [G.index_of(e) for e in seq.elements]
     # intp step columns (numpy gathers through int32 indices on a slower path);
-    # an inverse's column is its letter's column inverted, h*a -> h
+    # an inverse's column is its letter's column inverted, h*a -> h, whose
+    # entry at the identity is a^-1, so the group's inverses are never read
     cols: dict[int, np.ndarray] = {}
-    for a in set(idxs):
+    inverse: dict[int, int] = {}
+    for a in dict.fromkeys(idxs):
         if a not in cols:
             cols[a] = G.right_column(a).astype(np.intp)
-        if G.inv(a) not in cols:
-            ci = np.empty(G.order, dtype=np.intp)
-            ci[cols[a]] = np.arange(G.order)
-            cols[G.inv(a)] = ci
+        ci = np.empty(G.order, dtype=np.intp)
+        ci[cols[a]] = np.arange(G.order)
+        inverse[a] = int(ci[0])
+        cols.setdefault(inverse[a], ci)
 
     cur = np.zeros((G.order, 1), dtype=np.int64)
     cur[0, 0] = 1
     for step, a in enumerate(idxs, start=1):
-        cur = np.take(cur, cols[G.inv(a)], axis=0) + np.take(cur, cols[a], axis=0)
+        cur = np.take(cur, cols[inverse[a]], axis=0) + np.take(cur, cols[a], axis=0)
         if step % _CARRY_EVERY == 0:
             cur = _carry(cur)
     return ExactDistribution(cur, seq.n)
@@ -398,6 +431,7 @@ def central_binomial_bound(n: int) -> Fraction:
     """Exact binomial ceiling C(n, floor(n/2)) / 2^n for the abelian walk."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_binomial_length(n)
     return Fraction(math.comb(n, n // 2), 1 << n)
 
 
@@ -405,7 +439,7 @@ def order_length_bound(s: int, n_or_N: int) -> tuple[float, bool]:
     """141 * max(1/s, 1/sqrt(n)); second component flags a vacuous (>= 1) bound."""
     if s < 2 or n_or_N < 2:
         raise ValueError("need s >= 2 and n >= 2")
-    value = 141.0 * max(1.0 / s, 1.0 / math.sqrt(n_or_N))
+    value = 141.0 * max(1 / s, 1.0 / math.sqrt(n_or_N))  # int / int: no float overflow for any s
     return value, value >= 1.0
 
 
@@ -420,7 +454,7 @@ def prime_order_length_bound(p: int, s: int, n: int) -> float:
         raise ValueError("p must be prime")
     if s < 2 or n < 2:
         raise ValueError("need s >= 2 and n >= 2")
-    return 2.0 / p + 120.0 / s + 19.0 / math.sqrt(n)
+    return 2 / p + 120 / s + 19.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +489,7 @@ def signed_sum_check(a_list, K: int | None = None) -> SignedSumResult:
     K = maxabs if K is None else int(K)
     if K < maxabs:
         raise ValueError("K must dominate every |a_i|")
+    check_signed_sum_size(n, K)
 
     width = n + 8
     mask = (1 << width) - 1
@@ -487,17 +522,14 @@ def sequence_from_spec(
     """
     items = spec_field(spec, "elements", list)
     if G is not None:
-        elems = [
-            G.element(item) if is_spec_int(item) else element_from_spec(G, item)
-            for item in items
-        ]
+        elems = elements_from_entries(G.variant, items, G.p, G.table, group=G)
     else:
         gspec = ambient if ambient is not None else spec
         kind = gspec.get("kind", "permutation")
         p = spec_prime(gspec) if kind == "matrix_mod_p" else None
         if any(map(is_spec_int, items)):
             raise ValueError("index-based sequence entries need an enumerated group")
-        elems = [element_from_entry(kind, item, p) for item in items]
+        elems = elements_from_entries(kind, items, p)
     repeat = spec.get("repeat", 1)
     if not is_spec_int(repeat) or repeat < 1:
         raise ValueError("repeat must be >= 1")

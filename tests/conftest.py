@@ -280,13 +280,13 @@ def naive_dense_table(G: FiniteGroup) -> np.ndarray:
 
 
 def distribution_json(dist: ExactDistribution, G: FiniteGroup) -> dict:
-    """The law dump as one dict: denom_exp and one entry per support element."""
-    support = dist.support()
+    """The law dump as one dict: denom_exp and one entry per support element,
+    each element's text its reference encoding in hex."""
     return {
         "denom_exp": dist.denom_exp,
         "entries": [
-            {"element": h, "count": str(dist.counts[i])}
-            for i, h in zip(support, G.hex_encodings(support))
+            {"element": ref_encode(G.element(i)).hex(), "count": str(dist.counts[i])}
+            for i in dist.support()
         ],
     }
 

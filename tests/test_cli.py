@@ -91,6 +91,27 @@ def test_rho_distribution_dump(specs, capsys, tmp_path):
     assert sum(int(e["count"]) for e in payload["entries"]) == 16
 
 
+def test_closure_and_rho_dump_never_read_the_inverses(specs, capsys, tmp_path, monkeypatch):
+    # the exact walk takes each letter's inverse from its inverted column, so
+    # on a matrix group neither command runs the whole-group inverse pass
+    def outputs(tag: str):
+        dump = tmp_path / f"{tag}.json"
+        closure = run(capsys, "closure", "--group", specs["sl2_5"], "--elements")
+        rho = run(
+            capsys, "rho", "--group", specs["sl2_5"], "--seq", specs["seq"], "--dump-dist", str(dump)
+        )
+        return closure, rho, dump.read_bytes()
+
+    plain = outputs("plain")
+
+    def refuse(tree):
+        raise AssertionError("the group's inverses were computed")
+
+    monkeypatch.setattr(groups, "_inverses", refuse)
+    assert outputs("patched") == plain
+    assert plain[0][0] == plain[1][0] == 0
+
+
 def test_rho_over_cap_exits_3_and_mc_keeps_the_estimate(specs, capsys, tmp_path):
     seq = tmp_path / "inline_seq.json"
     seq.write_text(json.dumps({"elements": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}))
@@ -790,6 +811,44 @@ def test_example2_empty_term_list_is_an_input_error(capsys):
     code, err = run_failing(capsys, "example2", "--a", "")
     assert code == 2
     assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["bounds", "--s", "3", "--n", str(10**23)], "binomial length capped at 2000000"),
+        (["bounds", "--s", "3", "--n", str(10**400)], "binomial length capped at 2000000"),
+        (["example2", "--n", str(10**13)], "signed sum capped at (n K)^2 (n + 8) = 100000000000"),
+        (["example2", "--k", str(10**6)], "signed sum capped at (n K)^2 (n + 8) = 100000000000"),
+        (
+            ["example2", "--a", "1,2", "--k", str(10**11)],
+            "signed sum capped at (n K)^2 (n + 8) = 100000000000",
+        ),
+    ],
+    ids=["bounds-n", "bounds-n-past-float", "example2-n", "example2-k", "example2-a-k"],
+)
+def test_size_flags_past_their_caps_exit_3(capsys, argv, message):
+    # uncapped, each ends in a traceback with exit 1 (an OverflowError from
+    # math.comb or math.sqrt, a 72.8 TiB draw, a MemoryError) or runs for
+    # minutes; the cap fires before any work
+    code, err = run_failing(capsys, *argv)
+    assert (code, err) == (3, f"resource cap: {message}\n")
+
+
+def test_bounds_of_a_huge_order_and_prime(capsys):
+    # 1 / s and 2 / p are int divisions: a Mersenne prime past any float still prints
+    big = 2**1279 - 1
+    code, out = run(capsys, "bounds", "--s", str(big), "--n", "4", "--p", str(big))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order_length"] == {"value": 70.5, "vacuous": True}
+    assert payload["prime_order_length"] == {"value": 9.5}
+
+
+def test_bounds_past_the_digit_limit_stays_an_input_error(capsys):
+    # below the binomial cap, a count too long to print is still exit 2
+    code, err = run_failing(capsys, "bounds", "--s", "3", "--n", "15000")
+    assert code == 2 and err.startswith("input error: Exceeds the limit (4300 digits)")
 
 
 @pytest.mark.parametrize(

@@ -539,11 +539,13 @@ def test_closure_and_classes_peak_memory():
 
     `close_generators` read 20.8 when every layer kept the previous layer's
     temporaries alive and the tree and inverses were int64, 14.6 once each
-    layer's temporaries die before the next sort, and 11.9 with each layer's
-    keys packed with their positions and sorted in place; the bound is 13.
-    `conjugacy_classes` added 15.4 with int64 conjugation permutations for all
-    8 multipliers, 6.9 with int32 ones for the 4 distinct generators, and 7.3
-    when each round hooks both directions; the bound is 11."""
+    layer's temporaries die before the next sort, 11.9 with each layer's
+    keys packed with their positions and sorted in place, and 10.9 with the
+    inverses left to their first read and each layer's lookups written in
+    place; the bound is 13.  `conjugacy_classes` added 15.4 with int64
+    conjugation permutations for all 8 multipliers, 6.9 with int32 ones for
+    the 4 distinct generators, 7.3 when each round hooks both directions, and
+    7.7 once it reads the inverses first; the bound is 11."""
     gens = generators_from_spec(SL2_49_SEED11)
     tracemalloc.start()
     try:
@@ -753,8 +755,9 @@ def test_unique_matches_numpy(name, copies):
             draw = rng.permutation(np.repeat(np.arange(len(rows)), copies))
         keys = arith.keys(rows[draw])
     want = np.unique(keys, return_index=True, return_inverse=True)
-    uniq, first, inverse = _unique(keys.copy())  # `_unique` overwrites its argument
+    uniq, first, spread = _unique(keys.copy())  # `_unique` overwrites its argument
     assert np.array_equal(uniq, want[0]) and np.array_equal(first, want[1])
+    inverse = spread(np.arange(uniq.size, dtype=np.int32))
     assert inverse.dtype == np.int32 and np.array_equal(inverse, want[2])
 
 

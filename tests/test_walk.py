@@ -445,25 +445,69 @@ def test_monte_carlo_permutation_and_table_paths():
 def test_distribution_json_dump():
     G = cyclic(5)
     d = exact_distribution(G, SignedSequence.constant(G.element(1), 2))
-    fh = io.StringIO()
+    fh = io.BytesIO()
     d.write_json(G, fh)
     payload = json.loads(fh.getvalue())
     assert payload["denom_exp"] == 2
     assert sum(int(e["count"]) for e in payload["entries"]) == 4
-    empty = io.StringIO()
+    empty = io.BytesIO()
     ExactDistribution(np.zeros((G.order, 1), dtype=np.int64), 0).write_json(G, empty)
-    assert empty.getvalue() == json.dumps({"denom_exp": 0, "entries": []}, indent=2)
+    assert empty.getvalue().decode() == json.dumps({"denom_exp": 0, "entries": []}, indent=2)
 
 
-@pytest.mark.parametrize(("name", "n"), [("s4", 1), ("s4", 5), ("sl2_5", 7), ("sl2_5", 70)])
+def _s4_as_table(bench_groups):
+    """S4 as a multiplication table: each element's text is its 4-byte index."""
+    G = bench_groups["s4"]
+    table = MulTable([[G.mul(i, j) for j in range(G.order)] for i in range(G.order)])
+    return close_generators([table_element(table, i) for i in G.generator_indices])
+
+
+def _wide_signed_s4(bench_groups):
+    """-I and the permutation matrices of S4 as 4 x 4 matrices mod 17 (|G| = 48):
+    17^16 > 2^63, so the keys are `np.void` bytes, over row codes."""
+    swaps = [[[int(images[i] == j) for j in range(4)] for i in range(4)]
+             for images in ([1, 0, 2, 3], [1, 2, 3, 0])]
+    minus = matrix_from_rows(np.diag([16] * 4).tolist(), 17)
+    return close_generators([minus] + [matrix_from_rows(rows, 17) for rows in swaps])
+
+
+def _mod_1031(bench_groups):
+    """diag(a, 1/a) of order 5 and [[0, 1], [-1, 0]] mod 1031 (|G| = 20):
+    1031^2 > ROW_TABLE_BOUND, so rows are entries, each in 2 bytes."""
+    a = pow(2, 1030 // 5, 1031)
+    return close_generators([
+        matrix_from_rows([[a, 0], [0, pow(a, -1, 1031)]], 1031),
+        matrix_from_rows([[0, 1], [1030, 0]], 1031),
+    ])
+
+
+DUMP_GROUPS = {
+    "s4_table": _s4_as_table,
+    "wide_signed_s4": _wide_signed_s4,
+    "mod_1031": _mod_1031,
+    "c5": lambda bench_groups: cyclic(5),
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "n"),
+    [
+        ("s4", 1), ("s4", 5), ("sl2_5", 7), ("sl2_5", 70),
+        ("s4_table", 5), ("wide_signed_s4", 6), ("mod_1031", 9), ("c5", 70),
+    ],
+)
 def test_write_json_matches_json_dump_across_chunks(monkeypatch, bench_groups, name, n):
+    # every element family and key form: row codes with int64 and with byte
+    # keys, matrix entries, permutation images, table indices; C5 at n = 70
+    # has counts past 2^64
     monkeypatch.setattr(walk, "_DUMP_CHUNK", 3)  # the support spans several chunks
-    G = bench_groups[name]
+    G = bench_groups[name] if name in bench_groups else DUMP_GROUPS[name](bench_groups)
     d = exact_distribution(G, random_sequence(G, n, np.random.default_rng(n)))
-    fh = io.StringIO()
+    fh = io.BytesIO()
     d.write_json(G, fh)
-    assert fh.getvalue() == json.dumps(distribution_json(d, G), indent=2, sort_keys=True)
+    assert fh.getvalue().decode() == json.dumps(distribution_json(d, G), indent=2, sort_keys=True)
     assert len(d.support()) > 3 or n == 1
+    assert name != "c5" or max(d.counts) >= 2**64
 
 
 def test_sequence_from_spec_indices_and_inline():
@@ -471,3 +515,43 @@ def test_sequence_from_spec_indices_and_inline():
     seq = sequence_from_spec({"elements": [1, [[1, 1], [0, 1]]], "repeat": 2}, G)
     assert seq.n == 4
     assert seq.elements[1] == matrix_from_rows([[1, 1], [0, 1]], 5)
+
+
+@pytest.mark.parametrize("enumerated", [False, True], ids=["inline", "with-group"])
+def test_sequence_entries_report_the_first_failing_entry(enumerated):
+    # the matrices are checked for invertibility in one batch after the
+    # per-entry checks, yet the error is the first failing entry's, as when
+    # each entry was checked in full in turn
+    G = group_from_spec(sl2(5)) if enumerated else None
+    ok, singular, malformed = [[1, 1], [0, 1]], [[1, 2], [2, 4]], [[1, 2, 3], [0, 1]]
+
+    def parse(*elements):
+        return sequence_from_spec({"kind": "matrix_mod_p", "p": 5, "elements": list(elements)}, G)
+
+    with pytest.raises(NotInvertible, match="^matrix is singular mod p$"):
+        parse(ok, ok, singular, malformed)
+    with pytest.raises(ValueError, match="^a matrix_mod_p entry must be a square list of int lists$"):
+        parse(ok, malformed, singular)
+    if enumerated:
+        with pytest.raises(NotInvertible, match="^matrix is singular mod p$"):
+            parse(1, singular, G.order)
+        with pytest.raises(NotInGroup, match=f"^index {G.order} out of range$"):
+            parse(1, G.order, singular)
+
+
+def test_sequence_matrices_are_validated_in_one_batch(monkeypatch):
+    calls = []
+    inverse = RowArith.inverse
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return inverse(self, rows)
+
+    monkeypatch.setattr(RowArith, "inverse", counted)
+    rng = np.random.default_rng(4)
+    unitriangular = np.triu(rng.integers(0, 7, size=(300, 4, 4)), 1) + np.eye(4, dtype=np.int64)
+    seq = sequence_from_spec(
+        {"kind": "matrix_mod_p", "p": 7, "elements": unitriangular.tolist()}
+    )
+    assert calls == [300]
+    assert [g.values for g in seq.elements] == [tuple(m.ravel().tolist()) for m in unitriangular]
